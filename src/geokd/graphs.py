@@ -2,7 +2,8 @@
 
 Edges are undirected, stored once as (u, v) with u < v, no self-loops. The
 normalized adjacency and Laplacian add the implicit self-loop (A + I) and are
-cached on the graph, which is immutable after construction.
+cached on the graph, which is immutable after construction; so are the
+parameter-free propagations A_hat^k X of the features.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import GraphParseError, ValidationError
-from .tensor import SparseMatrix, Tensor
+from .tensor import SparseMatrix, Tensor, spmm
 
 UNLABELED = -1
 
@@ -49,6 +50,9 @@ class Graph:
             raise ValidationError(
                 f"features rows {self.features.shape[0]} != num_nodes {self.num_nodes}"
             )
+        bad = np.argwhere(~np.isfinite(self.features.values))
+        if len(bad):
+            raise ValidationError(f"features[{bad[0][0]}][{bad[0][1]}] is not finite")
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.labels.shape != (self.num_nodes,):
             raise ValidationError("labels must have one entry per node")
@@ -62,6 +66,7 @@ class Graph:
             raise ValidationError("train node without label")
         self._norm_adj = None
         self._laplacian = None
+        self._hops = [self.features]  # [X, A_hat X, ...], see propagated_features
 
     def _check_mask(self, mask, name):
         m = np.unique(np.asarray(mask, dtype=np.int64))
@@ -79,11 +84,7 @@ class Graph:
         return int(labeled.max()) + 1 if len(labeled) else 0
 
     def degrees_with_self_loop(self) -> np.ndarray:
-        deg = np.ones(self.num_nodes)
-        for u, v in self.edges:
-            deg[u] += 1.0
-            deg[v] += 1.0
-        return deg
+        return 1.0 + np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
     def adjacency_dense(self) -> np.ndarray:
         a = np.zeros((self.num_nodes, self.num_nodes))
@@ -132,7 +133,21 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
     g._norm_adj = SparseMatrix.from_coo(
         n, n, np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
     )
+    # entries (u, v) and (v, u) hold the same product, so the matrix is exactly
+    # symmetric and backward passes reuse its matmul_dense plan
+    g._norm_adj._transpose = g._norm_adj
     return g._norm_adj
+
+
+def propagated_features(g: Graph, hops: int) -> list:
+    """[X, A_hat X, .., A_hat^hops X] as constant tensors, each computed once.
+
+    These products hold no parameters, so they are cached on the graph next
+    to its normalized adjacency and shared by every forward pass.
+    """
+    while len(g._hops) <= hops:
+        g._hops.append(spmm(normalize_adjacency(g), g._hops[-1]))
+    return g._hops[:hops + 1]
 
 
 def laplacian_sym(g: Graph) -> SparseMatrix:
@@ -141,11 +156,9 @@ def laplacian_sym(g: Graph) -> SparseMatrix:
         return g._laplacian
     a = normalize_adjacency(g)
     data = -a.data.copy()
-    # locate each row's diagonal entry (present by construction)
-    for r in range(a.rows):
-        seg = slice(a.indptr[r], a.indptr[r + 1])
-        j = np.searchsorted(a.indices[seg], r)
-        data[a.indptr[r] + j] = 1.0 - a.data[a.indptr[r] + j]
+    # each row's diagonal entry is present by construction
+    diag = np.flatnonzero(a.indices == a.row_ids())
+    data[diag] = 1.0 - a.data[diag]
     g._laplacian = SparseMatrix(a.rows, a.cols, a.indptr.copy(), a.indices.copy(), data)
     return g._laplacian
 

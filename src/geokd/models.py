@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ValidationError
-from .graphs import Graph, normalize_adjacency, laplacian_sym
+from .graphs import Graph, laplacian_sym, normalize_adjacency, propagated_features
 
 
 class GnnModel:
@@ -104,28 +104,32 @@ def init_xavier(model: GnnModel, seed: int, stream: int = 201):
 
 
 def forward(model: GnnModel, g: Graph):
-    """Run the model on a graph; returns (logits, trace [H^0 .. H^L])."""
+    """Run the model on a graph; returns (logits, trace [H^0 .. H^L]).
+
+    Hops that hold no parameter come from ``propagated_features``, computed
+    once per graph: the whole sgc trace [X, A_hat X, .., A_hat^L X], and
+    A_hat X for the first gcn layer. The values are the same as propagating
+    on every call.
+    """
     x = g.features
     if x.shape[1] != model.dims[0]:
         raise DimensionError(
             f"feature dim {x.shape[1]} != model input dim {model.dims[0]}"
         )
+    if model.kind == "sgc":
+        trace = propagated_features(g, model.num_layers)
+        return T.matmul(trace[-1], model.weights[0]), trace
     a_hat = normalize_adjacency(g)
     trace = [x]
-    h = x
-    if model.kind == "sgc":
-        for _ in range(model.num_layers):
+    h = propagated_features(g, 1)[1]
+    for l in range(model.num_layers):
+        if l > 0:
             h = T.spmm(a_hat, h)
-            trace.append(h)
-        logits = T.matmul(h, model.weights[0])
-    else:
-        for l in range(model.num_layers):
-            h = T.matmul(T.spmm(a_hat, h), model.weights[l])
-            if l < model.num_layers - 1:
-                h = T.relu(h)
-            trace.append(h)
-        logits = h
-    return logits, trace
+        h = T.matmul(h, model.weights[l])
+        if l < model.num_layers - 1:
+            h = T.relu(h)
+        trace.append(h)
+    return h, trace
 
 
 def accuracy(logits_values: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:

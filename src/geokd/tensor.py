@@ -4,6 +4,12 @@ Tensors are strictly rank-2 float64. Each differentiable op records its
 parents and a backward closure; calling ``backward()`` on a scalar walks the
 tape in reverse topological order. Sparse matrices are constants: gradients
 flow only through their dense operands.
+
+A sparse-dense product runs from a plan built once per matrix: rows are
+grouped by how many entries they store, and each group is one gather and one
+``einsum``. Every output row sums its entries one after another in column
+order, so results do not depend on how rows are grouped (see
+``SparseMatrix.matmul_dense`` for the one exception).
 """
 
 from __future__ import annotations
@@ -128,7 +134,7 @@ class SparseMatrix:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
         self._transpose = None
-        self._nonempty_rows = None  # cached reduceat plan for matmul_dense
+        self._plan = None  # cached degree buckets for matmul_dense
         self._validate()
 
     def _validate(self):
@@ -144,10 +150,16 @@ class SparseMatrix:
             raise ValidationError("indices/data length mismatch")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.cols):
             raise ValidationError("column index out of range")
-        for r in range(self.rows):
-            seg = self.indices[self.indptr[r]:self.indptr[r + 1]]
-            if len(seg) > 1 and np.any(np.diff(seg) <= 0):
-                raise ValidationError(f"row {r}: column indices not strictly increasing")
+        row_ids = self.row_ids()
+        bad = np.flatnonzero((np.diff(self.indices) <= 0) & (np.diff(row_ids) == 0))
+        if len(bad):
+            raise ValidationError(
+                f"row {row_ids[bad[0]]}: column indices not strictly increasing"
+            )
+
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
 
     @property
     def shape(self):
@@ -178,33 +190,39 @@ class SparseMatrix:
 
     def densify(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        for r in range(self.rows):
-            seg = slice(self.indptr[r], self.indptr[r + 1])
-            out[r, self.indices[seg]] = self.data[seg]
+        out[self.row_ids(), self.indices] = self.data
         return out
 
     def transpose(self) -> "SparseMatrix":
         if self._transpose is None:
-            row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
             self._transpose = SparseMatrix.from_coo(
-                self.cols, self.rows, self.indices, row_ids, self.data
+                self.cols, self.rows, self.indices, self.row_ids(), self.data
             )
         return self._transpose
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """CSR @ dense. Row segments are contiguous, so a single reduceat works."""
+        """CSR @ dense, one gather and one einsum per degree bucket.
+
+        Rows storing k entries form one bucket, held as (k, rows) arrays of
+        column indices and values, so there are at most sqrt(2 * nnz) buckets.
+        With the entry axis outermost, einsum adds entry j + 1 to the partial
+        sum of entries 0..j: each row sums in column order, one entry after
+        another. The exception is a bucket of one row times a one-column x,
+        which einsum reduces as a dot product that may pair terms. Empty rows
+        stay zero.
+        """
         if self.cols != x.shape[0]:
             raise DimensionError(f"spmm: {self.shape} @ {x.shape}")
+        if self._plan is None:
+            counts = np.diff(self.indptr)
+            self._plan = []
+            for k in np.unique(counts[counts > 0]):
+                rows = np.flatnonzero(counts == k)
+                pos = self.indptr[rows] + np.arange(k)[:, None]
+                self._plan.append((rows, self.indices[pos], self.data[pos]))
         out = np.zeros((self.rows, x.shape[1]))
-        if self.nnz == 0:
-            return out
-        if self._nonempty_rows is None:
-            nz = np.flatnonzero(np.diff(self.indptr))
-            self._nonempty_rows = (nz, self.indptr[nz])
-        nz, starts = self._nonempty_rows
-        prod = x[self.indices]
-        prod *= self.data[:, None]
-        out[nz] = np.add.reduceat(prod, starts, axis=0)
+        for rows, idx, vals in self._plan:
+            out[rows] = np.einsum("krd,kr->rd", x[idx], vals)
         return out
 
 

@@ -83,6 +83,17 @@ def test_train_teacher_then_eval_reproduces_metrics(tmp_path, graph_file, capsys
     assert eval_doc["test_acc"] == pytest.approx(summary["best_test_acc"], abs=1e-12)
 
 
+def test_train_teacher_rejects_non_finite_features(tmp_path, graph_file, capsys):
+    doc = json.loads(graph_file.read_text())
+    doc["features"][3][0] = float("nan")
+    bad_graph = tmp_path / "nan.json"
+    bad_graph.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, bad_graph, mode="teacher")
+    assert run_cli("train-teacher", "--config", cfg) == 1
+    assert "features" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
+
 def test_metrics_records_are_valid(tmp_path, graph_file):
     cfg = write_config(tmp_path, graph_file, mode="teacher")
     assert run_cli("train-teacher", "--config", cfg) == 0

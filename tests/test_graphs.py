@@ -50,6 +50,14 @@ def test_rejects_unlabeled_train_node():
         Graph(2, [], np.zeros((2, 1)), [-1, 0], [0], [], [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_features(bad):
+    feats = np.zeros((3, 2))
+    feats[2, 1] = bad
+    with pytest.raises(ValidationError, match=r"features\[2\]\[1\]"):
+        Graph(3, [], feats, [0, 0, 0], [0], [], [])
+
+
 # --------------------------------------------------------------------------
 # operators
 
@@ -68,10 +76,26 @@ def test_normalize_two_nodes_one_edge():
 
 def test_normalized_adjacency_support_and_symmetry():
     g = sbm_generate([6, 6], 0.5, 0.2, 3, 0.3, 1)
-    a = normalize_adjacency(g).densify()
+    a_hat = normalize_adjacency(g)
+    assert a_hat.transpose() is a_hat  # backward reuses the forward plan
+    a = a_hat.densify()
     np.testing.assert_array_equal(a, a.T)
     support = g.adjacency_dense() + np.eye(g.num_nodes)
     assert np.all((a > 0) == (support > 0))
+
+
+def test_operators_match_loop_references():
+    g = sbm_generate([7, 9, 5], 0.5, 0.1, 3, 0.3, 4)
+    deg = np.ones(g.num_nodes)
+    for u, v in g.edges:
+        deg[u] += 1.0
+        deg[v] += 1.0
+    np.testing.assert_array_equal(g.degrees_with_self_loop(), deg)
+    a = normalize_adjacency(g).densify()
+    lap = -a
+    for r in range(g.num_nodes):
+        lap[r, r] = 1.0 - a[r, r]
+    np.testing.assert_array_equal(laplacian_sym(g).densify(), lap)
 
 
 def test_laplacian_single_node():

@@ -64,10 +64,61 @@ def test_spmm_matches_dense_oracle():
 
 
 def test_spmm_handles_empty_rows():
-    # rows 0 and 3 empty; reduceat segments must not bleed across them
+    # rows 0 and 3 empty: they belong to no degree bucket and must stay zero
     s = SparseMatrix.from_coo(4, 4, [1, 1, 2], [0, 3, 2], [2.0, 1.0, -1.0])
     x = np.arange(8.0).reshape(4, 2)
     np.testing.assert_allclose(s.matmul_dense(x), s.densify() @ x, atol=0)
+
+
+def random_csr(seed, rows, cols, degrees):
+    """CSR matrix whose row r stores degrees[r] distinct random columns."""
+    rng = np.random.default_rng(seed)
+    rr, cc = [], []
+    for r, k in enumerate(degrees):
+        rr += [r] * k
+        cc += sorted(rng.choice(cols, size=k, replace=False))
+    return SparseMatrix.from_coo(rows, cols, rr, cc, rng.uniform(-1, 1, size=len(rr)))
+
+
+def row_sequential(s, x):
+    """Reference spmm: each row adds its entries one at a time in column order."""
+    out = np.zeros((s.rows, x.shape[1]))
+    for r in range(s.rows):
+        seg = slice(s.indptr[r], s.indptr[r + 1])
+        terms = s.data[seg, None] * x[s.indices[seg]]
+        if len(terms):
+            acc = terms[0].copy()
+            for t in terms[1:]:
+                acc += t
+            out[r] = acc
+    return out
+
+
+SKEWED = [0, 1, 1, 2, 0, 3, 3, 3, 5, 8, 1, 40, 0, 2, 13, 2]
+
+
+@pytest.mark.parametrize("d", [1, 16, 32])
+@pytest.mark.parametrize("rows, cols, degrees", [
+    (4, 5, [0, 0, 0, 0]),           # nnz = 0
+    (1, 1, [1]),                    # n = 1
+    (1, 7, [0]),                    # a single empty row
+    (6, 6, [2, 0, 1, 0, 3, 0]),     # empty rows between full ones
+    (5, 30, [1, 30, 2, 1, 3]),      # one dense row
+    (16, 40, SKEWED),               # skewed degrees, many buckets
+    (200, 200, None),               # seeded random degrees
+])
+def test_spmm_bucket_plan_matches_dense(rows, cols, degrees, d):
+    seed = rows * 100 + d
+    if degrees is None:
+        degrees = list(np.random.default_rng(seed).integers(0, 25, size=rows))
+    s = random_csr(seed, rows, cols, degrees)
+    x = np.random.default_rng(seed + 1).uniform(-1, 1, size=(cols, d))
+    got = s.matmul_dense(x)
+    assert got.shape == (rows, d)
+    assert np.max(np.abs(got - s.densify() @ x), initial=0.0) < 1e-12
+    if d > 1:
+        np.testing.assert_array_equal(got, row_sequential(s, x))
+    np.testing.assert_array_equal(s.matmul_dense(x), got)  # cached plan reused
 
 
 def test_spmm_gradient_flows_to_dense_only():
@@ -82,6 +133,8 @@ def test_sparse_validation():
         SparseMatrix(2, 2, [0, 1, 2], [0, 5], [1.0, 1.0])  # col out of range
     with pytest.raises(ValidationError):
         SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 1.0])  # duplicate
+    with pytest.raises(ValidationError, match="row 2"):
+        SparseMatrix(3, 3, [0, 1, 3, 5], [2, 0, 2, 1, 1], np.ones(5))
 
 
 def test_sparse_transpose_roundtrip():
