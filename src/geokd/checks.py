@@ -15,6 +15,8 @@ from .distill import (
     DistillConfig,
     InverseNhkMapper,
     distill_loss,
+    factored_distill_loss,
+    factored_reconstruction_loss,
     inverse_nhk_gram,
     kd_soft_label_loss,
     layer_avg_distill,
@@ -251,4 +253,23 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
         return distill_loss(k_t, k_s, w)
 
     results.append(_grad_case("pgkd alignment loss", pgkd_align_loss, gcn.parameters()))
+
+    def factored_rec_loss():
+        _, s_trace = forward(gcn, g)
+        h_late = T.constant(s_trace[1].values)
+        return factored_reconstruction_loss(
+            mapper.apply(h_late), h_late, T.constant(s_trace[1].values * 0.5))
+
+    results.append(
+        _grad_case("pgkd factored reconstruction loss", factored_rec_loss, mapper.parameters())
+    )
+
+    def factored_align_loss():
+        _, s_trace = forward(gcn, g)
+        return factored_distill_loss(
+            g, mapper.apply(T.constant(t_late)), mapper.apply(s_trace[1]), 0.4)
+
+    results.append(
+        _grad_case("pgkd factored alignment loss", factored_align_loss, gcn.parameters())
+    )
     return results

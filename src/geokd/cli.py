@@ -218,9 +218,19 @@ def resolve_graphs(cfg: RunConfig):
             g = split_edges(g_complete, cfg.split.pir, split_seed)
         else:
             g, node_map = split_nodes(g_complete, cfg.split.pir, split_seed)
+            _require_train_nodes(g, "split.pir", cfg.split.pir)
     else:
         g = g_complete
     return g_complete, g, node_map
+
+
+def _require_train_nodes(g: Graph, field: str, pir: float):
+    """A node split that removes every training node leaves nothing to fit."""
+    if len(g.train_mask) == 0:
+        raise ValidationError(
+            f"{field}: {pir} removes every training node of the complete graph; "
+            "the student needs at least one"
+        )
 
 
 def _build_from_section(section: ModelSection, g: Graph, num_classes: int) -> GnnModel:
@@ -393,6 +403,7 @@ def cmd_sweep_pir(args) -> int:
                 g, node_map = split_edges(g_complete, pir, seed), None
             else:
                 g, node_map = split_nodes(g_complete, pir, seed)
+                _require_train_nodes(g, "sweep.pirs", pir)
             rows.append((pir, "oracle", seed, oracle_val, oracle_test))
             t_val, t_test = _eval_on(teacher, g)
             rows.append((pir, "teacher", seed, t_val, t_test))

@@ -3,6 +3,21 @@
 The alignment loss is ||(K_teacher_sub - K_student) .* W||_F^2 where W weights
 connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
+
+The learned inverse kernel is a Gram, K = Phi Phi^T with Phi n x s, so its
+losses never need the n x n matrix. Reconstruction is K H = Phi (Phi^T H).
+For alignment, W .* W = delta^2 + (1 - delta^2) A whenever the adjacency A is
+binary with a zero diagonal, which ``Graph`` guarantees (no self-loops, no
+duplicate edges). Hence, with phi_u the row of node u,
+
+    ||W .* (K_s - K_t)||_F^2
+        = delta^2 (||Phi_s^T Phi_s||^2 - 2 ||Phi_s^T Phi_t||^2 + ||Phi_t^T Phi_t||^2)
+        + 2 (1 - delta^2) sum_{(u, v) in E} (<phi_s,u, phi_s,v> - <phi_t,u, phi_t,v>)^2
+
+in O(n s^2 + |E| s) time and O(n s + |E| s) memory. ``factored_distill_loss``
+and ``factored_reconstruction_loss`` compute these from tape ops; the dense
+``distill_loss``, ``inverse_nhk_gram`` and ``reconstruction_loss`` are the
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, edge_endpoints
 from .models import GnnModel, init_xavier
 from .nhk import KernelSpec, RandomProjections, kernel_matrix
 from .tensor import Tensor
@@ -77,7 +92,17 @@ def weight_matrix(g: Graph, delta: float, node_subset) -> Tensor:
     subset = np.asarray(node_subset, dtype=np.int64)
     if len(subset) and (subset.min() < 0 or subset.max() >= g.num_nodes):
         raise ValidationError("node subset id out of range")
-    adj = g.adjacency_dense()[np.ix_(subset, subset)]
+    # adjacency among the distinct ids from the edges inside them, then
+    # expanded to the subset's order (repeated ids share a row and column)
+    uniq, inverse = np.unique(subset, return_inverse=True)
+    pos = np.full(g.num_nodes, -1, dtype=np.int64)
+    pos[uniq] = np.arange(len(uniq))
+    pu, pv = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
+    inside = (pu >= 0) & (pv >= 0)
+    adj = np.zeros((len(uniq), len(uniq)))
+    adj[pu[inside], pv[inside]] = 1.0
+    adj[pv[inside], pu[inside]] = 1.0
+    adj = adj[np.ix_(inverse, inverse)]
     return T.constant(delta + (1.0 - delta) * adj)
 
 
@@ -193,6 +218,59 @@ def reconstruction_loss(k_dagger: Tensor, h_late: Tensor, h_early: Tensor) -> Te
         )
     ones = T.constant(np.ones(h_early.shape))
     return T.frobenius_sq(recon, h_early, ones)
+
+
+def factored_reconstruction_loss(phi: Tensor, h_late: Tensor, h_early: Tensor) -> Tensor:
+    """||Phi (Phi^T H_late) - H_early||_F^2, i.e. reconstruction_loss of Phi Phi^T."""
+    if phi.shape[0] != h_late.shape[0]:
+        raise DimensionError(f"phi rows {phi.shape[0]} != h_late rows {h_late.shape[0]}")
+    recon = T.matmul(phi, T.matmul(T.transpose(phi), h_late))
+    if recon.shape != h_early.shape:
+        raise DimensionError(
+            f"reconstruction shape {recon.shape} != target {h_early.shape}"
+        )
+    diff = T.sub(recon, h_early)
+    return T.sum_all(T.mul_elem(diff, diff))
+
+
+def _sq_cross_gram(a: Tensor, b: Tensor) -> Tensor:
+    """||A^T B||_F^2 as a scalar tensor."""
+    m = T.matmul(T.transpose(a), b)
+    return T.sum_all(T.mul_elem(m, m))
+
+
+def factored_distill_loss(g: Graph, phi_teacher_sub: Tensor, phi_student: Tensor,
+                          delta: float) -> Tensor:
+    """distill_loss(Phi_t Phi_t^T, Phi_s Phi_s^T, weight_matrix(g, delta, all nodes)).
+
+    Computed from the factors by the identity in the module docstring; the
+    teacher factor is detached.
+    """
+    if phi_teacher_sub.shape != phi_student.shape:
+        raise DimensionError(
+            f"factor shapes differ: {phi_teacher_sub.shape} vs {phi_student.shape}"
+        )
+    if phi_student.shape[0] != g.num_nodes:
+        raise DimensionError(
+            f"factor rows {phi_student.shape[0]} != num_nodes {g.num_nodes}"
+        )
+    phi_s, phi_t = phi_student, phi_teacher_sub.detach()
+    all_pairs = T.add(
+        T.sub(_sq_cross_gram(phi_s, phi_s), T.scale(_sq_cross_gram(phi_s, phi_t), 2.0)),
+        _sq_cross_gram(phi_t, phi_t),
+    )
+    loss = T.scale(all_pairs, delta * delta)
+    if g.num_edges:
+        sel_u, sel_v = edge_endpoints(g)
+        ones = T.constant(np.ones((phi_s.shape[1], 1)))
+
+        def edge_dots(phi):
+            return T.matmul(T.mul_elem(T.spmm(sel_u, phi), T.spmm(sel_v, phi)), ones)
+
+        diff = T.sub(edge_dots(phi_s), edge_dots(phi_t))
+        on_edges = T.sum_all(T.mul_elem(diff, diff))
+        loss = T.add(loss, T.scale(on_edges, 2.0 * (1.0 - delta * delta)))
+    return loss
 
 
 def kd_soft_label_loss(teacher_logits, student_logits: Tensor, tau: float, mask) -> Tensor:

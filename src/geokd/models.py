@@ -67,10 +67,33 @@ class GnnModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GnnModel":
-        model = cls(doc["kind"], doc["dims"])
-        model.load_weights(
-            [np.array(w).reshape(s) for w, s in zip(doc["weights"], model.weight_shapes())]
-        )
+        """Model from a checkpoint document; a malformed one names its field."""
+        if not isinstance(doc, dict):
+            raise ValidationError("checkpoint: expected a JSON object")
+        for key in ("kind", "dims", "weights"):
+            if key not in doc:
+                raise ValidationError(f"{key}: missing required field")
+        try:
+            model = cls(doc["kind"], doc["dims"])
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"dims: not a list of integers: {doc['dims']!r}") from e
+        shapes = model.weight_shapes()
+        if len(doc["weights"]) != len(shapes):
+            raise ValidationError(
+                f"weights: {len(doc['weights'])} arrays, expected {len(shapes)}"
+            )
+        arrays = []
+        for i, (w, (rows, cols)) in enumerate(zip(doc["weights"], shapes)):
+            try:
+                arr = np.asarray(w, dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"weights[{i}]: not a list of numbers") from e
+            if arr.size != rows * cols:
+                raise ValidationError(
+                    f"weights[{i}]: {arr.size} values, expected {rows}x{cols} = {rows * cols}"
+                )
+            arrays.append(arr.reshape(rows, cols))
+        model.load_weights(arrays)
         return model
 
     def save(self, path):
@@ -81,7 +104,11 @@ class GnnModel:
     @classmethod
     def load(cls, path) -> "GnnModel":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"checkpoint: invalid JSON: {e}") from e
+        return cls.from_dict(doc)
 
 
 def build_model(kind: str, in_dim: int, hidden: int, depth: int, num_classes: int) -> GnnModel:

@@ -210,6 +210,11 @@ class SparseMatrix:
         another. The exception is a bucket of one row times a one-column x,
         which einsum reduces as a dot product that may pair terms. Empty rows
         stay zero.
+
+        Rows storing one entry skip einsum and compute 0.0 + value * x in
+        place on the gathered rows, the same rounding einsum applies (a -0.0
+        product becomes +0.0 in both). When one bucket holds every row, its
+        result is the output: a row selector is a single gather.
         """
         if self.cols != x.shape[0]:
             raise DimensionError(f"spmm: {self.shape} @ {x.shape}")
@@ -220,10 +225,23 @@ class SparseMatrix:
                 rows = np.flatnonzero(counts == k)
                 pos = self.indptr[rows] + np.arange(k)[:, None]
                 self._plan.append((rows, self.indices[pos], self.data[pos]))
+        if len(self._plan) == 1 and len(self._plan[0][0]) == self.rows:
+            return _bucket_product(x, *self._plan[0][1:])
         out = np.zeros((self.rows, x.shape[1]))
         for rows, idx, vals in self._plan:
-            out[rows] = np.einsum("krd,kr->rd", x[idx], vals)
+            out[rows] = _bucket_product(x, idx, vals)
         return out
+
+
+def _bucket_product(x: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Rows of one degree bucket: sum over k of vals[k, r] * x[idx[k, r]]."""
+    if len(idx) > 1:
+        return np.einsum("krd,kr->rd", x[idx], vals)
+    out = x[idx[0]]
+    with np.errstate(all="ignore"):  # as silent as einsum on non-finite input
+        out *= vals[0][:, None]
+    out += 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ from .distill import (
     DistillConfig,
     InverseNhkMapper,
     ProjectionCache,
-    distill_loss,
-    inverse_nhk_gram,
+    factored_distill_loss,
+    factored_reconstruction_loss,
     kd_soft_label_loss,
     layer_avg_distill,
     pgkd_span,
-    reconstruction_loss,
     teacher_layer_kernels,
     trace_feature_dim,
     weight_matrix,
@@ -204,13 +203,24 @@ def _teacher_layer_features(teacher: GnnModel, g_complete: Graph, node_map):
     return logits.values[node_map], feats
 
 
+def _samples_batches(cfg: DistillConfig, n: int) -> bool:
+    return cfg.batch_size is not None and cfg.batch_size < n
+
+
+def _full_weight_matrix(g: Graph, cfg: DistillConfig):
+    """W over all nodes, or None when no loss reads it."""
+    if cfg.alpha > 0 and not _samples_batches(cfg, g.num_nodes):
+        return weight_matrix(g, cfg.delta, np.arange(g.num_nodes))
+    return None
+
+
 def _distill_term(plan: TrainPlan, g: Graph, trace_student, teacher_feats,
                   w_full, projections, epoch: int, teacher_kernels=None,
                   static_terms=None):
     """alpha-scaled mean per-layer alignment, optionally on a node mini-batch."""
     cfg = plan.distill
     n = g.num_nodes
-    if cfg.batch_size is not None and cfg.batch_size < n:
+    if _samples_batches(cfg, n):
         ids = sample_distill_batch(n, cfg.batch_size, plan.seed, epoch)
         w = weight_matrix(g, cfg.delta, ids)
         t_feats = [f[ids] for f in teacher_feats]
@@ -241,7 +251,7 @@ def train_student_gkd(g: Graph, teacher: GnnModel, g_complete: Graph,
     opt = Adam(student.parameters(), plan.lr)
     tracker = _BestTracker(student)
     projections = ProjectionCache(plan.kernel) if plan.kernel.kind == "randomized" else None
-    w_full = weight_matrix(g, cfg.delta, np.arange(g.num_nodes)) if cfg.alpha > 0 else None
+    w_full = _full_weight_matrix(g, cfg)
     teacher_kernels = None  # computed lazily; needs the student trace dims
     static_terms = {}
     metrics = []
@@ -249,8 +259,7 @@ def train_student_gkd(g: Graph, teacher: GnnModel, g_complete: Graph,
         tic = time.perf_counter()
         logits, trace = forward(student, g)
         loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
-        if teacher_kernels is None and cfg.alpha > 0 and \
-                (cfg.batch_size is None or cfg.batch_size >= g.num_nodes):
+        if teacher_kernels is None and w_full is not None:
             teacher_kernels = teacher_layer_kernels(
                 teacher_feats, [h.shape[1] for h in trace], plan.kernel, projections
             )
@@ -324,18 +333,19 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
     opt_theta = Adam(student.parameters(), plan.lr)
     opt_phi = Adam(phi_params, plan.lr_mapper)
     tracker = _BestTracker(student)
-    w_full = weight_matrix(g, cfg.delta, np.arange(g.num_nodes))
     metrics = []
     for epoch in range(plan.epochs):
         tic = time.perf_counter()
+        # One taped forward serves both steps: the E-step leaves the GNN
+        # weights alone and reads the trace values as constants.
+        logits, trace_s = forward(student, g)
 
         # E-step: refit the inverse kernel with the GNN weights frozen.
-        _, trace_s = forward(student, g)
         s_late = T.constant(trace_s[late_s].values)
         s_early = T.constant(trace_s[early_s].values)
         rec = T.add(
-            reconstruction_loss(inverse_nhk_gram(mapper_t, t_late_full), t_late_full, t_early_full),
-            reconstruction_loss(inverse_nhk_gram(mapper_s, s_late), s_late, s_early),
+            factored_reconstruction_loss(mapper_t.apply(t_late_full), t_late_full, t_early_full),
+            factored_reconstruction_loss(mapper_s.apply(s_late), s_late, s_early),
         )
         opt_phi.zero_grad()
         rec.backward()
@@ -343,14 +353,13 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
         loss_rec_val = rec.item()
 
         # M-step: supervised loss plus inverse-kernel alignment, mapper frozen.
-        logits, trace_s = forward(student, g)
         loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
         total = loss_pre
         loss_dis_val = 0.0
         if cfg.alpha > 0:
-            k_t = inverse_nhk_gram(mapper_t, t_late_sub)
-            k_s = inverse_nhk_gram(mapper_s, trace_s[late_s])
-            dis = T.scale(distill_loss(k_t, k_s, w_full), cfg.alpha)
+            phi_t = mapper_t.apply(t_late_sub)
+            phi_s = mapper_s.apply(trace_s[late_s])
+            dis = T.scale(factored_distill_loss(g, phi_t, phi_s, cfg.delta), cfg.alpha)
             loss_dis_val = dis.item()
             total = T.add(total, dis)
         if cfg.alpha_kd > 0:
@@ -388,7 +397,7 @@ def train_online(g: Graph, g_complete: Graph, teacher: GnnModel,
     tracker_t = _BestTracker(teacher)
     tracker = _BestTracker(student)
     projections = ProjectionCache(plan.kernel) if plan.kernel.kind == "randomized" else None
-    w_full = weight_matrix(g, cfg.delta, np.arange(g.num_nodes)) if cfg.alpha > 0 else None
+    w_full = _full_weight_matrix(g, cfg)
     metrics = []
     for epoch in range(plan.epochs):
         tic = time.perf_counter()

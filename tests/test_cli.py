@@ -185,6 +185,39 @@ def test_distill_pgkd_runs(tmp_path, graph_file):
     assert "loss_rec" in rec
 
 
+def test_wrongly_sized_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
+    ckpt = make_teacher(tmp_path, graph_file)
+    doc = json.loads(ckpt.read_text())
+    doc["weights"][1] = doc["weights"][1][:-1]
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("eval", "--checkpoint", bad, "--graph", graph_file) == 1
+    assert "weights[1]" in capsys.readouterr().err
+    cfg = write_config(
+        tmp_path, graph_file,
+        teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(bad)},
+    )
+    assert run_cli("distill", "--config", cfg) == 1
+    assert "weights[1]" in capsys.readouterr().err
+    for text, field in (('{"kind": "gcn", "dims": [6, "x"], "weights": []}', "dims"),
+                        ("not json", "checkpoint")):
+        bad.write_text(text)
+        assert run_cli("eval", "--checkpoint", bad, "--graph", graph_file) == 1
+        assert field in capsys.readouterr().err
+
+
+def test_node_split_without_training_nodes_exit_1(tmp_path, graph_file, capsys):
+    ckpt = make_teacher(tmp_path, graph_file)
+    cfg = write_config(
+        tmp_path, graph_file, mode="pgkd",
+        teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
+        split={"kind": "nodes", "pir": 1.0},
+    )
+    assert run_cli("distill", "--config", cfg) == 1
+    assert "split.pir" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
+
 # --------------------------------------------------------------------------
 # determinism (config -> bytes)
 

@@ -6,6 +6,8 @@ from geokd.distill import (
     DistillConfig,
     InverseNhkMapper,
     distill_loss,
+    factored_distill_loss,
+    factored_reconstruction_loss,
     inverse_nhk_gram,
     kd_soft_label_loss,
     layer_avg_distill,
@@ -68,6 +70,34 @@ def test_weight_matrix_respects_subset():
     np.testing.assert_array_equal(w, 0.25 + 0.75 * adj)
     with pytest.raises(ValidationError):
         weight_matrix(g, 0.5, [0, 99])
+
+
+def reference_weight_matrix(g, delta, subset):
+    return delta + (1.0 - delta) * g.adjacency_dense()[np.ix_(subset, subset)]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0, 2.5])
+def test_weight_matrix_matches_dense_adjacency(delta):
+    rng = np.random.default_rng(14)
+    g = sbm_generate([12, 9, 7], 0.5, 0.1, 3, 0.1, 15)
+    subsets = [
+        np.arange(g.num_nodes),
+        rng.permutation(g.num_nodes)[:10],
+        rng.integers(0, g.num_nodes, size=25),  # repeated ids
+        np.array([4, 4, 4]),
+        np.array([7]),
+    ]
+    for subset in subsets:
+        w = weight_matrix(g, delta, subset).values
+        assert w.tobytes() == reference_weight_matrix(g, delta, subset).tobytes()
+
+
+def test_weight_matrix_repeated_ids_on_edgeless_and_single_node():
+    g = Graph(3, [], np.zeros((3, 1)), [0, 0, 0], [0], [], [])
+    w = weight_matrix(g, 0.3, [2, 0, 2]).values
+    assert w.tobytes() == reference_weight_matrix(g, 0.3, [2, 0, 2]).tobytes()
+    g1 = Graph(1, [], [[1.0]], [0], [0], [], [])
+    np.testing.assert_array_equal(weight_matrix(g1, 0.5, [0, 0]).values, np.full((2, 2), 0.5))
 
 
 # --------------------------------------------------------------------------
@@ -207,6 +237,105 @@ def test_reconstruction_gradient_wrt_mapper():
         return reconstruction_loss(inverse_nhk_gram(mapper, h_late), h_late, h_early)
 
     assert T.grad_check(f, mapper.parameters()) < 1e-4
+
+
+# --------------------------------------------------------------------------
+# factored inverse-kernel losses against the dense reference
+
+
+def factor_graphs():
+    """Seeded random graphs, one without edges, one with isolated nodes, n=1."""
+    rng = np.random.default_rng(16)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.4]
+    return [
+        sbm_generate([6, 5], 0.6, 0.2, 3, 0.5, 17),
+        Graph(5, [], rng.normal(size=(5, 3)), [0] * 5, [0], [], []),
+        Graph(9, edges, rng.normal(size=(9, 3)), [0] * 9, [0], [], []),  # 7, 8 isolated
+        Graph(1, [], [[0.3, -0.2, 0.9]], [0], [0], [], []),
+    ]
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rtol * scale
+
+
+def loss_and_grads(f, params):
+    for p in params:
+        p.zero_grad()
+    loss = f()
+    loss.backward()
+    return loss.item(), [np.zeros_like(p.values) if p.grad is None else p.grad.copy()
+                         for p in params]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("case", range(4))
+def test_factored_distill_matches_dense(case, delta):
+    g = factor_graphs()[case]
+    n = g.num_nodes
+    rng = np.random.default_rng([18, case])
+    mapper_t, mapper_s = InverseNhkMapper(4, 6), InverseNhkMapper(4, 6)
+    mapper_t.init(19)
+    mapper_s.init(20)
+    h_t = T.constant(rng.normal(size=(n, 4)))
+    h_s = T.parameter(rng.normal(size=(n, 4)))
+    params = [h_s, mapper_s.weight, mapper_t.weight]
+
+    def dense():
+        w = weight_matrix(g, delta, np.arange(n))
+        return distill_loss(inverse_nhk_gram(mapper_t, h_t), inverse_nhk_gram(mapper_s, h_s), w)
+
+    def factored():
+        return factored_distill_loss(g, mapper_t.apply(h_t), mapper_s.apply(h_s), delta)
+
+    want, want_grads = loss_and_grads(dense, params)
+    got, got_grads = loss_and_grads(factored, params)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for gg, wg in zip(got_grads, want_grads):
+        assert_close_rel(gg, wg)
+    assert not np.any(got_grads[2])  # the teacher factor is detached
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_factored_reconstruction_matches_dense(case):
+    g = factor_graphs()[case]
+    rng = np.random.default_rng([21, case])
+    mapper = InverseNhkMapper(3, 5)
+    mapper.init(22)
+    h_late = T.parameter(rng.normal(size=(g.num_nodes, 3)))
+    h_early = T.parameter(rng.normal(size=(g.num_nodes, 3)))
+    params = [mapper.weight, h_late, h_early]
+    want, want_grads = loss_and_grads(
+        lambda: reconstruction_loss(inverse_nhk_gram(mapper, h_late), h_late, h_early), params)
+    got, got_grads = loss_and_grads(
+        lambda: factored_reconstruction_loss(mapper.apply(h_late), h_late, h_early), params)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for gg, wg in zip(got_grads, want_grads):
+        assert_close_rel(gg, wg)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+def test_factored_distill_identical_factors_zero(delta):
+    g = sbm_generate([6, 5], 0.6, 0.2, 3, 0.5, 23)
+    phi = T.parameter(np.tanh(np.random.default_rng(24).normal(size=(g.num_nodes, 6))))
+    loss = factored_distill_loss(g, phi, phi, delta)
+    assert loss.item() == 0.0
+    loss.backward()
+    assert not np.any(phi.grad)
+
+
+def test_factored_losses_check_shapes():
+    g = sbm_generate([3, 3], 0.6, 0.2, 3, 0.5, 25)
+    phi = T.Tensor(np.ones((6, 4)))
+    with pytest.raises(DimensionError):
+        factored_distill_loss(g, phi, T.Tensor(np.ones((6, 3))), 0.4)
+    with pytest.raises(DimensionError):
+        factored_distill_loss(g, T.Tensor(np.ones((5, 4))), T.Tensor(np.ones((5, 4))), 0.4)
+    with pytest.raises(DimensionError):
+        factored_reconstruction_loss(phi, T.Tensor(np.ones((5, 2))), T.Tensor(np.ones((5, 2))))
+    with pytest.raises(DimensionError):
+        factored_reconstruction_loss(phi, T.Tensor(np.ones((6, 2))), T.Tensor(np.ones((6, 3))))
 
 
 def test_pgkd_span_choices():

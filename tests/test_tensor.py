@@ -121,6 +121,24 @@ def test_spmm_bucket_plan_matches_dense(rows, cols, degrees, d):
     np.testing.assert_array_equal(s.matmul_dense(x), got)  # cached plan reused
 
 
+def test_spmm_single_entry_rows_round_like_einsum():
+    # rows storing one entry skip einsum; the result must keep einsum's bits,
+    # which turn a -0.0 product into +0.0
+    special = [0.0, -0.0, 1.5, -2.0, 1e-300, -1e-300, 3.0]
+    x = np.array([special, special[::-1], [-0.0] * 7])
+    for vals in ([1.0, 1.0, 1.0, 1.0], [-0.5, 0.0, 2.0, -0.0]):
+        s = SparseMatrix.from_coo(5, 3, [0, 1, 3, 4], [2, 0, 1, 2], vals)
+        got = s.matmul_dense(x)
+        want = np.zeros((5, 7))
+        for r, c, v in zip([0, 1, 3, 4], [2, 0, 1, 2], vals):
+            want[r] = np.einsum("krd,kr->rd", x[[[c]]], np.array([[v]]))[0]
+        assert got.tobytes() == want.tobytes()
+    selector = SparseMatrix(4, 3, np.arange(5), [2, 0, 0, 1], np.ones(4))
+    got = selector.matmul_dense(x)
+    assert got.tobytes() == (x[[2, 0, 0, 1]] + 0.0).tobytes()
+    assert not np.any(np.signbit(got[0]))
+
+
 def test_spmm_gradient_flows_to_dense_only():
     s = SparseMatrix.from_coo(3, 3, [0, 1, 2, 2], [1, 2, 0, 1], [1.0, -2.0, 0.5, 3.0])
     x = rand((3, 2), 6)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from geokd import tensor as T
+from geokd import training
 from geokd.distill import DistillConfig
 from geokd.errors import ValidationError
 from geokd.graphs import sbm_generate, split_edges, split_nodes
@@ -222,6 +225,22 @@ def test_gkd_minibatch_runs_and_is_deterministic(graphs, teacher):
     assert run() == run()
 
 
+def test_gkd_minibatch_builds_no_full_weight_matrix(graphs, teacher, monkeypatch):
+    g_c, g = graphs
+    sizes = []
+    weight_matrix = training.weight_matrix
+
+    def recording_weight_matrix(graph, delta, ids):
+        sizes.append(len(ids))
+        return weight_matrix(graph, delta, ids)
+
+    monkeypatch.setattr(training, "weight_matrix", recording_weight_matrix)
+    plan = quick_plan(mode="gkd_offline", seed=6, epochs=3,
+                      distill=DistillConfig(alpha=2.0, delta=0.2, batch_size=15))
+    train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 6, 8, 3, 2))
+    assert sizes == [15, 15, 15]
+
+
 def test_gkd_trace_length_mismatch_raises(graphs, teacher):
     g_c, g = graphs
     plan = quick_plan(mode="gkd_offline", seed=7)
@@ -314,6 +333,42 @@ def test_pgkd_separate_mappers_for_mismatched_dims(graphs, teacher):
     student = build_model("gcn", 6, 4, 3, 2)  # hidden 4 vs teacher hidden 8
     res = train_student_pgkd(g, teacher, g_c, plan, student)
     assert len(res.metrics) == 4
+
+
+def test_pgkd_runs_one_student_forward_per_epoch(graphs, teacher, monkeypatch):
+    g_c, g = graphs
+    calls = []
+
+    def counting_forward(model, graph):
+        calls.append(model)
+        return forward(model, graph)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    plan = quick_plan(mode="pgkd", seed=14, epochs=5, distill=DistillConfig(alpha=1.0))
+    student = build_model("gcn", 6, 8, 3, 2)
+    train_student_pgkd(g, teacher, g_c, plan, student)
+    # one taped forward for the E- and M-step, one for evaluation
+    assert sum(m is student for m in calls) == 2 * 5
+    assert sum(m is teacher for m in calls) == 1
+
+
+def test_pgkd_allocates_no_node_by_node_buffer():
+    # sparse 4-block graph with 2,000 nodes; the student keeps 1,800 of them
+    g_c = sbm_generate([500] * 4, 0.01, 0.001, 8, 0.5, 26)
+    g, node_map = split_nodes(g_c, 0.2, 26)
+    teacher = build_model("gcn", 8, 16, 3, 4)
+    init_xavier(teacher, 27)
+    student = build_model("gcn", 8, 16, 3, 4)
+    plan = quick_plan(mode="pgkd", seed=28, epochs=2,
+                      distill=DistillConfig(alpha=1.0, delta=0.4))
+    n_s = g.num_nodes
+    tracemalloc.start()
+    try:
+        train_student_pgkd(g, teacher, g_c, plan, student, node_map)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_s * n_s * 8
 
 
 # --------------------------------------------------------------------------
