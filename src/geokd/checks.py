@@ -27,6 +27,7 @@ from .graphs import Measure, laplacian_sym, normalize_adjacency, sbm_generate
 from .models import GnnModel, forward, init_xavier, sgc_euler_equivalence
 from .nhk import (
     KernelSpec,
+    RandomProjections,
     build_projections,
     exact_heat_kernel,
     heat_kernel_expansion,
@@ -113,7 +114,8 @@ def kernel_checks(seed: int, n: int = 16, d: int = 5) -> list[CheckResult]:
 
     spec = KernelSpec(kind="randomized", t=1.0, m=3, seed=seed)
     proj = build_projections(spec, d)
-    proj2 = build_projections(spec, d)
+    # an independent draw: build_projections would return proj itself
+    proj2 = RandomProjections(spec.seed, spec.m, proj.s, d)
     repro = max(
         float(np.max(np.abs(m1 - m2))) for m1, m2 in zip(proj.matrices, proj2.matrices)
     )

@@ -2,7 +2,7 @@
 
 Subcommands: gen-synthetic, train-teacher, distill, eval, sweep-pir,
 validate-kernels, gradcheck. Exit codes: 0 success, 1 validation error,
-2 numerical check failure.
+2 numerical failure (a failed check or a non-finite training loss).
 
 Runs are pure functions of (config, seed): metrics.jsonl and summary.json are
 byte-identical across re-runs. Wall-clock numbers go to timing.json, which is
@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +23,19 @@ import numpy as np
 from .checks import gradient_suite, kernel_checks, theorem_checks
 from .distill import DistillConfig
 from .errors import DimensionError, GeokdError, GraphParseError, NumericError, ValidationError
-from .graphs import Graph, load_graph, save_graph, sbm_generate, split_edges, split_nodes
-from .models import GnnModel, accuracy, build_model, forward
-from .nhk import KernelSpec
-from .training import (
-    TrainPlan,
-    TrainResult,
-    train_student,
-    train_supervised,
+from .graphs import (
+    Graph,
+    load_graph,
+    save_graph,
+    sbm_generate,
+    split_edges,
+    split_nodes,
+    write_atomic,
+    write_json,
 )
+from .models import GnnModel, accuracies, build_model, forward
+from .nhk import KernelSpec
+from .training import STUDENT_MODES, TrainPlan, TrainResult, train_student, train_supervised
 
 _MISSING = object()
 
@@ -49,6 +53,34 @@ def _get(doc: dict, key: str, expect=None, default=_MISSING, prefix: str = ""):
 
 
 _NUM = (int, float)
+# (accepted JSON types, conversion) per scalar field annotation; a field of
+# another type, such as KernelSpec.decay_weights, is not a config key
+_SCALARS = {"float": (_NUM, float), "int": (int, int), "str": (str, str)}
+_OPTIMIZER_KEYS = ("epochs", "patience", "lr", "lr_mapper")
+
+
+def _section(doc: dict, name: str, cls, keys=None, **given):
+    """cls built from the scalar fields in config section ``name``.
+
+    Absent or null keys keep the dataclass default; an unknown key, a
+    mistyped value or a value cls rejects is an error naming its field.
+    """
+    sub = doc.get(name) or {}
+    if not isinstance(sub, dict):
+        raise GraphParseError(name, "expected a JSON object")
+    types = {f.name: _SCALARS[f.type.split(" | ")[0]] for f in fields(cls)
+             if f.type.split(" | ")[0] in _SCALARS and (keys is None or f.name in keys)}
+    unknown = sorted(set(sub) - set(types))
+    if unknown:
+        raise GraphParseError(f"{name}.{unknown[0]}", "unknown key")
+    kwargs = dict(given)
+    for key, (expect, convert) in types.items():
+        if sub.get(key) is not None:
+            kwargs[key] = convert(_get(sub, key, expect, prefix=name + "."))
+    try:
+        return cls(**kwargs)
+    except ValidationError as e:
+        raise GraphParseError(name, str(e)) from e
 
 
 @dataclass
@@ -91,27 +123,19 @@ class SplitSection:
 
 @dataclass
 class RunConfig:
-    mode: str = "gkd_offline"
-    complete_graph: str = ""
+    complete_graph: str
+    plan: TrainPlan
     partial_graph: str | None = None
     split: SplitSection | None = None
     teacher: ModelSection = None
     student: ModelSection = None
-    kernel: KernelSpec = None
-    distill: DistillConfig = None
-    lr: float = 0.01
-    lr_mapper: float = 0.01
-    epochs: int = 200
-    patience: int = 0
-    seed: int = 0
     out_dir: str = "runs/out"
     sweep: dict | None = None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         mode = _get(doc, "mode", str, "gkd_offline")
-        if mode not in ("teacher", "gkd_offline", "pgkd", "online", "self_distill",
-                        "compression"):
+        if mode not in ("teacher",) + STUDENT_MODES:
             raise GraphParseError("mode", f"unknown mode {mode!r}")
         complete = _get(doc, "complete_graph", str)
         if not Path(complete).exists():
@@ -121,55 +145,17 @@ class RunConfig:
             raise GraphParseError("partial_graph", f"file not found: {partial}")
         split = doc.get("split")
         split = SplitSection.from_dict(split, "split.") if split else None
-
-        teacher = ModelSection.from_dict(doc.get("teacher") or {}, "teacher.")
-        student = ModelSection.from_dict(doc.get("student") or {}, "student.")
-
-        kdoc = doc.get("kernel") or {}
-        try:
-            kernel = KernelSpec(
-                kind=_get(kdoc, "kind", str, "gauss", "kernel."),
-                t=float(_get(kdoc, "t", _NUM, 1.0, "kernel.")),
-                a=float(_get(kdoc, "a", _NUM, 1.0, "kernel.")),
-                b=float(_get(kdoc, "b", _NUM, 0.0, "kernel.")),
-                m=int(_get(kdoc, "m", int, 4, "kernel.")),
-                s=_get(kdoc, "s", int, None, "kernel."),
-                seed=int(_get(kdoc, "seed", int, 0, "kernel.")),
-            )
-        except ValidationError as e:
-            raise GraphParseError("kernel", str(e)) from e
-
-        ddoc = doc.get("distill") or {}
-        try:
-            distill = DistillConfig(
-                alpha=float(_get(ddoc, "alpha", _NUM, 1.0, "distill.")),
-                delta=float(_get(ddoc, "delta", _NUM, 0.0, "distill.")),
-                layer_span=int(_get(ddoc, "layer_span", int, 1, "distill.")),
-                alpha_kd=float(_get(ddoc, "alpha_kd", _NUM, 0.0, "distill.")),
-                tau_kd=float(_get(ddoc, "tau_kd", _NUM, 1.0, "distill.")),
-                batch_size=_get(ddoc, "batch_size", int, None, "distill."),
-            )
-        except ValidationError as e:
-            raise GraphParseError("distill", str(e)) from e
-
-        odoc = doc.get("optimizer") or {}
-        epochs = int(_get(odoc, "epochs", int, 200, "optimizer."))
-        if epochs < 1:
-            raise GraphParseError("optimizer.epochs", "must be >= 1")
+        plan = _section(doc, "optimizer", TrainPlan, _OPTIMIZER_KEYS, mode=mode,
+                        seed=int(_get(doc, "seed", int, 0)),
+                        kernel=_section(doc, "kernel", KernelSpec),
+                        distill=_section(doc, "distill", DistillConfig))
         return cls(
-            mode=mode,
             complete_graph=complete,
+            plan=plan,
             partial_graph=partial,
             split=split,
-            teacher=teacher,
-            student=student,
-            kernel=kernel,
-            distill=distill,
-            lr=float(_get(odoc, "lr", _NUM, 0.01, "optimizer.")),
-            lr_mapper=float(_get(odoc, "lr_mapper", _NUM, 0.01, "optimizer.")),
-            epochs=epochs,
-            patience=int(_get(odoc, "patience", int, 0, "optimizer.")),
-            seed=int(_get(doc, "seed", int, 0)),
+            teacher=ModelSection.from_dict(doc.get("teacher") or {}, "teacher."),
+            student=ModelSection.from_dict(doc.get("student") or {}, "student."),
             out_dir=_get(doc, "out_dir", str, "runs/out"),
             sweep=doc.get("sweep"),
         )
@@ -186,24 +172,11 @@ class RunConfig:
         return cls.from_dict(doc)
 
 
-def make_plan(cfg: RunConfig, mode: str | None = None) -> TrainPlan:
-    return TrainPlan(
-        mode=mode or cfg.mode,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        patience=cfg.patience,
-        lr=cfg.lr,
-        lr_mapper=cfg.lr_mapper,
-        kernel=cfg.kernel,
-        distill=cfg.distill,
-    )
-
-
 def resolve_graphs(cfg: RunConfig):
     """Load the complete graph and derive the student's view of it."""
     g_complete = load_graph(cfg.complete_graph)
     node_map = None
-    if cfg.mode in ("self_distill", "compression"):
+    if cfg.plan.mode in ("self_distill", "compression"):
         g = g_complete
     elif cfg.partial_graph is not None:
         g = load_graph(cfg.partial_graph)
@@ -213,7 +186,7 @@ def resolve_graphs(cfg: RunConfig):
                 "node-aware setups must use split.kind='nodes'"
             )
     elif cfg.split is not None:
-        split_seed = cfg.split.seed if cfg.split.seed is not None else cfg.seed
+        split_seed = cfg.split.seed if cfg.split.seed is not None else cfg.plan.seed
         if cfg.split.kind == "edges":
             g = split_edges(g_complete, cfg.split.pir, split_seed)
         else:
@@ -243,25 +216,16 @@ def _build_from_section(section: ModelSection, g: Graph, num_classes: int) -> Gn
 
 
 def _write_metrics(out: Path, result: TrainResult):
-    with open(out / "metrics.jsonl", "w") as f:
-        for rec in result.metrics:
-            f.write(json.dumps(rec.public_dict()) + "\n")
-    with open(out / "timing.json", "w") as f:
-        walls = [rec.wall_ms for rec in result.metrics]
-        json.dump({"wall_ms_per_epoch": walls, "wall_ms_total": sum(walls)}, f)
-        f.write("\n")
-
-
-def _write_summary(out: Path, doc: dict):
-    with open(out / "summary.json", "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_atomic(out / "metrics.jsonl", lambda f: f.writelines(
+        json.dumps(rec.public_dict()) + "\n" for rec in result.metrics))
+    walls = [rec.wall_ms for rec in result.metrics]
+    write_json(out / "timing.json", {"wall_ms_per_epoch": walls, "wall_ms_total": sum(walls)})
 
 
 def _summary_doc(cfg: RunConfig, result: TrainResult, mode: str) -> dict:
     return {
         "mode": mode,
-        "seed": cfg.seed,
+        "seed": cfg.plan.seed,
         "epochs_run": len(result.metrics),
         "best_epoch": result.best_epoch,
         "best_val_acc": result.best_val_acc,
@@ -288,7 +252,7 @@ def cmd_gen_synthetic(args) -> int:
 def _load_cfg(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.plan.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
@@ -298,12 +262,12 @@ def cmd_train_teacher(args) -> int:
     cfg = _load_cfg(args)
     g_complete = load_graph(cfg.complete_graph)
     model = _build_from_section(cfg.teacher, g_complete, g_complete.num_classes)
-    result = train_supervised(g_complete, model, make_plan(cfg, mode="teacher"))
+    result = train_supervised(g_complete, model, replace(cfg.plan, mode="teacher"))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "teacher.json")
     _write_metrics(out, result)
-    _write_summary(out, _summary_doc(cfg, result, "teacher"))
+    write_json(out / "summary.json", _summary_doc(cfg, result, "teacher"), indent=2)
     print(f"teacher: best val {result.best_val_acc:.4f} "
           f"test {result.best_test_acc:.4f} (epoch {result.best_epoch})")
     return 0
@@ -311,32 +275,33 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = _load_cfg(args)
-    if cfg.mode == "teacher":
+    mode = cfg.plan.mode
+    if mode == "teacher":
         raise ValidationError("mode: distill expects a student mode")
     g_complete, g, node_map = resolve_graphs(cfg)
     num_classes = g_complete.num_classes
     student = _build_from_section(cfg.student, g, num_classes)
-    if cfg.mode == "online":
+    if mode == "online":
         teacher = _build_from_section(cfg.teacher, g_complete, num_classes)
     else:
         if cfg.teacher.checkpoint is None:
             raise ValidationError(
-                f"teacher.checkpoint: required for offline mode {cfg.mode!r}"
+                f"teacher.checkpoint: required for offline mode {mode!r}"
             )
         if not Path(cfg.teacher.checkpoint).exists():
             raise ValidationError(
                 f"teacher.checkpoint: file not found: {cfg.teacher.checkpoint}"
             )
         teacher = GnnModel.load(cfg.teacher.checkpoint)
-    result = train_student(make_plan(cfg), g, g_complete, teacher, student, node_map)
+    result = train_student(cfg.plan, g, g_complete, teacher, student, node_map)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.model.save(out / "student.json")
     if result.teacher_model is not None:
         result.teacher_model.save(out / "teacher_online.json")
     _write_metrics(out, result)
-    _write_summary(out, _summary_doc(cfg, result, cfg.mode))
-    print(f"{cfg.mode}: best val {result.best_val_acc:.4f} "
+    write_json(out / "summary.json", _summary_doc(cfg, result, mode), indent=2)
+    print(f"{mode}: best val {result.best_val_acc:.4f} "
           f"test {result.best_test_acc:.4f} (epoch {result.best_epoch})")
     return 0
 
@@ -347,28 +312,15 @@ def cmd_eval(args) -> int:
     model = GnnModel.load(args.checkpoint)
     g = load_graph(args.graph)
     logits, _ = forward(model, g)
-    doc = {
-        "checkpoint": str(args.checkpoint),
-        "graph": str(args.graph),
-        "train_acc": accuracy(logits.values, g.labels, g.train_mask),
-        "val_acc": accuracy(logits.values, g.labels, g.val_mask),
-        "test_acc": accuracy(logits.values, g.labels, g.test_mask),
-    }
+    doc = {"checkpoint": str(args.checkpoint), "graph": str(args.graph)}
+    doc.update(zip(("train_acc", "val_acc", "test_acc"), accuracies(logits.values, g)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "eval.json", "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        write_json(out / "eval.json", doc, indent=2)
     print(f"eval: train {doc['train_acc']:.4f} val {doc['val_acc']:.4f} "
           f"test {doc['test_acc']:.4f}")
     return 0
-
-
-def _eval_on(model: GnnModel, g: Graph):
-    logits, _ = forward(model, g)
-    return (accuracy(logits.values, g.labels, g.val_mask),
-            accuracy(logits.values, g.labels, g.test_mask))
 
 
 def cmd_sweep_pir(args) -> int:
@@ -383,7 +335,7 @@ def cmd_sweep_pir(args) -> int:
     split_kind = sweep.get("split_kind", cfg.split.kind if cfg.split else "edges")
     if split_kind not in ("edges", "nodes"):
         raise ValidationError(f"sweep.split_kind: unknown kind {split_kind!r}")
-    method = cfg.mode if cfg.mode != "teacher" else "gkd_offline"
+    method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
 
     g_complete = load_graph(cfg.complete_graph)
     num_classes = g_complete.num_classes
@@ -391,9 +343,7 @@ def cmd_sweep_pir(args) -> int:
     trained = {}  # seed -> (teacher model, oracle val/test)
     for seed in seeds:
         teacher = _build_from_section(cfg.teacher, g_complete, num_classes)
-        plan = make_plan(cfg, mode="teacher")
-        plan.seed = seed
-        res = train_supervised(g_complete, teacher, plan)
+        res = train_supervised(g_complete, teacher, replace(cfg.plan, mode="teacher", seed=seed))
         trained[seed] = (teacher, res.best_val_acc, res.best_test_acc)
 
     for pir in pirs:
@@ -405,38 +355,34 @@ def cmd_sweep_pir(args) -> int:
                 g, node_map = split_nodes(g_complete, pir, seed)
                 _require_train_nodes(g, "sweep.pirs", pir)
             rows.append((pir, "oracle", seed, oracle_val, oracle_test))
-            t_val, t_test = _eval_on(teacher, g)
+            _, t_val, t_test = accuracies(forward(teacher, g)[0].values, g)
             rows.append((pir, "teacher", seed, t_val, t_test))
 
-            plan = make_plan(cfg, mode="teacher")
-            plan.seed = seed
             student_plain = _build_from_section(cfg.student, g, num_classes)
-            res_plain = train_supervised(g, student_plain, plan)
+            res_plain = train_supervised(g, student_plain,
+                                         replace(cfg.plan, mode="teacher", seed=seed))
             rows.append((pir, "student", seed, res_plain.best_val_acc,
                          res_plain.best_test_acc))
 
-            plan = make_plan(cfg, mode=method)
-            plan.seed = seed
             student = _build_from_section(cfg.student, g, num_classes)
-            res_gkd = train_student(plan, g, g_complete, teacher, student, node_map)
+            res_gkd = train_student(replace(cfg.plan, mode=method, seed=seed),
+                                    g, g_complete, teacher, student, node_map)
             rows.append((pir, method, seed, res_gkd.best_val_acc,
                          res_gkd.best_test_acc))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pir", "method", "seed", "val_acc", "test_acc"])
-        for pir, meth, seed, val, test in rows:
-            writer.writerow([repr(pir), meth, seed, repr(val), repr(test)])
-    with open(out / "summary.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pir", "method", "mean_test_acc", "std_test_acc"])
-        for pir in pirs:
-            for meth in ("oracle", "teacher", "student", method):
-                accs = [r[4] for r in rows if r[0] == pir and r[1] == meth]
-                writer.writerow([repr(pir), meth, repr(float(np.mean(accs))),
-                                 repr(float(np.std(accs)))])
+    results = [["pir", "method", "seed", "val_acc", "test_acc"]]
+    results += [[repr(pir), meth, seed, repr(val), repr(test)]
+                for pir, meth, seed, val, test in rows]
+    summary = [["pir", "method", "mean_test_acc", "std_test_acc"]]
+    for pir in pirs:
+        for meth in ("oracle", "teacher", "student", method):
+            accs = [r[4] for r in rows if r[0] == pir and r[1] == meth]
+            summary.append([repr(pir), meth, repr(float(np.mean(accs))),
+                            repr(float(np.std(accs)))])
+    for name, table in (("results.csv", results), ("summary.csv", summary)):
+        write_atomic(out / name, lambda f, table=table: csv.writer(f).writerows(table))
     print(f"sweep: {len(rows)} runs over pir={pirs} -> {out / 'results.csv'}")
     return 0
 

@@ -30,7 +30,7 @@ from . import tensor as T
 from .errors import DimensionError, ValidationError
 from .graphs import Graph, edge_endpoints
 from .models import GnnModel, init_xavier
-from .nhk import KernelSpec, RandomProjections, kernel_matrix
+from .nhk import KernelSpec, kernel_matrix
 from .tensor import Tensor
 
 
@@ -40,7 +40,6 @@ class DistillConfig:
 
     alpha: float = 1.0        # kernel-alignment weight
     delta: float = 0.0        # off-edge pair weight in W
-    layer_span: int = 1       # k: layers bridged by one kernel
     alpha_kd: float = 0.0     # soft-label loss weight
     tau_kd: float = 1.0       # soft-label temperature
     batch_size: int | None = None  # nodes per distillation mini-batch
@@ -50,8 +49,6 @@ class DistillConfig:
             raise ValidationError("alpha must be >= 0")
         if self.delta < 0:
             raise ValidationError("delta must be >= 0")
-        if self.layer_span < 1:
-            raise ValidationError("layer_span must be >= 1")
         if not 0.0 <= self.alpha_kd < 1.0:
             raise ValidationError("alpha_kd must lie in [0, 1)")
         if self.tau_kd <= 0:
@@ -67,9 +64,10 @@ class InverseNhkMapper:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.weight = T.parameter(np.zeros((self.in_dim, self.out_dim)))
+        self.weights = [self.weight]  # what init_xavier initializes
 
     def init(self, seed: int, stream: int = 203):
-        init_xavier(_MapperShim(self.weight), seed, stream)
+        init_xavier(self, seed, stream)
 
     def apply(self, h: Tensor) -> Tensor:
         if h.shape[1] != self.in_dim:
@@ -78,13 +76,6 @@ class InverseNhkMapper:
 
     def parameters(self):
         return [self.weight]
-
-
-class _MapperShim:
-    """Adapts a single weight tensor to init_xavier's model interface."""
-
-    def __init__(self, weight):
-        self.weights = [weight]
 
 
 def weight_matrix(g: Graph, delta: float, node_subset) -> Tensor:
@@ -115,55 +106,31 @@ def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
     return T.frobenius_sq(k_student, k_teacher_sub.detach(), w)
 
 
-def _resolve_projection_dims(spec: KernelSpec, dim_teacher: int, dim_student: int):
-    """Common (m, s) with per-model input dims; s defaults to twice the student dim."""
-    s = spec.s if spec.s is not None else 2 * dim_student
-    return s
+def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):
+    """Kernel matrices of the frozen teacher, one per loss layer, detached.
 
-
-class ProjectionCache:
-    """Per-feature-dim projection sets sharing one seed, built on demand."""
-
-    def __init__(self, spec: KernelSpec):
-        self.spec = spec
-        self._cache: dict[tuple[int, int], RandomProjections] = {}
-
-    def get(self, dim: int, s: int) -> RandomProjections:
-        key = (dim, s)
-        if key not in self._cache:
-            self._cache[key] = RandomProjections(self.spec.seed, self.spec.m, s, dim)
-        return self._cache[key]
-
-
-def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec,
-                          projections: "ProjectionCache | None" = None):
-    """Kernel matrices of the frozen teacher, one per loss layer, detached."""
-    if projections is None and spec.kind == "randomized":
-        projections = ProjectionCache(spec)
+    A randomized kernel projects teacher layer l to the width the student's
+    layer l uses: spec.s, else twice the student's feature width.
+    """
     kernels = []
     for l in range(len(traces_teacher) - 1):
         h_t = traces_teacher[l] if isinstance(traces_teacher[l], Tensor) \
             else T.constant(traces_teacher[l])
-        if spec.kind == "randomized":
-            s = _resolve_projection_dims(spec, h_t.shape[1], traces_student_dims[l])
-            kernels.append(kernel_matrix(spec, h_t, projections.get(h_t.shape[1], s)).detach())
-        else:
-            kernels.append(kernel_matrix(spec, h_t).detach())
+        s = spec.s if spec.s is not None else 2 * traces_student_dims[l]
+        kernels.append(kernel_matrix(spec, h_t, s).detach())
     return kernels
 
 
 def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
-                      cfg: DistillConfig, w: Tensor,
-                      projections: ProjectionCache | None = None,
-                      teacher_kernels=None, static_term_cache: dict | None = None) -> Tensor:
+                      cfg: DistillConfig, w: Tensor, teacher_kernels=None,
+                      fixed_terms=None) -> Tensor:
     """Mean per-layer kernel alignment scaled by alpha.
 
     The kernel bridging layer l-1 to l is evaluated on the source features,
     so the L loss terms read trace entries 0 .. L-1. Teacher entries must
     already be restricted to the student's nodes (and batch, if sampling).
-    ``teacher_kernels`` short-circuits the teacher side when the trace is
-    constant across epochs; ``static_term_cache`` does the same for loss
-    terms on gradient-free student entries (the shared input features).
+    A run whose teacher is frozen passes its ``teacher_kernels`` and, as
+    ``fixed_terms`` {l: value}, the terms of gradient-free student entries.
     """
     if len(traces_teacher) != len(traces_student):
         raise DimensionError(
@@ -172,32 +139,19 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     num_layers = len(traces_student) - 1
     if num_layers < 1:
         raise ValidationError("traces must cover at least one layer")
-    if projections is None and spec.kind == "randomized":
-        projections = ProjectionCache(spec)
     if teacher_kernels is None:
         teacher_kernels = teacher_layer_kernels(
-            traces_teacher, [h.shape[1] for h in traces_student], spec, projections
+            traces_teacher, [h.shape[1] for h in traces_student], spec
         )
+    fixed_terms = fixed_terms or {}
     total = None
     for l in range(num_layers):
-        h_s = traces_student[l]
-        if static_term_cache is not None and not h_s.requires_grad:
-            if l not in static_term_cache:
-                k_s = kernel_matrix(spec, h_s, _layer_proj(spec, projections, traces_teacher, h_s, l))
-                static_term_cache[l] = distill_loss(teacher_kernels[l], k_s, w).item()
-            term = T.constant([[static_term_cache[l]]])
+        if l in fixed_terms:
+            term = T.constant([[fixed_terms[l]]])
         else:
-            k_s = kernel_matrix(spec, h_s, _layer_proj(spec, projections, traces_teacher, h_s, l))
-            term = distill_loss(teacher_kernels[l], k_s, w)
+            term = distill_loss(teacher_kernels[l], kernel_matrix(spec, traces_student[l]), w)
         total = term if total is None else T.add(total, term)
     return T.scale(total, cfg.alpha / num_layers)
-
-
-def _layer_proj(spec, projections, traces_teacher, h_s, l):
-    if spec.kind != "randomized":
-        return None
-    s = _resolve_projection_dims(spec, traces_teacher[l].shape[1], h_s.shape[1])
-    return projections.get(h_s.shape[1], s)
 
 
 def inverse_nhk_gram(mapper: InverseNhkMapper, h_last: Tensor) -> Tensor:

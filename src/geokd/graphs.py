@@ -10,6 +10,8 @@ selectors.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -291,10 +293,34 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
-def save_graph(g: Graph, path):
-    with open(path, "w") as f:
-        json.dump(graph_to_dict(g), f)
+def write_atomic(path, write) -> None:
+    """Call write(f) on a temp file beside path, then move it over path.
+
+    A reader never sees a partly written file: if write raises, the previous
+    file at path is left as it was and the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    """doc as JSON and a newline, written atomically."""
+    def write(f):
+        json.dump(doc, f, indent=indent)
         f.write("\n")
+
+    write_atomic(path, write)
+
+
+def save_graph(g: Graph, path):
+    write_json(path, graph_to_dict(g))
 
 
 def _require(doc: dict, field: str):

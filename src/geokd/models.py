@@ -13,7 +13,13 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ValidationError
-from .graphs import Graph, laplacian_sym, normalize_adjacency, propagated_features
+from .graphs import (
+    Graph,
+    laplacian_sym,
+    normalize_adjacency,
+    propagated_features,
+    write_json,
+)
 
 
 class GnnModel:
@@ -92,14 +98,14 @@ class GnnModel:
                 raise ValidationError(
                     f"weights[{i}]: {arr.size} values, expected {rows}x{cols} = {rows * cols}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"weights[{i}]: not finite (NaN or infinity)")
             arrays.append(arr.reshape(rows, cols))
         model.load_weights(arrays)
         return model
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "GnnModel":
@@ -164,6 +170,12 @@ def accuracy(logits_values: np.ndarray, labels: np.ndarray, mask: np.ndarray) ->
         return 0.0
     pred = logits_values[mask].argmax(axis=1)
     return float(np.mean(pred == labels[mask]))
+
+
+def accuracies(logits_values: np.ndarray, g: Graph) -> tuple[float, float, float]:
+    """(train, val, test) accuracy of the logits on the graph's masks."""
+    return tuple(accuracy(logits_values, g.labels, mask)
+                 for mask in (g.train_mask, g.val_mask, g.test_mask))
 
 
 def sgc_euler_equivalence(g: Graph, x0, steps: int) -> float:

@@ -10,6 +10,7 @@ semigroup and expansion checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,9 +63,19 @@ class RandomProjections:
         self.matrices = [rng.standard_normal((self.s, self.d)) for _ in range(self.m + 1)]
 
 
-def build_projections(spec: KernelSpec, dim: int) -> RandomProjections:
-    s = spec.s if spec.s is not None else 2 * dim
-    return RandomProjections(spec.seed, spec.m, s, dim)
+def build_projections(spec: KernelSpec, dim: int, s: int | None = None) -> RandomProjections:
+    """The projections for inputs of width dim; s defaults to spec.s, else 2 * dim.
+
+    Memoized on (seed, m, s, dim): every caller shares one read-only set.
+    """
+    if s is None:
+        s = spec.s if spec.s is not None else 2 * dim
+    return _projections(int(spec.seed), int(spec.m), int(s), int(dim))
+
+
+@lru_cache(maxsize=64)
+def _projections(seed: int, m: int, s: int, d: int) -> RandomProjections:
+    return RandomProjections(seed, m, s, d)
 
 
 def nhk_gauss(h: Tensor, t: float) -> Tensor:
@@ -107,15 +118,14 @@ def nhk_randomized(h: Tensor, proj: RandomProjections, weights,
     return out
 
 
-def kernel_matrix(spec: KernelSpec, h: Tensor, proj: RandomProjections | None = None) -> Tensor:
+def kernel_matrix(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
+    """The kernel of spec over the rows of h; s is the randomized projection width."""
     if spec.kind == "gauss":
         return nhk_gauss(h, spec.t)
     if spec.kind == "sigmoid":
         return nhk_sigmoid(h, spec.a, spec.b)
     if spec.kind == "randomized":
-        if proj is None:
-            proj = build_projections(spec, h.shape[1])
-        return nhk_randomized(h, proj, spec.weights())
+        return nhk_randomized(h, build_projections(spec, h.shape[1], s), spec.weights())
     raise ValidationError("parametric kernels are trained, not evaluated directly")
 
 
@@ -157,14 +167,4 @@ def heat_kernel_expansion(lap: SparseMatrix, t: float, r: int) -> np.ndarray:
     lam, vecs = np.linalg.eigh(dense)
     keep = slice(0, r)  # ascending eigenvalues: largest e^{-lambda t} first
     return (vecs[:, keep] * np.exp(-t * lam[keep])) @ vecs[:, keep].T
-
-
-def euclidean_heat_kernel(rho: float, t: float, k_dim: int) -> float:
-    """(4 pi t)^{-k/2} exp(-rho^2 / 4t): the flat-space fundamental solution."""
-    if t <= 0:
-        raise ValidationError("time must be > 0")
-    if rho < 0:
-        raise ValidationError("distance must be >= 0")
-    return float((4.0 * np.pi * t) ** (-k_dim / 2.0) * np.exp(-rho * rho / (4.0 * t)))
-
 

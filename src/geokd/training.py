@@ -1,6 +1,9 @@
 """Training drivers: supervised pretraining, offline/online distillation,
 EM-style parametric distillation, mini-batch sampling and grid search.
 
+Every mode runs the one epoch loop in ``_fit`` and supplies only the loss
+terms it adds to the cross-entropy.
+
 Every run is a pure function of (graphs, plan, seed). Random streams are
 namespaced so that a distilled student with all distillation weights at zero
 replays the plain supervised trajectory bit for bit.
@@ -9,6 +12,7 @@ replays the plain supervised trajectory bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +22,7 @@ from . import tensor as T
 from .distill import (
     DistillConfig,
     InverseNhkMapper,
-    ProjectionCache,
+    distill_loss,
     factored_distill_loss,
     factored_reconstruction_loss,
     kd_soft_label_loss,
@@ -28,10 +32,10 @@ from .distill import (
     trace_feature_dim,
     weight_matrix,
 )
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .graphs import Graph
-from .models import GnnModel, accuracy, forward, init_xavier
-from .nhk import KernelSpec
+from .models import GnnModel, accuracies, forward, init_xavier
+from .nhk import KernelSpec, kernel_matrix
 
 STREAM_STUDENT = 201   # also the lone model of a supervised run
 STREAM_TEACHER_ONLINE = 202
@@ -125,16 +129,6 @@ class TrainResult:
     teacher_model: GnnModel | None = None  # populated by online training
 
 
-def _evaluate(model: GnnModel, g: Graph):
-    logits, _ = forward(model, g)
-    vals = logits.values
-    return (
-        accuracy(vals, g.labels, g.train_mask),
-        accuracy(vals, g.labels, g.val_mask),
-        accuracy(vals, g.labels, g.test_mask),
-    )
-
-
 class _BestTracker:
     """Keeps the weight snapshot of the best validation epoch (first on ties)."""
 
@@ -160,8 +154,22 @@ class _BestTracker:
         self.model.load_weights(self.snapshot)
 
 
-def train_supervised(g: Graph, model: GnnModel, plan: TrainPlan) -> TrainResult:
-    """Cross-entropy training on one graph with best-validation checkpointing."""
+def _require_finite(epoch: int, **losses):
+    """NumericError naming the epoch and the first non-finite loss."""
+    for name, value in losses.items():
+        if value is not None and not math.isfinite(value):
+            raise NumericError(f"epoch {epoch}: {name} is {value}")
+
+
+def _fit(model: GnnModel, g: Graph, plan: TrainPlan, terms) -> TrainResult:
+    """The epoch loop shared by every mode, with best-validation checkpointing.
+
+    Each epoch minimizes cross-entropy plus the tensors of
+    ``terms(epoch, logits, trace) -> (tensors, loss_dis, loss_rec)``. The
+    forward after each step both evaluates the epoch and feeds the next
+    epoch's loss, since the weights do not change in between: a run of E
+    epochs runs E + 1 forwards.
+    """
     if len(g.train_mask) == 0:
         raise ValidationError("graph has no training nodes")
     init_xavier(model, plan.seed, STREAM_STUDENT)
@@ -169,18 +177,25 @@ def train_supervised(g: Graph, model: GnnModel, plan: TrainPlan) -> TrainResult:
     opt = Adam(model.parameters(), plan.lr)
     tracker = _BestTracker(model)
     metrics = []
+    logits, trace = forward(model, g)
     for epoch in range(plan.epochs):
         tic = time.perf_counter()
-        logits, _ = forward(model, g)
-        loss = T.cross_entropy(logits, g.labels, g.train_mask)
+        loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
+        extra, loss_dis, loss_rec = terms(epoch, logits, trace)
+        _require_finite(epoch, loss_pre=loss_pre.item(), loss_dis=loss_dis,
+                        loss_rec=loss_rec)
+        total = loss_pre
+        for term in extra:
+            total = T.add(total, term)
         opt.zero_grad()
-        loss.backward()
+        total.backward()
         opt.step()
-        train_acc, val_acc, test_acc = _evaluate(model, g)
+        logits, trace = forward(model, g)
+        train_acc, val_acc, test_acc = accuracies(logits.values, g)
         tracker.update(epoch, val_acc, test_acc)
         metrics.append(MetricsRecord(
-            epoch, loss.item(), 0.0, train_acc, val_acc, test_acc,
-            (time.perf_counter() - tic) * 1e3,
+            epoch, loss_pre.item(), loss_dis, train_acc, val_acc, test_acc,
+            (time.perf_counter() - tic) * 1e3, loss_rec=loss_rec,
         ))
         if plan.patience and tracker.since_best >= plan.patience:
             break
@@ -189,104 +204,85 @@ def train_supervised(g: Graph, model: GnnModel, plan: TrainPlan) -> TrainResult:
     return TrainResult(model, metrics, tracker.best_epoch, tracker.best_val, tracker.best_test)
 
 
-def train_teacher(g_complete: Graph, model: GnnModel, plan: TrainPlan) -> TrainResult:
-    return train_supervised(g_complete, model, plan)
+def train_supervised(g: Graph, model: GnnModel, plan: TrainPlan) -> TrainResult:
+    """Cross-entropy training on one graph with best-validation checkpointing."""
+    return _fit(model, g, plan, lambda epoch, logits, trace: ((), 0.0, None))
 
 
-def _teacher_layer_features(teacher: GnnModel, g_complete: Graph, node_map):
-    """Detached per-layer teacher features, rows restricted to student nodes."""
-    teacher.set_trainable(False)
-    logits, trace = forward(teacher, g_complete)
+def _restrict(logits, trace, node_map):
+    """Teacher logit and trace values on the student's rows (all if None)."""
     if node_map is None:
-        node_map = np.arange(g_complete.num_nodes)
-    feats = [h.values[node_map] for h in trace]
-    return logits.values[node_map], feats
+        node_map = np.arange(logits.shape[0])
+    return logits.values[node_map], [h.values[node_map] for h in trace]
 
 
-def _samples_batches(cfg: DistillConfig, n: int) -> bool:
-    return cfg.batch_size is not None and cfg.batch_size < n
+def _kd_term(plan: TrainPlan, teacher_logits, logits, g: Graph):
+    return T.scale(kd_soft_label_loss(teacher_logits, logits, plan.distill.tau_kd,
+                                      g.train_mask), plan.distill.alpha_kd)
 
 
-def _full_weight_matrix(g: Graph, cfg: DistillConfig):
-    """W over all nodes, or None when no loss reads it."""
-    if cfg.alpha > 0 and not _samples_batches(cfg, g.num_nodes):
-        return weight_matrix(g, cfg.delta, np.arange(g.num_nodes))
-    return None
+class _GkdTerms:
+    """gkd and online terms: alpha-scaled per-layer alignment, soft labels.
 
+    Alignment constants are built once per run. On the full graph that is
+    W; given a frozen teacher's features, also its kernels and, on the first
+    call, the terms of gradient-free student entries (the input features,
+    the whole sgc trace). A mini-batch run builds them for each epoch's batch.
+    """
 
-def _distill_term(plan: TrainPlan, g: Graph, trace_student, teacher_feats,
-                  w_full, projections, epoch: int, teacher_kernels=None,
-                  static_terms=None):
-    """alpha-scaled mean per-layer alignment, optionally on a node mini-batch."""
-    cfg = plan.distill
-    n = g.num_nodes
-    if _samples_batches(cfg, n):
-        ids = sample_distill_batch(n, cfg.batch_size, plan.seed, epoch)
-        w = weight_matrix(g, cfg.delta, ids)
-        t_feats = [f[ids] for f in teacher_feats]
-        s_feats = [T.take_rows(h, ids) for h in trace_student]
-        teacher_kernels = None  # batch subsets change every epoch
-        static_terms = None
-    else:
-        w = w_full
-        t_feats = teacher_feats
-        s_feats = trace_student
-    return layer_avg_distill(t_feats, s_feats, plan.kernel, cfg, w, projections,
-                             teacher_kernels, static_terms)
+    def __init__(self, plan: TrainPlan, g: Graph, frozen_teacher_feats=None,
+                 student: GnnModel | None = None):
+        self.plan, self.g = plan, g
+        n, cfg = g.num_nodes, plan.distill
+        self.batched = cfg.batch_size is not None and cfg.batch_size < n
+        self.w = self.teacher_kernels = self.fixed_terms = None
+        if cfg.alpha > 0 and not self.batched:
+            self.w = weight_matrix(g, cfg.delta, np.arange(n))
+            if frozen_teacher_feats is not None:
+                dims = [trace_feature_dim(student, l) for l in range(student.num_layers + 1)]
+                self.teacher_kernels = teacher_layer_kernels(frozen_teacher_feats, dims,
+                                                             plan.kernel)
+
+    def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
+        spec, cfg = self.plan.kernel, self.plan.distill
+        extra, loss_dis = [], 0.0
+        if cfg.alpha > 0:
+            if self.batched:
+                ids = sample_distill_batch(self.g.num_nodes, cfg.batch_size,
+                                           self.plan.seed, epoch)
+                dis = layer_avg_distill([f[ids] for f in teacher_feats],
+                                        [T.take_rows(h, ids) for h in trace], spec, cfg,
+                                        weight_matrix(self.g, cfg.delta, ids))
+            else:
+                if self.teacher_kernels is not None and self.fixed_terms is None:
+                    self.fixed_terms = {
+                        l: distill_loss(self.teacher_kernels[l], kernel_matrix(spec, h),
+                                        self.w).item()
+                        for l, h in enumerate(trace[:-1]) if not h.requires_grad
+                    }
+                dis = layer_avg_distill(teacher_feats, trace, spec, cfg, self.w,
+                                        self.teacher_kernels, self.fixed_terms)
+            loss_dis = dis.item()
+            extra.append(dis)
+        if cfg.alpha_kd > 0:
+            extra.append(_kd_term(self.plan, teacher_logits, logits, self.g))
+        return extra, loss_dis, None
 
 
 def train_student_gkd(g: Graph, teacher: GnnModel, g_complete: Graph,
                       plan: TrainPlan, student: GnnModel,
                       node_map=None) -> TrainResult:
     """Offline distillation: frozen teacher, per-layer kernel alignment."""
-    cfg = plan.distill
-    teacher_logits, teacher_feats = _teacher_layer_features(teacher, g_complete, node_map)
+    teacher.set_trainable(False)
+    teacher_logits, teacher_feats = _restrict(*forward(teacher, g_complete), node_map)
     if len(teacher_feats) != student.num_layers + 1:
         raise ValidationError(
             f"teacher trace has {len(teacher_feats)} entries, student expects "
             f"{student.num_layers + 1}"
         )
-    init_xavier(student, plan.seed, STREAM_STUDENT)
-    student.set_trainable(True)
-    opt = Adam(student.parameters(), plan.lr)
-    tracker = _BestTracker(student)
-    projections = ProjectionCache(plan.kernel) if plan.kernel.kind == "randomized" else None
-    w_full = _full_weight_matrix(g, cfg)
-    teacher_kernels = None  # computed lazily; needs the student trace dims
-    static_terms = {}
-    metrics = []
-    for epoch in range(plan.epochs):
-        tic = time.perf_counter()
-        logits, trace = forward(student, g)
-        loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
-        if teacher_kernels is None and w_full is not None:
-            teacher_kernels = teacher_layer_kernels(
-                teacher_feats, [h.shape[1] for h in trace], plan.kernel, projections
-            )
-        total = loss_pre
-        loss_dis_val = 0.0
-        if cfg.alpha > 0:
-            dis = _distill_term(plan, g, trace, teacher_feats, w_full, projections,
-                                epoch, teacher_kernels, static_terms)
-            loss_dis_val = dis.item()
-            total = T.add(total, dis)
-        if cfg.alpha_kd > 0:
-            kd = kd_soft_label_loss(teacher_logits, logits, cfg.tau_kd, g.train_mask)
-            total = T.add(total, T.scale(kd, cfg.alpha_kd))
-        opt.zero_grad()
-        total.backward()
-        opt.step()
-        train_acc, val_acc, test_acc = _evaluate(student, g)
-        tracker.update(epoch, val_acc, test_acc)
-        metrics.append(MetricsRecord(
-            epoch, loss_pre.item(), loss_dis_val, train_acc, val_acc, test_acc,
-            (time.perf_counter() - tic) * 1e3,
-        ))
-        if plan.patience and tracker.since_best >= plan.patience:
-            break
-    tracker.restore()
-    student.set_trainable(False)
-    return TrainResult(student, metrics, tracker.best_epoch, tracker.best_val, tracker.best_test)
+    gkd = _GkdTerms(plan, g, teacher_feats, student)
+    return _fit(student, g, plan, lambda epoch, logits, trace: gkd(
+        epoch, teacher_logits, teacher_feats, logits, trace))
 
 
 def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
@@ -312,37 +308,26 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
                        node_map=None) -> TrainResult:
     """EM alternation: fit the inverse kernel (phi), then align and fit (theta)."""
     cfg = plan.distill
-    if node_map is None:
-        node_map = np.arange(g_complete.num_nodes)
     teacher.set_trainable(False)
     t_logits, t_trace = forward(teacher, g_complete)
     early_t, late_t = pgkd_span(teacher)
     early_s, late_s = pgkd_span(student)
     t_late_full = T.constant(t_trace[late_t].values)
     t_early_full = T.constant(t_trace[early_t].values)
-    t_late_sub = T.constant(t_trace[late_t].values[node_map])
-    teacher_logits_sub = t_logits.values[node_map]
+    teacher_logits_sub, t_feats_sub = _restrict(t_logits, t_trace, node_map)
+    t_late_sub = T.constant(t_feats_sub[late_t])
 
     mapper_t, mapper_s = _build_mappers(plan, teacher, student)
     phi_params = mapper_t.parameters()
     if mapper_s is not mapper_t:
         phi_params = phi_params + mapper_s.parameters()
-
-    init_xavier(student, plan.seed, STREAM_STUDENT)
-    student.set_trainable(True)
-    opt_theta = Adam(student.parameters(), plan.lr)
     opt_phi = Adam(phi_params, plan.lr_mapper)
-    tracker = _BestTracker(student)
-    metrics = []
-    for epoch in range(plan.epochs):
-        tic = time.perf_counter()
-        # One taped forward serves both steps: the E-step leaves the GNN
-        # weights alone and reads the trace values as constants.
-        logits, trace_s = forward(student, g)
 
-        # E-step: refit the inverse kernel with the GNN weights frozen.
-        s_late = T.constant(trace_s[late_s].values)
-        s_early = T.constant(trace_s[early_s].values)
+    def terms(epoch, logits, trace):
+        # E-step: refit the inverse kernel with the GNN weights frozen; it
+        # reads the trace values as constants.
+        s_late = T.constant(trace[late_s].values)
+        s_early = T.constant(trace[early_s].values)
         rec = T.add(
             factored_reconstruction_loss(mapper_t.apply(t_late_full), t_late_full, t_early_full),
             factored_reconstruction_loss(mapper_s.apply(s_late), s_late, s_early),
@@ -350,99 +335,51 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
         opt_phi.zero_grad()
         rec.backward()
         opt_phi.step()
-        loss_rec_val = rec.item()
 
-        # M-step: supervised loss plus inverse-kernel alignment, mapper frozen.
-        loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
-        total = loss_pre
-        loss_dis_val = 0.0
+        # M-step terms: inverse-kernel alignment, mapper frozen.
+        extra, loss_dis = [], 0.0
         if cfg.alpha > 0:
             phi_t = mapper_t.apply(t_late_sub)
-            phi_s = mapper_s.apply(trace_s[late_s])
+            phi_s = mapper_s.apply(trace[late_s])
             dis = T.scale(factored_distill_loss(g, phi_t, phi_s, cfg.delta), cfg.alpha)
-            loss_dis_val = dis.item()
-            total = T.add(total, dis)
+            loss_dis = dis.item()
+            extra.append(dis)
         if cfg.alpha_kd > 0:
-            kd = kd_soft_label_loss(teacher_logits_sub, logits, cfg.tau_kd, g.train_mask)
-            total = T.add(total, T.scale(kd, cfg.alpha_kd))
-        opt_theta.zero_grad()
-        total.backward()
-        opt_theta.step()
+            extra.append(_kd_term(plan, teacher_logits_sub, logits, g))
+        return extra, loss_dis, rec.item()
 
-        train_acc, val_acc, test_acc = _evaluate(student, g)
-        tracker.update(epoch, val_acc, test_acc)
-        metrics.append(MetricsRecord(
-            epoch, loss_pre.item(), loss_dis_val, train_acc, val_acc, test_acc,
-            (time.perf_counter() - tic) * 1e3, loss_rec=loss_rec_val,
-        ))
-        if plan.patience and tracker.since_best >= plan.patience:
-            break
-    tracker.restore()
-    student.set_trainable(False)
-    return TrainResult(student, metrics, tracker.best_epoch, tracker.best_val, tracker.best_test)
+    return _fit(student, g, plan, terms)
 
 
 def train_online(g: Graph, g_complete: Graph, teacher: GnnModel,
                  student: GnnModel, plan: TrainPlan, node_map=None) -> TrainResult:
     """Teacher and student trained jointly; one step each per epoch."""
-    cfg = plan.distill
-    if node_map is None:
-        node_map = np.arange(g_complete.num_nodes)
     init_xavier(teacher, plan.seed, STREAM_TEACHER_ONLINE)
-    init_xavier(student, plan.seed, STREAM_STUDENT)
     teacher.set_trainable(True)
-    student.set_trainable(True)
     opt_t = Adam(teacher.parameters(), plan.lr)
-    opt_s = Adam(student.parameters(), plan.lr)
     tracker_t = _BestTracker(teacher)
-    tracker = _BestTracker(student)
-    projections = ProjectionCache(plan.kernel) if plan.kernel.kind == "randomized" else None
-    w_full = _full_weight_matrix(g, cfg)
-    metrics = []
-    for epoch in range(plan.epochs):
-        tic = time.perf_counter()
-        t_logits_live, _ = forward(teacher, g_complete)
-        t_loss = T.cross_entropy(t_logits_live, g_complete.labels, g_complete.train_mask)
+    gkd = _GkdTerms(plan, g)
+    # as for the student, the teacher forward after each of its steps is
+    # also the one its next step differentiates
+    t_logits, t_trace = forward(teacher, g_complete)
+
+    def terms(epoch, logits, trace):
+        nonlocal t_logits, t_trace
+        t_loss = T.cross_entropy(t_logits, g_complete.labels, g_complete.train_mask)
+        _require_finite(epoch, teacher_loss_pre=t_loss.item())
         opt_t.zero_grad()
         t_loss.backward()
         opt_t.step()
-        _, t_val, t_test = _evaluate(teacher, g_complete)
+        t_logits, t_trace = forward(teacher, g_complete)
+        _, t_val, t_test = accuracies(t_logits.values, g_complete)
         tracker_t.update(epoch, t_val, t_test)
+        return gkd(epoch, *_restrict(t_logits, t_trace, node_map), logits, trace)
 
-        logits, trace = forward(student, g)
-        loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
-        total = loss_pre
-        loss_dis_val = 0.0
-        if cfg.alpha > 0 or cfg.alpha_kd > 0:
-            teacher_logits, teacher_feats = _teacher_layer_features(teacher, g_complete, node_map)
-            teacher.set_trainable(True)
-        if cfg.alpha > 0:
-            dis = _distill_term(plan, g, trace, teacher_feats, w_full, projections, epoch)
-            loss_dis_val = dis.item()
-            total = T.add(total, dis)
-        if cfg.alpha_kd > 0:
-            kd = kd_soft_label_loss(teacher_logits, logits, cfg.tau_kd, g.train_mask)
-            total = T.add(total, T.scale(kd, cfg.alpha_kd))
-        opt_s.zero_grad()
-        total.backward()
-        opt_s.step()
-
-        train_acc, val_acc, test_acc = _evaluate(student, g)
-        tracker.update(epoch, val_acc, test_acc)
-        metrics.append(MetricsRecord(
-            epoch, loss_pre.item(), loss_dis_val, train_acc, val_acc, test_acc,
-            (time.perf_counter() - tic) * 1e3,
-        ))
-        if plan.patience and tracker.since_best >= plan.patience:
-            break
-    tracker.restore()
+    result = _fit(student, g, plan, terms)
     tracker_t.restore()
     teacher.set_trainable(False)
-    student.set_trainable(False)
-    return TrainResult(
-        student, metrics, tracker.best_epoch, tracker.best_val, tracker.best_test,
-        teacher_model=teacher,
-    )
+    result.teacher_model = teacher
+    return result
 
 
 def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
@@ -472,7 +409,7 @@ def sample_distill_batch(n: int, batch_size: int, seed: int, epoch: int) -> np.n
 
 
 _GRID_KERNEL_KEYS = {"t", "a", "b", "m", "s"}
-_GRID_DISTILL_KEYS = {"alpha", "delta", "alpha_kd", "tau_kd", "batch_size", "layer_span"}
+_GRID_DISTILL_KEYS = {"alpha", "delta", "alpha_kd", "tau_kd", "batch_size"}
 _GRID_PLAN_KEYS = {"lr", "lr_mapper", "epochs", "patience"}
 
 

@@ -1,11 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from geokd.cli import RunConfig, main
+from geokd.distill import DistillConfig
 from geokd.errors import GraphParseError
 from geokd.graphs import sbm_generate, save_graph
+from geokd.nhk import KernelSpec
+from geokd.training import TrainPlan
 
 
 def run_cli(*argv):
@@ -92,6 +96,18 @@ def test_train_teacher_rejects_non_finite_features(tmp_path, graph_file, capsys)
     assert run_cli("train-teacher", "--config", cfg) == 1
     assert "features" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
+
+def test_non_finite_loss_exits_2_before_any_output(tmp_path, capsys):
+    graph = tmp_path / "g40.json"
+    save_graph(sbm_generate([20, 20], 0.3, 0.05, 6, 0.5, 0), graph)
+    cfg = write_config(tmp_path, graph, mode="teacher",
+                       teacher={"kind": "gcn", "depth": 3, "hidden": 8},
+                       optimizer={"lr": 1e150, "epochs": 6})
+    with np.errstate(all="ignore"):
+        assert run_cli("train-teacher", "--config", cfg) == 2
+    assert "epoch 1: loss_pre" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_metrics_records_are_valid(tmp_path, graph_file):
@@ -204,6 +220,26 @@ def test_wrongly_sized_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
         bad.write_text(text)
         assert run_cli("eval", "--checkpoint", bad, "--graph", graph_file) == 1
         assert field in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
+    ckpt = make_teacher(tmp_path, graph_file)
+    doc = json.loads(ckpt.read_text())
+    last = len(doc["weights"]) - 1
+    bad = tmp_path / "nan.json"
+    cfg = write_config(
+        tmp_path, graph_file,
+        teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(bad)},
+    )
+    doc["weights"][0][0] = float("nan")
+    doc["weights"][last][-1] = float("inf")
+    for field in ("weights[0]", f"weights[{last}]"):
+        bad.write_text(json.dumps(doc))  # NaN and Infinity, as json.load accepts them
+        assert run_cli("eval", "--checkpoint", bad, "--graph", graph_file) == 1
+        assert field in capsys.readouterr().err
+        assert run_cli("distill", "--config", cfg) == 1
+        assert field in capsys.readouterr().err
+        doc["weights"][0][0] = 0.0
 
 
 def test_node_split_without_training_nodes_exit_1(tmp_path, graph_file, capsys):
@@ -325,6 +361,32 @@ def test_config_reports_bad_kernel(tmp_path, graph_file):
     with pytest.raises(GraphParseError) as exc:
         RunConfig.from_file(path)
     assert "kernel" in str(exc.value)
+
+
+@pytest.mark.parametrize("section,key", [("kernel", "tt"), ("distill", "alhpa"),
+                                         ("distill", "layer_span"),
+                                         ("optimizer", "learning_rate")])
+def test_unknown_config_key_exits_1_naming_it(tmp_path, graph_file, capsys, section, key):
+    doc = json.loads(write_config(tmp_path, graph_file).read_text())
+    doc[section][key] = 1
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("distill", "--config", path) == 1
+    assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_sections_fill_dataclass_defaults(tmp_path, graph_file):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"mode": "pgkd", "complete_graph": str(graph_file),
+                                "kernel": {"kind": "randomized", "s": None, "m": 2},
+                                "distill": {"alpha": 3, "batch_size": 8},
+                                "optimizer": {"epochs": 7}}))
+    plan = RunConfig.from_file(path).plan
+    assert plan == TrainPlan(mode="pgkd", epochs=7,
+                             kernel=KernelSpec(kind="randomized", m=2),
+                             distill=DistillConfig(alpha=3.0, batch_size=8))
+    assert isinstance(plan.distill.alpha, float)
 
 
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):

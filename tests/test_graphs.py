@@ -17,6 +17,7 @@ from geokd.graphs import (
     sbm_generate,
     split_edges,
     split_nodes,
+    write_json,
 )
 
 
@@ -269,6 +270,23 @@ def test_save_load_roundtrip(tmp_path, complete):
     np.testing.assert_array_equal(g.features.values, complete.features.values)
     np.testing.assert_array_equal(g.labels, complete.labels)
     np.testing.assert_array_equal(g.test_mask, complete.test_mask)
+
+
+def test_save_graph_bytes(tmp_path, complete):
+    path = tmp_path / "g.json"
+    save_graph(complete, path)
+    assert path.read_text() == json.dumps(graph_to_dict(complete)) + "\n"
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "summary.json"
+    write_json(path, {"best_epoch": 3}, indent=2)
+    before = path.read_bytes()
+    # json.dump streams: the first key is written before the second fails
+    with pytest.raises(TypeError):
+        write_json(path, {"best_epoch": 4, "model": object()}, indent=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 def test_load_rejects_out_of_range_edge(tmp_path, complete):

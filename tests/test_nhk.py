@@ -8,7 +8,6 @@ from geokd.nhk import (
     KernelSpec,
     RandomProjections,
     build_projections,
-    euclidean_heat_kernel,
     exact_heat_kernel,
     heat_kernel_expansion,
     kernel_matrix,
@@ -129,11 +128,55 @@ def test_randomized_psd_and_symmetric():
 
 
 def test_randomized_shared_projections_reproduce():
+    # two independent draws: build_projections would return one object twice
     spec = KernelSpec(kind="randomized", t=1.0, m=2, seed=9)
     h = feats(6, 5, 6)
-    k1 = nhk_randomized(h, build_projections(spec, 5), spec.weights()).values
-    k2 = nhk_randomized(h, build_projections(spec, 5), spec.weights()).values
+    p1, p2 = (RandomProjections(spec.seed, spec.m, 10, 5) for _ in range(2))
+    assert p1 is not p2
+    k1 = nhk_randomized(h, p1, spec.weights()).values
+    k2 = nhk_randomized(h, p2, spec.weights()).values
     np.testing.assert_array_equal(k1, k2)
+    np.testing.assert_array_equal(
+        k1, nhk_randomized(h, build_projections(spec, 5), spec.weights()).values)
+
+
+def test_build_projections_memoized_on_seed_m_s_d():
+    spec = KernelSpec(kind="randomized", m=2, seed=3)
+    proj = build_projections(spec, 5)
+    # t plays no part in the projections; s defaults to twice the width
+    assert build_projections(KernelSpec(kind="randomized", m=2, seed=3, t=7.0), 5, 10) is proj
+    for other in (build_projections(KernelSpec(kind="randomized", m=2, seed=4), 5),
+                  build_projections(KernelSpec(kind="randomized", m=3, seed=3), 5),
+                  build_projections(spec, 5, 6),
+                  build_projections(spec, 6, 10)):
+        assert other is not proj
+        assert (other.seed, other.m, other.s, other.d) != (3, 2, 10, 5)
+
+
+def test_kernel_checks_compare_an_independent_draw(monkeypatch):
+    from geokd import checks
+
+    built = []
+
+    class Recording(RandomProjections):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(checks, "RandomProjections", Recording)
+    results = {r.name: r for r in checks.kernel_checks(0)}
+    memoized = build_projections(KernelSpec(kind="randomized", t=1.0, m=3, seed=0), 5)
+    assert len(built) == 1 and built[0] is not memoized
+    assert results["randomized projections reproducible"].passed
+
+
+def test_kernel_matrix_randomized_width():
+    h = feats(6, 4, 8)
+    spec = KernelSpec(kind="randomized", m=2, seed=1)
+    np.testing.assert_array_equal(
+        kernel_matrix(spec, h, 5).values,
+        nhk_randomized(h, RandomProjections(1, 2, 5, 4), spec.weights()).values,
+    )
 
 
 def test_randomized_dimension_mismatch():
@@ -237,35 +280,6 @@ def test_expansion_rank_bounds(lap):
         heat_kernel_expansion(lap, 1.0, 0)
     with pytest.raises(ValidationError):
         heat_kernel_expansion(lap, 1.0, lap.rows + 1)
-
-
-# --------------------------------------------------------------------------
-# Euclidean formula
-
-
-def test_euclidean_normalization_point():
-    assert euclidean_heat_kernel(0.0, 1.0 / (4 * np.pi), 1) == pytest.approx(1.0)
-
-
-def test_euclidean_monotone_in_distance():
-    vals = [euclidean_heat_kernel(r, 0.5, 2) for r in np.linspace(0, 3, 20)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_euclidean_integrates_to_one():
-    t = 0.8
-    xs = np.linspace(-40, 40, 200001)
-    ys = [euclidean_heat_kernel(abs(x), t, 1) for x in xs[::100]]
-    # trapezoid on the coarse grid; the density is smooth and light-tailed
-    coarse = np.trapezoid(ys, xs[::100])
-    assert abs(coarse - 1.0) < 1e-3
-
-
-def test_euclidean_validation():
-    with pytest.raises(ValidationError):
-        euclidean_heat_kernel(1.0, 0.0, 1)
-    with pytest.raises(ValidationError):
-        euclidean_heat_kernel(-1.0, 1.0, 1)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from geokd import tensor as T
 from geokd import training
 from geokd.distill import DistillConfig
-from geokd.errors import ValidationError
+from geokd.errors import NumericError, ValidationError
 from geokd.graphs import sbm_generate, split_edges, split_nodes
 from geokd.models import build_model, forward, init_xavier
 from geokd.nhk import KernelSpec
@@ -21,7 +21,6 @@ from geokd.training import (
     train_student_gkd,
     train_student_pgkd,
     train_supervised,
-    train_teacher,
 )
 
 
@@ -94,7 +93,7 @@ def test_teacher_beats_majority_baseline():
     for seed in range(5):
         g = sbm_generate([30, 30], 0.9, 0.05, 4, 0.5, seed)
         model = build_model("gcn", 4, 8, 2, 2)
-        res = train_teacher(g, model, quick_plan(epochs=100, seed=seed))
+        res = train_supervised(g, model, quick_plan(epochs=100, seed=seed))
         accs.append(res.best_test_acc)
     labels_majority = 0.5  # two equal blocks
     assert np.mean(accs) > labels_majority
@@ -106,6 +105,21 @@ def test_training_loss_decreases_early():
     res = train_supervised(g, model, quick_plan(epochs=6, seed=1))
     losses = [m.loss_pre for m in res.metrics]
     assert all(b <= a + 1e-9 for a, b in zip(losses[:5], losses[1:6]))
+
+
+def test_non_finite_loss_raises_numeric_error(graphs):
+    g_c, _ = graphs
+    model = build_model("gcn", 6, 8, 3, 2)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 1: loss_pre"):
+        train_supervised(g_c, model, quick_plan(epochs=6, lr=1e150))
+
+
+def test_online_teacher_non_finite_loss_named(graphs):
+    g_c, g = graphs
+    plan = quick_plan(mode="online", epochs=6, lr=1e150, distill=DistillConfig(alpha=0.0))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="teacher_loss_pre"):
+        train_online(g, g_c, build_model("gcn", 6, 8, 3, 2), build_model("gcn", 6, 8, 3, 2),
+                     plan)
 
 
 def test_zero_epochs_rejected():
@@ -335,23 +349,6 @@ def test_pgkd_separate_mappers_for_mismatched_dims(graphs, teacher):
     assert len(res.metrics) == 4
 
 
-def test_pgkd_runs_one_student_forward_per_epoch(graphs, teacher, monkeypatch):
-    g_c, g = graphs
-    calls = []
-
-    def counting_forward(model, graph):
-        calls.append(model)
-        return forward(model, graph)
-
-    monkeypatch.setattr(training, "forward", counting_forward)
-    plan = quick_plan(mode="pgkd", seed=14, epochs=5, distill=DistillConfig(alpha=1.0))
-    student = build_model("gcn", 6, 8, 3, 2)
-    train_student_pgkd(g, teacher, g_c, plan, student)
-    # one taped forward for the E- and M-step, one for evaluation
-    assert sum(m is student for m in calls) == 2 * 5
-    assert sum(m is teacher for m in calls) == 1
-
-
 def test_pgkd_allocates_no_node_by_node_buffer():
     # sparse 4-block graph with 2,000 nodes; the student keeps 1,800 of them
     g_c = sbm_generate([500] * 4, 0.01, 0.001, 8, 0.5, 26)
@@ -369,6 +366,36 @@ def test_pgkd_allocates_no_node_by_node_buffer():
     finally:
         tracemalloc.stop()
     assert peak < n_s * n_s * 8
+
+
+@pytest.mark.parametrize("mode", ["teacher", "gkd_offline", "pgkd", "online"])
+def test_forwards_per_run(graphs, teacher, monkeypatch, mode):
+    # the forward after each step also feeds the next epoch: E + 1 per model
+    g_c, g = graphs
+    calls = []
+
+    def counting_forward(model, graph):
+        calls.append(model)
+        return forward(model, graph)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    epochs = 5
+    plan = quick_plan(mode=mode, seed=14, epochs=epochs,
+                      distill=DistillConfig(alpha=1.0, alpha_kd=0.2))
+    student = build_model("gcn", 6, 8, 3, 2)
+    if mode == "teacher":
+        train_supervised(g, student, plan)
+        assert calls == [student] * (epochs + 1)
+        return
+    if mode == "online":
+        live_teacher = build_model("gcn", 6, 8, 3, 2)
+        train_online(g, g_c, live_teacher, student, plan)
+        assert sum(m is live_teacher for m in calls) == epochs + 1
+    else:
+        train_student(plan, g, g_c, teacher, student)
+        assert sum(m is teacher for m in calls) == 1
+    assert sum(m is student for m in calls) == epochs + 1
+    assert len(calls) == (2 * (epochs + 1) if mode == "online" else epochs + 2)
 
 
 # --------------------------------------------------------------------------
