@@ -175,6 +175,9 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     results.append(
         _grad_case("pairwise_sqdist", lambda: T.sum_all(T.mul_elem(T.pairwise_sqdist(xg), cw)), [xg])
     )
+    results.append(
+        _grad_case("gauss_kernel", lambda: T.sum_all(T.mul_elem(T.gauss_kernel(xg, 0.7), cw)), [xg])
+    )
     results.append(_grad_case("gram", lambda: T.sum_all(T.mul_elem(T.gram(xg), cw)), [xg]))
     results.append(
         _grad_case("take_rows", lambda: T.sum_all(T.take_rows(xg, [0, 2, 2])), [xg])

@@ -57,6 +57,28 @@ _NUM = (int, float)
 # another type, such as KernelSpec.decay_weights, is not a config key
 _SCALARS = {"float": (_NUM, float), "int": (int, int), "str": (str, str)}
 _OPTIMIZER_KEYS = ("epochs", "patience", "lr", "lr_mapper")
+_SWEEP_KEYS = ("pirs", "seeds", "split_kind")
+_TOP_KEYS = ("mode", "seed", "complete_graph", "partial_graph", "split", "teacher",
+             "student", "kernel", "distill", "optimizer", "out_dir", "sweep")
+
+
+def _reject_unknown(doc: dict, keys, prefix: str = ""):
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise GraphParseError(prefix + unknown[0], "unknown key")
+
+
+def _object(doc: dict, name: str, keys) -> dict:
+    """Config section ``name``, {} if absent or null; an unknown key is an error."""
+    sub = doc.get(name) or {}
+    if not isinstance(sub, dict):
+        raise GraphParseError(name, "expected a JSON object")
+    _reject_unknown(sub, keys, name + ".")
+    return sub
+
+
+def _field_names(cls) -> list:
+    return [f.name for f in fields(cls)]
 
 
 def _section(doc: dict, name: str, cls, keys=None, **given):
@@ -65,14 +87,9 @@ def _section(doc: dict, name: str, cls, keys=None, **given):
     Absent or null keys keep the dataclass default; an unknown key, a
     mistyped value or a value cls rejects is an error naming its field.
     """
-    sub = doc.get(name) or {}
-    if not isinstance(sub, dict):
-        raise GraphParseError(name, "expected a JSON object")
     types = {f.name: _SCALARS[f.type.split(" | ")[0]] for f in fields(cls)
              if f.type.split(" | ")[0] in _SCALARS and (keys is None or f.name in keys)}
-    unknown = sorted(set(sub) - set(types))
-    if unknown:
-        raise GraphParseError(f"{name}.{unknown[0]}", "unknown key")
+    sub = _object(doc, name, types)
     kwargs = dict(given)
     for key, (expect, convert) in types.items():
         if sub.get(key) is not None:
@@ -134,6 +151,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Parse a config document; every section rejects keys it does not know."""
+        _reject_unknown(doc, _TOP_KEYS)
         mode = _get(doc, "mode", str, "gkd_offline")
         if mode not in ("teacher",) + STUDENT_MODES:
             raise GraphParseError("mode", f"unknown mode {mode!r}")
@@ -143,7 +162,7 @@ class RunConfig:
         partial = _get(doc, "partial_graph", str, None)
         if partial is not None and not Path(partial).exists():
             raise GraphParseError("partial_graph", f"file not found: {partial}")
-        split = doc.get("split")
+        split = _object(doc, "split", _field_names(SplitSection))
         split = SplitSection.from_dict(split, "split.") if split else None
         plan = _section(doc, "optimizer", TrainPlan, _OPTIMIZER_KEYS, mode=mode,
                         seed=int(_get(doc, "seed", int, 0)),
@@ -154,10 +173,12 @@ class RunConfig:
             plan=plan,
             partial_graph=partial,
             split=split,
-            teacher=ModelSection.from_dict(doc.get("teacher") or {}, "teacher."),
-            student=ModelSection.from_dict(doc.get("student") or {}, "student."),
+            teacher=ModelSection.from_dict(
+                _object(doc, "teacher", _field_names(ModelSection)), "teacher."),
+            student=ModelSection.from_dict(
+                _object(doc, "student", _field_names(ModelSection)), "student."),
             out_dir=_get(doc, "out_dir", str, "runs/out"),
-            sweep=doc.get("sweep"),
+            sweep=_object(doc, "sweep", _SWEEP_KEYS) or None,
         )
 
     @classmethod

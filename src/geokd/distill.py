@@ -103,7 +103,7 @@ def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(
             f"kernel shapes differ: {k_teacher_sub.shape} vs {k_student.shape}"
         )
-    return T.frobenius_sq(k_student, k_teacher_sub.detach(), w)
+    return T.frobenius_sq(k_student, T.constant(k_teacher_sub.values), w)
 
 
 def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):

@@ -10,6 +10,9 @@ grouped by how many entries they store, and each group is one gather and one
 ``einsum``. Every output row sums its entries one after another in column
 order, so results do not depend on how rows are grouped (see
 ``SparseMatrix.matmul_dense`` for the one exception).
+
+``gauss_kernel`` and ``frobenius_sq`` are one tape node each, working in place
+on their n x n buffers, and bit-identical to the primitive chains they replace.
 """
 
 from __future__ import annotations
@@ -399,30 +402,64 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(out_vals, (a,), backward)
 
 
+def _sqdist_values(hv: np.ndarray) -> np.ndarray:
+    # numpy's matmul computes X @ X.T of a contiguous X as BLAS syrk and
+    # mirrors the triangle, so gm is exactly symmetric and gm_ij + gm_ji is
+    # gm_ij + gm_ij: doubled in place, with no strided transpose. r_i + r_j
+    # is symmetric too (a commutative addition)
+    hv = np.ascontiguousarray(hv)
+    gm = hv @ hv.T
+    r = np.diag(gm).copy()
+    gm += gm
+    out = r[:, None] + r[None, :]
+    out -= gm
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _sqdist_grad(g: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """Gradient wrt the rows hv of sum(g * D), D their squared distances."""
+    s = g + g.T
+    return 2.0 * (s.sum(axis=1, keepdims=True) * hv - s @ hv)
+
+
 def pairwise_sqdist(h: Tensor) -> Tensor:
     """n x n matrix of squared Euclidean row distances; exact zero diagonal.
 
-    Uses the Gram identity D_ij = G_ii + G_jj - G_ij - G_ji, symmetrized by
-    construction; rounding can leave tiny negatives at coincident rows, which
-    are clamped (their true derivative is zero, matching the backward rule:
-    diagonal and coincident-row contributions cancel in s.sum(1)*h - s@h).
+    Uses the Gram identity D_ij = G_ii + G_jj - G_ij - G_ji, exactly
+    symmetric by construction; rounding can leave tiny negatives at coincident
+    rows, which are clamped (their true derivative is zero, matching the
+    backward rule: diagonal and coincident-row contributions cancel in
+    s.sum(1)*h - s@h).
     """
-    gm = h.values @ h.values.T
-    r = np.diag(gm).copy()
-    # r_i + r_j and gm_ij + gm_ji are each exactly symmetric (commutative
-    # additions); one subtraction keeps the whole result exactly symmetric
-    out_vals = r[:, None] + r[None, :]
-    cross = gm + gm.T
-    out_vals -= cross
-    np.maximum(out_vals, 0.0, out=out_vals)
-    np.fill_diagonal(out_vals, 0.0)
 
     def backward(g):
         if h.requires_grad:
-            s = g + g.T
-            h._accumulate_owned(2.0 * (s.sum(axis=1, keepdims=True) * h.values - s @ h.values))
+            h._accumulate_owned(_sqdist_grad(g, h.values))
 
-    return _make(out_vals, (h,), backward)
+    return _make(_sqdist_values(h.values), (h,), backward)
+
+
+def gauss_kernel(h: Tensor, t: float) -> Tensor:
+    """exp(-D / 4t) for D = pairwise_sqdist(h), as one tape node.
+
+    Bit-identical, values and gradient, to exp(scale(pairwise_sqdist(h), c))
+    with c = -1/4t: the kernel buffer is scaled and exponentiated in place,
+    and the backward forms (g * K) * c before the distance gradient.
+    """
+    c = -1.0 / (4.0 * t)
+    k = _sqdist_values(h.values)
+    k *= c
+    np.exp(k, out=k)
+
+    def backward(g):
+        if h.requires_grad:
+            gd = g * k
+            gd *= c
+            h._accumulate_owned(_sqdist_grad(gd, h.values))
+
+    return _make(k, (h,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +472,30 @@ def gram(h: Tensor) -> Tensor:
 
 
 def frobenius_sq(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
-    """sum of W_ij^2 (A_ij - B_ij)^2 as a scalar tensor."""
+    """sum of W_ij^2 (A_ij - B_ij)^2 as a scalar tensor, one tape node.
+
+    Bit-identical, value and gradients, to sum_all(mul_elem(d, d)) with
+    d = mul_elem(sub(a, b), w).
+    """
     _check_same_shape(a, b, "frobenius_sq")
     _check_same_shape(a, w, "frobenius_sq")
-    weighted = mul_elem(sub(a, b), w)
-    return sum_all(mul_elem(weighted, weighted))
+    weighted = a.values - b.values
+    weighted *= w.values
+
+    def backward(g):
+        # the tape calls this once, so the forward buffer becomes the gradient
+        x = weighted
+        x *= g[0, 0]
+        x += x  # mul_elem(d, d) adds the same product once per operand
+        if w.requires_grad:
+            w._accumulate_owned(x * (a.values - b.values))
+        x *= w.values
+        if a.requires_grad:
+            a._accumulate_owned(x)
+        if b.requires_grad:
+            b._accumulate_owned(-x)
+
+    return _make(np.array([[(weighted * weighted).sum()]]), (a, b, w), backward)
 
 
 def cross_entropy(logits: Tensor, labels, mask) -> Tensor:

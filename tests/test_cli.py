@@ -376,6 +376,24 @@ def test_unknown_config_key_exits_1_naming_it(tmp_path, graph_file, capsys, sect
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,section,key", [
+    ("distill", None, "optimiser"), ("distill", "teacher", "hiden"),
+    ("distill", "student", "hiden"), ("distill", "split", "sed"),
+    ("sweep-pir", "sweep", "seed"),
+])
+def test_unknown_key_in_any_section_exits_1_naming_it(tmp_path, graph_file, capsys,
+                                                      command, section, key):
+    doc = json.loads(write_config(tmp_path, graph_file,
+                                  sweep={"pirs": [0.5], "seeds": [0]}).read_text())
+    (doc if section is None else doc[section])[key] = {"epochs": 5}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", path) == 1
+    name = key if section is None else f"{section}.{key}"
+    assert f"error: {name}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_sections_fill_dataclass_defaults(tmp_path, graph_file):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"mode": "pgkd", "complete_graph": str(graph_file),
