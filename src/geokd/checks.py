@@ -35,6 +35,7 @@ from .nhk import (
     nhk_gauss,
     nhk_randomized,
     nhk_sigmoid,
+    randomized_features,
 )
 
 
@@ -116,9 +117,7 @@ def kernel_checks(seed: int, n: int = 16, d: int = 5) -> list[CheckResult]:
     proj = build_projections(spec, d)
     # an independent draw: build_projections would return proj itself
     proj2 = RandomProjections(spec.seed, spec.m, proj.s, d)
-    repro = max(
-        float(np.max(np.abs(m1 - m2))) for m1, m2 in zip(proj.matrices, proj2.matrices)
-    )
+    repro = float(np.max(np.abs(proj.stacked - proj2.stacked)))
     results.append(CheckResult("randomized projections reproducible", repro, 0.0))
     kr = nhk_randomized(h, proj, spec.weights()).values
     results.append(CheckResult("randomized PSD (negated min eig)", max(0.0, -_min_eig(kr)), 1e-10))
@@ -179,6 +178,9 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
         _grad_case("gauss_kernel", lambda: T.sum_all(T.mul_elem(T.gauss_kernel(xg, 0.7), cw)), [xg])
     )
     results.append(_grad_case("gram", lambda: T.sum_all(T.mul_elem(T.gram(xg), cw)), [xg]))
+    proj = build_projections(KernelSpec(kind="randomized", m=2, seed=seed), 3)
+    results.append(_grad_case("randomized stacked kernel", lambda: T.sum_all(T.mul_elem(
+        T.gram(randomized_features(xg, proj, [1.0, 0.6, 0.3])), cw)), [xg]))
     results.append(
         _grad_case("take_rows", lambda: T.sum_all(T.take_rows(xg, [0, 2, 2])), [xg])
     )
@@ -225,18 +227,20 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     w = weight_matrix(g, 0.4, np.arange(g.num_nodes))
     cfg = DistillConfig(alpha=2.0, delta=0.4)
 
-    def gkd_loss(kind):
+    def gkd_loss(kind, w=w):
         spec = KernelSpec(kind=kind, t=0.8, m=2, seed=seed)
 
         def f():
             _, s_trace = forward(gcn, g)
-            return layer_avg_distill(t_feats, s_trace, spec, cfg, w)
+            return layer_avg_distill(t_feats, s_trace, spec, cfg, w, g=g)
 
         return f
 
     results.append(_grad_case("gauss distill loss", gkd_loss("gauss"), gcn.parameters()))
     results.append(_grad_case("sigmoid distill loss", gkd_loss("sigmoid"), gcn.parameters()))
     results.append(_grad_case("randomized distill loss", gkd_loss("randomized"), gcn.parameters()))
+    results.append(_grad_case("randomized factored distill loss", gkd_loss("randomized", None),
+                              gcn.parameters()))
 
     mapper = InverseNhkMapper(5, 10)
     mapper.init(seed)

@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,11 @@ def _get(doc: dict, key: str, expect=None, default=_MISSING, prefix: str = ""):
 
 
 _NUM = (int, float)
-# (accepted JSON types, conversion) per scalar field annotation; a field of
-# another type, such as KernelSpec.decay_weights, is not a config key
+# (accepted JSON types, conversion) per scalar field annotation; a
+# list[<scalar>] field takes a nonempty list of that scalar. A field of another
+# type, such as KernelSpec.decay_weights, is not a config key
 _SCALARS = {"float": (_NUM, float), "int": (int, int), "str": (str, str)}
 _OPTIMIZER_KEYS = ("epochs", "patience", "lr", "lr_mapper")
-_SWEEP_KEYS = ("pirs", "seeds", "split_kind")
 _TOP_KEYS = ("mode", "seed", "complete_graph", "partial_graph", "split", "teacher",
              "student", "kernel", "distill", "optimizer", "out_dir", "sweep")
 
@@ -82,22 +82,41 @@ def _field_names(cls) -> list:
 
 
 def _section(doc: dict, name: str, cls, keys=None, **given):
-    """cls built from the scalar fields in config section ``name``.
+    """cls built from the scalar and scalar-list fields in config section ``name``.
 
     Absent or null keys keep the dataclass default; an unknown key, a
     mistyped value or a value cls rejects is an error naming its field.
     """
-    types = {f.name: _SCALARS[f.type.split(" | ")[0]] for f in fields(cls)
-             if f.type.split(" | ")[0] in _SCALARS and (keys is None or f.name in keys)}
-    sub = _object(doc, name, types)
+    kinds = {f.name: f.type.split(" | ")[0] for f in fields(cls)
+             if keys is None or f.name in keys}
+    kinds = {k: t for k, t in kinds.items()
+             if t in _SCALARS or (t.startswith("list[") and t[5:-1] in _SCALARS)}
+    sub = _object(doc, name, kinds)
     kwargs = dict(given)
-    for key, (expect, convert) in types.items():
-        if sub.get(key) is not None:
+    for key, kind in kinds.items():
+        if sub.get(key) is None:
+            continue
+        if kind in _SCALARS:
+            expect, convert = _SCALARS[kind]
             kwargs[key] = convert(_get(sub, key, expect, prefix=name + "."))
+        else:  # list[<scalar>]
+            kwargs[key] = _scalar_list(_get(sub, key, list, prefix=name + "."),
+                                       kind[5:-1], f"{name}.{key}")
     try:
         return cls(**kwargs)
     except ValidationError as e:
         raise GraphParseError(name, str(e)) from e
+
+
+def _scalar_list(items: list, kind: str, name: str) -> list:
+    """A nonempty JSON list of one scalar kind; a bad entry is named by index."""
+    if not items:
+        raise GraphParseError(name, "expected a nonempty list")
+    expect, convert = _SCALARS[kind]
+    for i, item in enumerate(items):
+        if not isinstance(item, expect):
+            raise GraphParseError(f"{name}[{i}]", f"expected {kind}, got {type(item).__name__}")
+    return [convert(item) for item in items]
 
 
 @dataclass
@@ -139,6 +158,20 @@ class SplitSection:
 
 
 @dataclass
+class SweepSection:
+    pirs: list[float] = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.75])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    split_kind: str | None = None  # defaults to split.kind, else edges
+
+    def __post_init__(self):
+        for p in self.pirs:
+            if not 0.0 <= p <= 1.0:
+                raise GraphParseError("sweep.pirs", f"{p} outside [0, 1]")
+        if self.split_kind not in (None, "edges", "nodes"):
+            raise GraphParseError("sweep.split_kind", f"unknown kind {self.split_kind!r}")
+
+
+@dataclass
 class RunConfig:
     complete_graph: str
     plan: TrainPlan
@@ -147,7 +180,7 @@ class RunConfig:
     teacher: ModelSection = None
     student: ModelSection = None
     out_dir: str = "runs/out"
-    sweep: dict | None = None
+    sweep: SweepSection = field(default_factory=SweepSection)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -178,7 +211,7 @@ class RunConfig:
             student=ModelSection.from_dict(
                 _object(doc, "student", _field_names(ModelSection)), "student."),
             out_dir=_get(doc, "out_dir", str, "runs/out"),
-            sweep=_object(doc, "sweep", _SWEEP_KEYS) or None,
+            sweep=_section(doc, "sweep", SweepSection),
         )
 
     @classmethod
@@ -212,19 +245,17 @@ def resolve_graphs(cfg: RunConfig):
             g = split_edges(g_complete, cfg.split.pir, split_seed)
         else:
             g, node_map = split_nodes(g_complete, cfg.split.pir, split_seed)
-            _require_train_nodes(g, "split.pir", cfg.split.pir)
+            _require_split_nodes(g, "split.pir", cfg.split.pir)
     else:
         g = g_complete
     return g_complete, g, node_map
 
 
-def _require_train_nodes(g: Graph, field: str, pir: float):
-    """A node split that removes every training node leaves nothing to fit."""
-    if len(g.train_mask) == 0:
-        raise ValidationError(
-            f"{field}: {pir} removes every training node of the complete graph; "
-            "the student needs at least one"
-        )
+def _require_split_nodes(g: Graph, field: str, pir: float):
+    """A node split must leave the student training, validation and test nodes."""
+    empty = g.empty_split()
+    if empty is not None:
+        raise ValidationError(f"{field}: {pir} leaves the student no {empty} nodes")
 
 
 def _build_from_section(section: ModelSection, g: Graph, num_classes: int) -> GnnModel:
@@ -346,16 +377,14 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_pir(args) -> int:
     cfg = _load_cfg(args)
-    sweep = cfg.sweep or {}
-    pirs = [float(p) for p in str(args.pirs).split(",")] if args.pirs \
-        else [float(p) for p in sweep.get("pirs", [0.0, 0.25, 0.5, 0.75])]
-    for p in pirs:
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"sweep.pirs: {p} outside [0, 1]")
-    seeds = [int(s) for s in sweep.get("seeds", [0, 1, 2, 3, 4])]
-    split_kind = sweep.get("split_kind", cfg.split.kind if cfg.split else "edges")
-    if split_kind not in ("edges", "nodes"):
-        raise ValidationError(f"sweep.split_kind: unknown kind {split_kind!r}")
+    pirs, seeds = cfg.sweep.pirs, cfg.sweep.seeds
+    if args.pirs is not None:
+        try:
+            pirs = SweepSection(pirs=[float(p) for p in args.pirs.split(",")]).pirs
+        except (ValueError, GraphParseError) as e:
+            raise GraphParseError(
+                "--pirs", f"expected comma-separated numbers in [0, 1], got {args.pirs!r}") from e
+    split_kind = cfg.sweep.split_kind or (cfg.split.kind if cfg.split else "edges")
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
 
     g_complete = load_graph(cfg.complete_graph)
@@ -374,7 +403,7 @@ def cmd_sweep_pir(args) -> int:
                 g, node_map = split_edges(g_complete, pir, seed), None
             else:
                 g, node_map = split_nodes(g_complete, pir, seed)
-                _require_train_nodes(g, "sweep.pirs", pir)
+                _require_split_nodes(g, "sweep.pirs", pir)
             rows.append((pir, "oracle", seed, oracle_val, oracle_test))
             _, t_val, t_test = accuracies(forward(teacher, g)[0].values, g)
             rows.append((pir, "teacher", seed, t_val, t_test))

@@ -30,7 +30,7 @@ from . import tensor as T
 from .errors import DimensionError, ValidationError
 from .graphs import Graph, edge_endpoints
 from .models import GnnModel, init_xavier
-from .nhk import KernelSpec, kernel_matrix
+from .nhk import KernelSpec, kernel_factor, kernel_matrix
 from .tensor import Tensor
 
 
@@ -121,16 +121,26 @@ def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec)
     return kernels
 
 
+def teacher_layer_factors(traces_teacher, traces_student_dims, spec: KernelSpec):
+    """A randomized kernel's factors Phi_t (K_t = Phi_t Phi_t^T) of the teacher's
+    feature arrays, at the widths ``teacher_layer_kernels`` uses."""
+    return [kernel_factor(spec, T.constant(h), spec.s if spec.s is not None else 2 * d)
+            for h, d in zip(traces_teacher[:-1], traces_student_dims)]
+
+
 def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
-                      cfg: DistillConfig, w: Tensor, teacher_kernels=None,
-                      fixed_terms=None) -> Tensor:
+                      cfg: DistillConfig, w: Tensor | None, teacher_layers=None,
+                      fixed_terms=None, g: Graph | None = None) -> Tensor:
     """Mean per-layer kernel alignment scaled by alpha.
 
     The kernel bridging layer l-1 to l is evaluated on the source features,
     so the L loss terms read trace entries 0 .. L-1. Teacher entries must
     already be restricted to the student's nodes (and batch, if sampling).
-    A run whose teacher is frozen passes its ``teacher_kernels`` and, as
-    ``fixed_terms`` {l: value}, the terms of gradient-free student entries.
+    A frozen teacher passes its ``teacher_layers`` and may pass a dict
+    ``fixed_terms``, kept across calls, that memoizes the terms of
+    gradient-free student entries. A randomized kernel aligns factors: the
+    teacher layers are then teacher_layer_factors, and the full graph ``g``
+    in place of ``w`` sends each layer through ``factored_distill_loss``.
     """
     if len(traces_teacher) != len(traces_student):
         raise DimensionError(
@@ -139,17 +149,26 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     num_layers = len(traces_student) - 1
     if num_layers < 1:
         raise ValidationError("traces must cover at least one layer")
-    if teacher_kernels is None:
-        teacher_kernels = teacher_layer_kernels(
-            traces_teacher, [h.shape[1] for h in traces_student], spec
-        )
-    fixed_terms = fixed_terms or {}
+    factored = spec.kind == "randomized"
+    if teacher_layers is None:
+        teacher_layers = (teacher_layer_factors if factored else teacher_layer_kernels)(
+            traces_teacher, [h.shape[1] for h in traces_student], spec)
+
+    def align(t_side, h_s):
+        if not factored:
+            return distill_loss(t_side, kernel_matrix(spec, h_s), w)
+        if w is None:
+            return factored_distill_loss(g, t_side, kernel_factor(spec, h_s), cfg.delta)
+        return distill_loss(T.gram(t_side), T.gram(kernel_factor(spec, h_s)), w)
+
     total = None
     for l in range(num_layers):
-        if l in fixed_terms:
+        if fixed_terms is not None and l in fixed_terms:
             term = T.constant([[fixed_terms[l]]])
         else:
-            term = distill_loss(teacher_kernels[l], kernel_matrix(spec, traces_student[l]), w)
+            term = align(teacher_layers[l], traces_student[l])
+            if fixed_terms is not None and not traces_student[l].requires_grad:
+                fixed_terms[l] = term.item()
         total = term if total is None else T.add(total, term)
     return T.scale(total, cfg.alpha / num_layers)
 

@@ -78,6 +78,14 @@ class Graph:
             raise ValidationError(f"{name} mask id out of range")
         return m
 
+    def empty_split(self) -> str | None:
+        """The first of training, validation and test without nodes, else None."""
+        for name, mask in (("training", self.train_mask), ("validation", self.val_mask),
+                           ("test", self.test_mask)):
+            if len(mask) == 0:
+                return name
+        return None
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)

@@ -167,7 +167,7 @@ def forward(model: GnnModel, g: Graph):
 
 def accuracy(logits_values: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     if len(mask) == 0:
-        return 0.0
+        raise ValidationError("accuracy: empty mask")
     pred = logits_values[mask].argmax(axis=1)
     return float(np.mean(pred == labels[mask]))
 

@@ -5,6 +5,11 @@ exp(-||h_i - h_j||^2 / 4T), sigmoid tanh(a <h_i, h_j> + b), and a randomized
 kernel averaging w_k sigma(W_k h_i)^T sigma(W_k h_j) over fixed Gaussian
 projections. Exact kernels e^{-tL} from a full eigendecomposition back the
 semigroup and expansion checks.
+
+The randomized kernel is a random-feature map (Rahimi & Recht, 2007): with
+the projections stacked as P = [W_0^T ... W_m^T], Phi = sigma(H P) with column
+block k scaled by sqrt(w_k / (m+1)) gives K = Phi Phi^T, so a loss can work
+on the n x (m+1)s factor Phi instead of the n x n K.
 """
 
 from __future__ import annotations
@@ -55,12 +60,14 @@ class KernelSpec:
 
 
 class RandomProjections:
-    """m+1 fixed s x d standard-normal matrices, reproducible from the seed."""
+    """m+1 fixed s x d standard-normal matrices W_k, reproducible from the seed,
+    held as one d x (m+1)s matrix ``stacked`` = [W_0^T ... W_m^T]."""
 
     def __init__(self, seed: int, m: int, s: int, d: int):
         self.seed, self.m, self.s, self.d = int(seed), int(m), int(s), int(d)
         rng = np.random.default_rng([self.seed, 301])
-        self.matrices = [rng.standard_normal((self.s, self.d)) for _ in range(self.m + 1)]
+        # the same stream as m+1 draws of s rows
+        self.stacked = rng.standard_normal(((self.m + 1) * self.s, self.d)).T
 
 
 def build_projections(spec: KernelSpec, dim: int, s: int | None = None) -> RandomProjections:
@@ -93,29 +100,36 @@ def nhk_sigmoid(h: Tensor, a: float = 1.0, b: float = 0.0) -> Tensor:
     return T.tanh(T.scale(g, a))
 
 
-def nhk_randomized(h: Tensor, proj: RandomProjections, weights,
-                   activation: str = "tanh") -> Tensor:
-    """Decay-weighted average of sigma(H W_k^T) Gram matrices, k = 0..m.
+def randomized_features(h: Tensor, proj: RandomProjections, weights,
+                        activation: str = "tanh") -> Tensor:
+    """Phi = sigma(H P), column block k scaled by sqrt(w_k / (m+1)).
 
-    The alignment loss is homogeneous, so the constant prefactor is free;
-    averaging over the m+1 terms makes a single identity projection with
-    unit weight reduce exactly to the plain Gram matrix.
+    The alignment loss is homogeneous, so the 1/(m+1) is free; with it a
+    single identity projection of unit weight gives the plain Gram matrix.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(proj.matrices):
+    if len(weights) != proj.m + 1:
         raise ValidationError("need one weight per projection matrix")
     if h.shape[1] != proj.d:
         raise DimensionError(f"projection dim {proj.d} != feature dim {h.shape[1]}")
     if activation not in ("tanh", "identity"):
         raise ValidationError(f"unknown activation {activation!r}")
-    out = None
-    for w_k, mat in zip(weights, proj.matrices):
-        phi = T.matmul(h, T.constant(mat.T))
-        if activation == "tanh":
-            phi = T.tanh(phi)
-        term = T.scale(T.gram(phi), w_k / len(proj.matrices))
-        out = term if out is None else T.add(out, term)
-    return out
+    phi = T.matmul(h, T.constant(proj.stacked))
+    if activation == "tanh":
+        phi = T.tanh(phi)
+    cols = np.repeat(np.sqrt(weights / len(weights)), proj.s)
+    return T.mul_elem(phi, T.constant(np.broadcast_to(cols, phi.shape)))
+
+
+def nhk_randomized(h: Tensor, proj: RandomProjections, weights,
+                   activation: str = "tanh") -> Tensor:
+    """Decay-weighted average of sigma(H W_k^T) Gram matrices, k = 0..m."""
+    return T.gram(randomized_features(h, proj, weights, activation))
+
+
+def kernel_factor(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
+    """Phi with kernel_matrix(spec, h, s) = Phi Phi^T, for a randomized spec."""
+    return randomized_features(h, build_projections(spec, h.shape[1], s), spec.weights())
 
 
 def kernel_matrix(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
@@ -125,7 +139,7 @@ def kernel_matrix(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
     if spec.kind == "sigmoid":
         return nhk_sigmoid(h, spec.a, spec.b)
     if spec.kind == "randomized":
-        return nhk_randomized(h, build_projections(spec, h.shape[1], s), spec.weights())
+        return T.gram(kernel_factor(spec, h, s))
     raise ValidationError("parametric kernels are trained, not evaluated directly")
 
 

@@ -78,6 +78,7 @@ class Tensor:
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # an interior gradient is spent once passed on
         # Free the tape; parameters keep their grads.
         for node in order:
             node._parents = ()

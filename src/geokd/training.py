@@ -22,12 +22,12 @@ from . import tensor as T
 from .distill import (
     DistillConfig,
     InverseNhkMapper,
-    distill_loss,
     factored_distill_loss,
     factored_reconstruction_loss,
     kd_soft_label_loss,
     layer_avg_distill,
     pgkd_span,
+    teacher_layer_factors,
     teacher_layer_kernels,
     trace_feature_dim,
     weight_matrix,
@@ -35,7 +35,7 @@ from .distill import (
 from .errors import NumericError, ValidationError
 from .graphs import Graph
 from .models import GnnModel, accuracies, forward, init_xavier
-from .nhk import KernelSpec, kernel_matrix
+from .nhk import KernelSpec
 
 STREAM_STUDENT = 201   # also the lone model of a supervised run
 STREAM_TEACHER_ONLINE = 202
@@ -170,8 +170,9 @@ def _fit(model: GnnModel, g: Graph, plan: TrainPlan, terms) -> TrainResult:
     epoch's loss, since the weights do not change in between: a run of E
     epochs runs E + 1 forwards.
     """
-    if len(g.train_mask) == 0:
-        raise ValidationError("graph has no training nodes")
+    empty = g.empty_split()
+    if empty is not None:
+        raise ValidationError(f"graph has no {empty} nodes")
     init_xavier(model, plan.seed, STREAM_STUDENT)
     model.set_trainable(True)
     opt = Adam(model.parameters(), plan.lr)
@@ -224,10 +225,10 @@ def _kd_term(plan: TrainPlan, teacher_logits, logits, g: Graph):
 class _GkdTerms:
     """gkd and online terms: alpha-scaled per-layer alignment, soft labels.
 
-    Alignment constants are built once per run. On the full graph that is
-    W; given a frozen teacher's features, also its kernels and, on the first
-    call, the terms of gradient-free student entries (the input features,
-    the whole sgc trace). A mini-batch run builds them for each epoch's batch.
+    Built once per run: W on the full graph, unless a randomized kernel
+    aligns factors there; a frozen teacher's full-graph kernels or randomized
+    factors Phi_t, whose rows each batch gathers (with its own W); and the
+    full-graph terms of gradient-free student entries (input, sgc trace).
     """
 
     def __init__(self, plan: TrainPlan, g: Graph, frozen_teacher_feats=None,
@@ -235,13 +236,15 @@ class _GkdTerms:
         self.plan, self.g = plan, g
         n, cfg = g.num_nodes, plan.distill
         self.batched = cfg.batch_size is not None and cfg.batch_size < n
-        self.w = self.teacher_kernels = self.fixed_terms = None
-        if cfg.alpha > 0 and not self.batched:
+        factored = plan.kernel.kind == "randomized"
+        self.w = self.teacher_layers = self.fixed_terms = None
+        if cfg.alpha > 0 and not self.batched and not factored:
             self.w = weight_matrix(g, cfg.delta, np.arange(n))
-            if frozen_teacher_feats is not None:
-                dims = [trace_feature_dim(student, l) for l in range(student.num_layers + 1)]
-                self.teacher_kernels = teacher_layer_kernels(frozen_teacher_feats, dims,
-                                                             plan.kernel)
+        if cfg.alpha > 0 and frozen_teacher_feats is not None and (factored or not self.batched):
+            dims = [trace_feature_dim(student, l) for l in range(student.num_layers + 1)]
+            build = teacher_layer_factors if factored else teacher_layer_kernels
+            self.teacher_layers = build(frozen_teacher_feats, dims, plan.kernel)
+            self.fixed_terms = None if self.batched else {}
 
     def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
         spec, cfg = self.plan.kernel, self.plan.distill
@@ -250,18 +253,14 @@ class _GkdTerms:
             if self.batched:
                 ids = sample_distill_batch(self.g.num_nodes, cfg.batch_size,
                                            self.plan.seed, epoch)
+                t_layers = None if self.teacher_layers is None else \
+                    [T.constant(f.values[ids]) for f in self.teacher_layers]
                 dis = layer_avg_distill([f[ids] for f in teacher_feats],
                                         [T.take_rows(h, ids) for h in trace], spec, cfg,
-                                        weight_matrix(self.g, cfg.delta, ids))
+                                        weight_matrix(self.g, cfg.delta, ids), t_layers)
             else:
-                if self.teacher_kernels is not None and self.fixed_terms is None:
-                    self.fixed_terms = {
-                        l: distill_loss(self.teacher_kernels[l], kernel_matrix(spec, h),
-                                        self.w).item()
-                        for l, h in enumerate(trace[:-1]) if not h.requires_grad
-                    }
                 dis = layer_avg_distill(teacher_feats, trace, spec, cfg, self.w,
-                                        self.teacher_kernels, self.fixed_terms)
+                                        self.teacher_layers, self.fixed_terms, self.g)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from geokd.cli import RunConfig, main
+from geokd.cli import RunConfig, SweepSection, main
 from geokd.distill import DistillConfig
 from geokd.errors import GraphParseError
 from geokd.graphs import sbm_generate, save_graph
@@ -254,6 +254,36 @@ def test_node_split_without_training_nodes_exit_1(tmp_path, graph_file, capsys):
     assert not (tmp_path / "out" / "metrics.jsonl").exists()
 
 
+def graph_without(tmp_path, graph_file, mask):
+    doc = json.loads(graph_file.read_text())
+    doc["masks"][mask] = []
+    path = tmp_path / f"no_{mask}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mask,name", [("val", "validation"), ("test", "test")])
+def test_graph_without_validation_or_test_nodes_exit_1(tmp_path, graph_file, capsys,
+                                                       mask, name):
+    cfg = write_config(tmp_path, graph_without(tmp_path, graph_file, mask))
+    assert run_cli("train-teacher", "--config", cfg) == 1
+    assert f"error: graph has no {name} nodes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_node_split_without_validation_nodes_exit_1(tmp_path, graph_file, capsys):
+    ckpt = make_teacher(tmp_path, graph_file)
+    cfg = write_config(
+        tmp_path, graph_without(tmp_path, graph_file, "val"),
+        teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
+        split={"kind": "nodes", "pir": 0.5},
+    )
+    assert run_cli("distill", "--config", cfg) == 1
+    assert "error: split.pir: 0.5 leaves the student no validation nodes" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
+
 # --------------------------------------------------------------------------
 # determinism (config -> bytes)
 
@@ -295,6 +325,34 @@ def test_sweep_pir_tables(tmp_path, graph_file):
     # oracle metrics identical across pir values
     oracle = [r for r in agg if r["method"] == "oracle"]
     assert oracle[0]["mean_test_acc"] == oracle[1]["mean_test_acc"]
+
+
+@pytest.mark.parametrize("sweep,argv,field", [
+    ({"pirs": [0.5], "seeds": ["x"]}, [], "sweep.seeds[0]"),
+    ({"pirs": "0.5", "seeds": [0]}, [], "sweep.pirs"),
+    ({"pirs": "0", "seeds": [0]}, [], "sweep.pirs"),
+    ({"pirs": [0.5, 1.5], "seeds": [0]}, [], "sweep.pirs"),
+    ({"pirs": [], "seeds": [0]}, [], "sweep.pirs"),
+    ({"pirs": [0.5], "seeds": [0]}, ["--pirs", "a,b"], "--pirs"),
+    ({"pirs": [0.5], "seeds": [0]}, ["--pirs", "0.5,2"], "--pirs"),
+])
+def test_sweep_config_errors_exit_1_naming_the_field(tmp_path, graph_file, capsys,
+                                                     sweep, argv, field):
+    cfg = write_config(tmp_path, graph_file, sweep=sweep)
+    assert run_cli("sweep-pir", "--config", cfg, *argv) == 1
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_section_defaults_live_in_the_dataclass(tmp_path, graph_file):
+    sweep = RunConfig.from_file(write_config(tmp_path, graph_file)).sweep
+    assert sweep == SweepSection()
+    assert (sweep.pirs, sweep.seeds, sweep.split_kind) == ([0.0, 0.25, 0.5, 0.75],
+                                                           [0, 1, 2, 3, 4], None)
+    parsed = RunConfig.from_file(write_config(
+        tmp_path, graph_file, sweep={"pirs": [0, 1], "seeds": [3], "split_kind": "nodes"})).sweep
+    assert parsed == SweepSection([0.0, 1.0], [3], "nodes")
+    assert all(isinstance(p, float) for p in parsed.pirs)
 
 
 # --------------------------------------------------------------------------

@@ -297,6 +297,47 @@ def test_factored_distill_matches_dense(case, delta):
     assert not np.any(got_grads[2])  # the teacher factor is detached
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("case", range(4))
+def test_randomized_full_graph_alignment_matches_dense(case, delta):
+    # factored_distill_loss per layer against the n x n kernels and a dense W
+    g = factor_graphs()[case]
+    n = g.num_nodes
+    rng = np.random.default_rng([21, case])
+    spec = KernelSpec(kind="randomized", t=1.0, m=2, seed=case)
+    cfg = DistillConfig(alpha=1.5, delta=delta)
+    t_feats = [rng.normal(size=(n, 3)), rng.normal(size=(n, 5)), rng.normal(size=(n, 2))]
+    s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 4))),
+               T.parameter(rng.normal(size=(n, 2)))]
+    params = s_trace[1:]
+    w = weight_matrix(g, delta, np.arange(n))
+    want, want_grads = loss_and_grads(
+        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, w), params)
+    got, got_grads = loss_and_grads(
+        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, None, g=g), params)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for gg, wg in zip(got_grads, want_grads):
+        assert_close_rel(gg, wg)
+
+
+def test_fixed_terms_memoize_gradient_free_layers():
+    g = factor_graphs()[0]
+    n = g.num_nodes
+    rng = np.random.default_rng(22)
+    spec = KernelSpec(kind="randomized", m=2, seed=1)
+    t_feats = [rng.normal(size=(n, 3)) for _ in range(3)]
+    s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 3))),
+               T.parameter(rng.normal(size=(n, 3)))]
+    fixed = {}
+    args = (t_feats, s_trace, spec, DistillConfig(alpha=2.0, delta=0.4), None)
+    first = layer_avg_distill(*args, fixed_terms=fixed, g=g).item()
+    assert list(fixed) == [0]  # only the gradient-free input layer is kept
+    assert fixed[0] == layer_avg_distill(t_feats[:2], s_trace[:2], spec,
+                                         DistillConfig(alpha=1.0, delta=0.4), None, g=g).item()
+    assert layer_avg_distill(*args, fixed_terms=fixed, g=g).item() == first
+    assert layer_avg_distill(*args, g=g).item() == first
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_factored_reconstruction_matches_dense(case):
     g = factor_graphs()[case]

@@ -187,6 +187,11 @@ def test_accuracy_helper():
     assert accuracy(logits, labels, np.array([0, 1, 2])) == pytest.approx(2 / 3)
 
 
+def test_accuracy_rejects_empty_mask():
+    with pytest.raises(ValidationError, match="empty mask"):
+        accuracy(np.zeros((2, 2)), np.array([0, 1]), np.array([], dtype=np.int64))
+
+
 # --------------------------------------------------------------------------
 # Euler correspondence
 

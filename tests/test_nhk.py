@@ -15,6 +15,7 @@ from geokd.nhk import (
     nhk_gauss,
     nhk_randomized,
     nhk_sigmoid,
+    randomized_features,
 )
 
 
@@ -114,9 +115,89 @@ def test_sigmoid_rotation_invariance():
 def test_randomized_reduces_to_gram():
     h = feats(5, 3, 4)
     proj = RandomProjections(0, 1, 3, 3)
-    proj.matrices = [np.eye(3), np.eye(3)]
+    proj.stacked = np.hstack([np.eye(3), np.eye(3)])
     k = nhk_randomized(h, proj, [1.0, 1.0], activation="identity").values
     np.testing.assert_allclose(k, h.values @ h.values.T, atol=1e-12)
+
+
+def looped_randomized(h, proj, weights, activation="tanh"):
+    """The per-projection loop the stacked kernel replaced, kept as its reference."""
+    out = None
+    for k, w_k in enumerate(weights):
+        mat = proj.stacked[:, k * proj.s:(k + 1) * proj.s].T  # W_k, s x d
+        phi = T.matmul(h, T.constant(mat.T))
+        if activation == "tanh":
+            phi = T.tanh(phi)
+        term = T.scale(T.gram(phi), w_k / len(weights))
+        out = term if out is None else T.add(out, term)
+    return out
+
+
+def test_stacked_projections_equal_the_separate_draws():
+    seed, m, s, d = 7, 4, 6, 5
+    rng = np.random.default_rng([seed, 301])
+    separate = [rng.standard_normal((s, d)) for _ in range(m + 1)]
+    np.testing.assert_array_equal(RandomProjections(seed, m, s, d).stacked,
+                                  np.concatenate([w.T for w in separate], axis=1))
+
+
+def kernel_and_grad(kernel, h, upstream):
+    h.zero_grad()
+    k = kernel(h)
+    T.sum_all(T.mul_elem(k, T.constant(upstream))).backward()
+    return k.values, h.grad.copy()
+
+
+def assert_rel(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+def test_stacked_matches_looped_kernel(n, m):
+    rng = np.random.default_rng([n, m])
+    h = T.parameter(rng.normal(size=(n, 5)))
+    upstream = rng.normal(size=(n, n))
+    spec = KernelSpec(kind="randomized", t=1.0, m=m, seed=n)
+    proj = build_projections(spec, 5)
+    got = kernel_and_grad(lambda x: nhk_randomized(x, proj, spec.weights()), h, upstream)
+    want = kernel_and_grad(lambda x: looped_randomized(x, proj, spec.weights()), h, upstream)
+    for a, b in zip(got, want):
+        assert_rel(a, b)
+
+
+@pytest.mark.parametrize("variant", ["identity", "decay_weights", "s"])
+def test_stacked_matches_looped_variants(variant):
+    rng = np.random.default_rng(31)
+    h = T.parameter(rng.normal(size=(9, 4)))
+    upstream = rng.normal(size=(9, 9))
+    spec = KernelSpec(kind="randomized", t=0.7, m=3, seed=2,
+                      decay_weights=(1.0, 0.5, 0.5, 0.1) if variant == "decay_weights" else None)
+    proj = build_projections(spec, 4, 3 if variant == "s" else None)
+    activation = "identity" if variant == "identity" else "tanh"
+    got = kernel_and_grad(
+        lambda x: nhk_randomized(x, proj, spec.weights(), activation), h, upstream)
+    want = kernel_and_grad(
+        lambda x: looped_randomized(x, proj, spec.weights(), activation), h, upstream)
+    for a, b in zip(got, want):
+        assert_rel(a, b)
+
+
+def test_randomized_features_column_blocks():
+    h = feats(6, 3, 12)
+    proj = RandomProjections(4, 2, 5, 3)
+    weights = np.array([1.0, 0.6, 0.2])
+    phi = randomized_features(h, proj, weights).values
+    assert phi.shape == (6, 15)
+    for k in range(3):
+        np.testing.assert_allclose(
+            phi[:, 5 * k:5 * (k + 1)],
+            np.tanh(h.values @ proj.stacked[:, 5 * k:5 * (k + 1)]) * np.sqrt(weights[k] / 3),
+            rtol=1e-15)
+    with pytest.raises(ValidationError):
+        randomized_features(h, proj, weights[:2])
+    with pytest.raises(ValidationError):
+        randomized_features(h, proj, weights, activation="relu")
 
 
 def test_randomized_psd_and_symmetric():
@@ -187,7 +268,7 @@ def test_randomized_dimension_mismatch():
 
 def test_projection_default_output_dim():
     proj = build_projections(KernelSpec(kind="randomized", m=2, seed=0), 7)
-    assert proj.s == 14 and proj.d == 7 and len(proj.matrices) == 3
+    assert proj.s == 14 and proj.d == 7 and proj.stacked.shape == (7, 3 * 14)
 
 
 def test_kernel_matrix_dispatch():

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geokd import nhk, training
 from geokd import tensor as T
-from geokd import training
 from geokd.distill import DistillConfig
 from geokd.errors import NumericError, ValidationError
-from geokd.graphs import sbm_generate, split_edges, split_nodes
+from geokd.graphs import Graph, sbm_generate, split_edges, split_nodes
 from geokd.models import build_model, forward, init_xavier
 from geokd.nhk import KernelSpec
 from geokd.training import (
@@ -135,6 +135,14 @@ def test_empty_train_mask_rejected(graphs):
     model = build_model("gcn", 2, 4, 2, 2)
     with pytest.raises(ValidationError):
         train_supervised(g_empty, model, quick_plan())
+
+
+@pytest.mark.parametrize("empty", ["validation", "test"])
+def test_empty_validation_or_test_mask_rejected(empty):
+    masks = {"validation": ([0, 1], [], [3]), "test": ([0, 1], [2], [])}[empty]
+    g = Graph(4, [], np.zeros((4, 2)), [0, 0, 1, 1], *masks)
+    with pytest.raises(ValidationError, match=f"graph has no {empty} nodes"):
+        train_supervised(g, build_model("gcn", 2, 4, 2, 2), quick_plan())
 
 
 def test_best_checkpoint_restored(graphs):
@@ -366,6 +374,54 @@ def test_pgkd_allocates_no_node_by_node_buffer():
     finally:
         tracemalloc.stop()
     assert peak < n_s * n_s * 8
+
+
+def test_randomized_gkd_full_batch_allocates_no_node_by_node_buffer():
+    # one full-batch epoch on 2,000 nodes: factors only, no kernel and no W.
+    # The factored loss keeps O((n + |E|) r) on the tape, so the factor width
+    # r = (m+1) 2 hidden = 32 stays well below n for that to fit.
+    g_c = sbm_generate([500] * 4, 0.01, 0.001, 8, 0.5, 29)
+    g = split_edges(g_c, 0.5, 29)
+    teacher = build_model("gcn", 8, 8, 3, 4)
+    init_xavier(teacher, 30)
+    student = build_model("gcn", 8, 8, 3, 4)
+    plan = quick_plan(mode="gkd_offline", seed=31, epochs=1,
+                      kernel=KernelSpec(kind="randomized", m=1),
+                      distill=DistillConfig(alpha=1.0, delta=0.4))
+    n = g.num_nodes
+    tracemalloc.start()
+    try:
+        train_student_gkd(g, teacher, g_c, plan, student)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_frozen_teacher_projected_once_per_run(graphs, teacher, monkeypatch, batch_size):
+    g_c, g = graphs
+    n, layers, epochs = g.num_nodes, 3, 4
+    rows = []
+    project = nhk.randomized_features
+
+    def recording(h, *args, **kwargs):
+        rows.append(h.shape[0])
+        return project(h, *args, **kwargs)
+
+    monkeypatch.setattr(nhk, "randomized_features", recording)
+    plan = quick_plan(mode="gkd_offline", seed=15, epochs=epochs,
+                      kernel=KernelSpec(kind="randomized", m=2),
+                      distill=DistillConfig(alpha=1.0, delta=0.4, batch_size=batch_size))
+    train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
+    if batch_size is None:
+        # teacher once; the student's input layer is gradient-free and kept
+        # after the first epoch
+        assert rows == [n] * (2 * layers + (epochs - 1) * (layers - 1))
+    else:
+        assert rows.count(n) == layers
+        assert rows.count(batch_size) == epochs * layers
+        assert len(rows) == (epochs + 1) * layers
 
 
 @pytest.mark.parametrize("mode", ["teacher", "gkd_offline", "pgkd", "online"])
