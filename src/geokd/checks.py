@@ -23,7 +23,7 @@ from .distill import (
     reconstruction_loss,
     weight_matrix,
 )
-from .graphs import Measure, laplacian_sym, normalize_adjacency, sbm_generate
+from .graphs import Measure, adjacency, laplacian_sym, normalize_adjacency, sbm_generate
 from .models import GnnModel, forward, init_xavier, sgc_euler_equivalence
 from .nhk import (
     KernelSpec,
@@ -227,20 +227,31 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     w = weight_matrix(g, 0.4, np.arange(g.num_nodes))
     cfg = DistillConfig(alpha=2.0, delta=0.4)
 
-    def gkd_loss(kind, w=w):
-        spec = KernelSpec(kind=kind, t=0.8, m=2, seed=seed)
+    def gkd_loss(kind, ids=None):
+        spec = KernelSpec(kind=kind, t=0.8, a=1.3, b=-0.2, m=2, seed=seed)
 
         def f():
             _, s_trace = forward(gcn, g)
-            return layer_avg_distill(t_feats, s_trace, spec, cfg, w, g=g)
+            return layer_avg_distill(t_feats, s_trace, spec, cfg, g, ids)
 
         return f
 
+    all_ids = np.arange(g.num_nodes)
     results.append(_grad_case("gauss distill loss", gkd_loss("gauss"), gcn.parameters()))
     results.append(_grad_case("sigmoid distill loss", gkd_loss("sigmoid"), gcn.parameters()))
-    results.append(_grad_case("randomized distill loss", gkd_loss("randomized"), gcn.parameters()))
-    results.append(_grad_case("randomized factored distill loss", gkd_loss("randomized", None),
+    results.append(_grad_case("randomized distill loss", gkd_loss("randomized", all_ids),
                               gcn.parameters()))
+    results.append(_grad_case("randomized factored distill loss", gkd_loss("randomized"),
+                              gcn.parameters()))
+    # the blocked alignment op on a batch with a repeated id and a teacher of
+    # another width
+    batch = [0, 3, 3, 5, 7, 1]
+    adj = adjacency(g, batch)
+    hb, tb = rand(6, 3), T.constant(rng.uniform(-1, 1, size=(6, 2)))
+    for kind in ("gauss", "sigmoid"):
+        spec = KernelSpec(kind=kind, t=0.6, a=1.4, b=0.3)
+        results.append(_grad_case(f"kernel_alignment {kind}", lambda spec=spec: (
+            T.kernel_alignment(hb, tb, adj, 0.4, spec)), [hb]))
 
     mapper = InverseNhkMapper(5, 10)
     mapper.init(seed)

@@ -4,6 +4,14 @@ The alignment loss is ||(K_teacher_sub - K_student) .* W||_F^2 where W weights
 connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
 
+The gauss and sigmoid kernels are entrywise maps of the pairwise distances or
+inner products, so ``T.kernel_alignment`` computes their loss block by block
+(as KeOps and FlashAttention reduce kernels): for a block B of b rows it
+rebuilds K_s,B and K_t,B from the features, W.*W on B from the CSR adjacency,
+and dL/dH_B from rows B alone, because dL/dD and dL/dG are symmetric. Time is
+O(n^2 d), memory O(b n + n d + |E|) with b n = 65536, in full batch and per
+batch alike. ``distill_loss`` over ``kernel_matrix`` is its dense reference.
+
 The learned inverse kernel is a Gram, K = Phi Phi^T with Phi n x s, so its
 losses never need the n x n matrix. Reconstruction is K H = Phi (Phi^T H).
 For alignment, W .* W = delta^2 + (1 - delta^2) A whenever the adjacency A is
@@ -28,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ValidationError
-from .graphs import Graph, edge_endpoints
+from .graphs import Graph, adjacency, edge_endpoints
 from .models import GnnModel, init_xavier
 from .nhk import KernelSpec, kernel_factor, kernel_matrix
 from .tensor import Tensor
@@ -80,21 +88,7 @@ class InverseNhkMapper:
 
 def weight_matrix(g: Graph, delta: float, node_subset) -> Tensor:
     """W over the subset: 1 on student edges, delta elsewhere (self-pairs too)."""
-    subset = np.asarray(node_subset, dtype=np.int64)
-    if len(subset) and (subset.min() < 0 or subset.max() >= g.num_nodes):
-        raise ValidationError("node subset id out of range")
-    # adjacency among the distinct ids from the edges inside them, then
-    # expanded to the subset's order (repeated ids share a row and column)
-    uniq, inverse = np.unique(subset, return_inverse=True)
-    pos = np.full(g.num_nodes, -1, dtype=np.int64)
-    pos[uniq] = np.arange(len(uniq))
-    pu, pv = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
-    inside = (pu >= 0) & (pv >= 0)
-    adj = np.zeros((len(uniq), len(uniq)))
-    adj[pu[inside], pv[inside]] = 1.0
-    adj[pv[inside], pu[inside]] = 1.0
-    adj = adj[np.ix_(inverse, inverse)]
-    return T.constant(delta + (1.0 - delta) * adj)
+    return T.constant(delta + (1.0 - delta) * adjacency(g, node_subset).densify())
 
 
 def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
@@ -107,40 +101,37 @@ def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
 
 
 def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):
-    """Kernel matrices of the frozen teacher, one per loss layer, detached.
-
-    A randomized kernel projects teacher layer l to the width the student's
-    layer l uses: spec.s, else twice the student's feature width.
-    """
-    kernels = []
-    for l in range(len(traces_teacher) - 1):
-        h_t = traces_teacher[l] if isinstance(traces_teacher[l], Tensor) \
-            else T.constant(traces_teacher[l])
-        s = spec.s if spec.s is not None else 2 * traces_student_dims[l]
-        kernels.append(kernel_matrix(spec, h_t, s).detach())
-    return kernels
+    """The frozen teacher's kernel matrices, one per loss layer, detached: the
+    dense reference for the teacher side of ``layer_avg_distill``."""
+    if spec.kind == "randomized":
+        return [T.gram(phi).detach() for phi in
+                teacher_layer_factors(traces_teacher, traces_student_dims, spec)]
+    return [kernel_matrix(spec, T.constant(h)).detach() for h in traces_teacher[:-1]]
 
 
 def teacher_layer_factors(traces_teacher, traces_student_dims, spec: KernelSpec):
     """A randomized kernel's factors Phi_t (K_t = Phi_t Phi_t^T) of the teacher's
-    feature arrays, at the widths ``teacher_layer_kernels`` uses."""
+    feature arrays; layer l is projected to spec.s, else twice the student's
+    feature width at l."""
     return [kernel_factor(spec, T.constant(h), spec.s if spec.s is not None else 2 * d)
             for h, d in zip(traces_teacher[:-1], traces_student_dims)]
 
 
 def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
-                      cfg: DistillConfig, w: Tensor | None, teacher_layers=None,
-                      fixed_terms=None, g: Graph | None = None) -> Tensor:
-    """Mean per-layer kernel alignment scaled by alpha.
+                      cfg: DistillConfig, g: Graph, ids=None, teacher_layers=None,
+                      fixed_terms=None) -> Tensor:
+    """Mean per-layer kernel alignment scaled by alpha, over the pairs of the
+    nodes ``ids`` of g (every node when None).
 
     The kernel bridging layer l-1 to l is evaluated on the source features,
-    so the L loss terms read trace entries 0 .. L-1. Teacher entries must
-    already be restricted to the student's nodes (and batch, if sampling).
-    A frozen teacher passes its ``teacher_layers`` and may pass a dict
-    ``fixed_terms``, kept across calls, that memoizes the terms of
-    gradient-free student entries. A randomized kernel aligns factors: the
-    teacher layers are then teacher_layer_factors, and the full graph ``g``
-    in place of ``w`` sends each layer through ``factored_distill_loss``.
+    so the L loss terms read trace entries 0 .. L-1. Teacher entries are
+    arrays; both sides must already be restricted to the aligned rows. Gauss and sigmoid
+    layers run ``T.kernel_alignment``. A randomized kernel aligns factors,
+    by default ``teacher_layer_factors``: on every node through
+    ``factored_distill_loss``, and on a batch through dense b x b kernels and
+    ``weight_matrix``. A frozen teacher may pass a dict ``fixed_terms``,
+    kept across calls, that memoizes the terms of gradient-free student
+    entries.
     """
     if len(traces_teacher) != len(traces_student):
         raise DimensionError(
@@ -150,23 +141,29 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     if num_layers < 1:
         raise ValidationError("traces must cover at least one layer")
     factored = spec.kind == "randomized"
-    if teacher_layers is None:
-        teacher_layers = (teacher_layer_factors if factored else teacher_layer_kernels)(
+    if factored and teacher_layers is None:
+        teacher_layers = teacher_layer_factors(
             traces_teacher, [h.shape[1] for h in traces_student], spec)
+    if not factored:
+        adj = adjacency(g, ids)
+    elif ids is not None:
+        w = weight_matrix(g, cfg.delta, ids)
 
-    def align(t_side, h_s):
+    def align(l):
+        h_s = traces_student[l]
         if not factored:
-            return distill_loss(t_side, kernel_matrix(spec, h_s), w)
-        if w is None:
-            return factored_distill_loss(g, t_side, kernel_factor(spec, h_s), cfg.delta)
-        return distill_loss(T.gram(t_side), T.gram(kernel_factor(spec, h_s)), w)
+            return T.kernel_alignment(h_s, T.constant(traces_teacher[l]), adj, cfg.delta, spec)
+        phi_s = kernel_factor(spec, h_s)
+        if ids is None:
+            return factored_distill_loss(g, teacher_layers[l], phi_s, cfg.delta)
+        return distill_loss(T.gram(teacher_layers[l]), T.gram(phi_s), w)
 
     total = None
     for l in range(num_layers):
         if fixed_terms is not None and l in fixed_terms:
             term = T.constant([[fixed_terms[l]]])
         else:
-            term = align(teacher_layers[l], traces_student[l])
+            term = align(l)
             if fixed_terms is not None and not traces_student[l].requires_grad:
                 fixed_terms[l] = term.item()
         total = term if total is None else T.add(total, term)

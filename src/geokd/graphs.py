@@ -71,6 +71,7 @@ class Graph:
         self._laplacian = None
         self._hops = [self.features]  # [X, A_hat X, ...], see propagated_features
         self._endpoints = None  # see edge_endpoints
+        self._adjacency = None  # see adjacency
 
     def _check_mask(self, mask, name):
         m = np.unique(np.asarray(mask, dtype=np.int64))
@@ -97,13 +98,6 @@ class Graph:
 
     def degrees_with_self_loop(self) -> np.ndarray:
         return 1.0 + np.bincount(self.edges.ravel(), minlength=self.num_nodes)
-
-    def adjacency_dense(self) -> np.ndarray:
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        if len(self.edges):
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-            a[self.edges[:, 1], self.edges[:, 0]] = 1.0
-        return a
 
 
 class Measure:
@@ -177,6 +171,34 @@ def edge_endpoints(g: Graph) -> tuple[SparseMatrix, SparseMatrix]:
             for side in (0, 1)
         )
     return g._endpoints
+
+
+def adjacency(g: Graph, ids=None) -> SparseMatrix:
+    """Binary adjacency among the nodes ``ids`` as CSR, cached when ids is None.
+
+    Entry (p, q) is 1 when (ids[p], ids[q]) is an edge, so a repeated id
+    repeats its node's row and column, and copies of one node stay unlinked.
+    """
+    if ids is None:
+        if g._adjacency is None:
+            g._adjacency = adjacency(g, np.arange(g.num_nodes))
+        return g._adjacency
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and (ids.min() < 0 or ids.max() >= g.num_nodes):
+        raise ValidationError("node subset id out of range")
+    # node k's positions in ids are order[start[k]:start[k] + count[k]]; each
+    # directed edge (u, v) links every position of u to every position of v
+    order = np.argsort(ids, kind="stable")
+    count = np.bincount(ids, minlength=g.num_nodes)
+    start = np.cumsum(count) - count
+    u = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    v = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    pairs = count[u] * count[v]
+    e = np.repeat(np.arange(len(u)), pairs)
+    k = np.arange(len(e)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    rows = order[start[u[e]] + k // count[v[e]]]
+    cols = order[start[v[e]] + k % count[v[e]]]
+    return SparseMatrix.from_coo(len(ids), len(ids), rows, cols, np.ones(len(rows)))
 
 
 def laplacian_sym(g: Graph) -> SparseMatrix:

@@ -45,6 +45,8 @@ class KernelSpec:
             raise ValidationError("kernel time must be > 0")
         if self.m < 1:
             raise ValidationError("projection count m must be >= 1")
+        if self.s is not None and self.s < 1:
+            raise ValidationError("s must be >= 1")
         if self.decay_weights is not None:
             w = np.asarray(self.decay_weights, dtype=np.float64)
             if len(w) != self.m + 1:
@@ -94,10 +96,7 @@ def nhk_gauss(h: Tensor, t: float) -> Tensor:
 
 def nhk_sigmoid(h: Tensor, a: float = 1.0, b: float = 0.0) -> Tensor:
     """tanh(a <h_i, h_j> + b): symmetric, rotation-invariant in feature space."""
-    g = T.gram(h)
-    if b != 0.0:
-        g = T.add(g, T.constant(np.full(g.shape, float(b))))
-    return T.tanh(T.scale(g, a))
+    return T.tanh(T.scale(T.gram(h), a, b))
 
 
 def randomized_features(h: Tensor, proj: RandomProjections, weights,

@@ -12,7 +12,9 @@ order, so results do not depend on how rows are grouped (see
 ``SparseMatrix.matmul_dense`` for the one exception).
 
 ``gauss_kernel`` and ``frobenius_sq`` are one tape node each, working in place
-on their n x n buffers, and bit-identical to the primitive chains they replace.
+on their n x n buffers, and bit-identical to the primitive chains they replace;
+they are the dense reference of ``kernel_alignment``, which forms no n x n
+matrix.
 """
 
 from __future__ import annotations
@@ -345,14 +347,18 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values - b.values, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c: float, shift: float = 0.0) -> Tensor:
+    """c * a + shift."""
     c = float(c)
+    out_vals = a.values * c
+    if shift:
+        out_vals += shift
 
     def backward(g):
         if a.requires_grad:
             a._accumulate_owned(g * c)
 
-    return _make(a.values * c, (a,), backward)
+    return _make(out_vals, (a,), backward)
 
 
 def mul_elem(a: Tensor, b: Tensor) -> Tensor:
@@ -497,6 +503,78 @@ def frobenius_sq(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
             b._accumulate_owned(-x)
 
     return _make(np.array([[(weighted * weighted).sum()]]), (a, b, w), backward)
+
+
+_BLOCK_FLOATS = 65536  # a row block of kernel_alignment: b x n floats, 512 KiB
+
+
+def _kernel_rows(h: np.ndarray, norms: np.ndarray, r0: int, spec, out: np.ndarray):
+    """Rows r0 .. r0 + len(out) of spec's gauss or sigmoid kernel over h, in out."""
+    b = out.shape[0]
+    np.matmul(h[r0:r0 + b], h.T, out=out)
+    if spec.kind == "sigmoid":
+        out *= spec.a
+        out += spec.b
+        return np.tanh(out, out=out)
+    out *= -2.0
+    out += norms[r0:r0 + b, None]
+    out += norms
+    np.maximum(out, 0.0, out=out)
+    out *= -1.0 / (4.0 * spec.t)
+    np.exp(out, out=out)
+    out[np.arange(b), np.arange(r0, r0 + b)] = 1.0  # exact zero self-distance
+    return out
+
+
+def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
+                     spec) -> Tensor:
+    """sum of W2_ij (K_s - K_t)_ij^2 over the rows of h_s and h_t, one tape node.
+
+    K is spec's gauss kernel exp(-D / 4t) or sigmoid kernel tanh(a G + b) of
+    each side's rows (the widths may differ); W2 = delta^2 + (1 - delta^2) A
+    for the binary CSR adjacency A. The forward walks blocks B of
+    b = 65536 // n rows, rebuilding K_s, K_t and W2 on B in b x n buffers,
+    and accumulates the loss and its gradient wrt h_s: as G = dL/dD (gauss)
+    and S = dL/dG (sigmoid) are symmetric, its rows B are
+    4 (diag(G_B 1) H_B - G_B H), resp. 2 S_B H. h_t gets no gradient.
+    """
+    n = h_s.shape[0]
+    if h_t.shape[0] != n or adj.shape != (n, n):
+        raise DimensionError(
+            f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
+    if spec.kind not in ("gauss", "sigmoid"):
+        raise ValidationError(f"kernel_alignment: no {spec.kind!r} kernel")
+    hs, ht = np.ascontiguousarray(h_s.values), np.ascontiguousarray(h_t.values)
+    norms_s, norms_t = (np.einsum("ij,ij->i", h, h) for h in (hs, ht))
+    step, d2, rows = max(1, _BLOCK_FLOATS // n), float(delta) ** 2, adj.row_ids()
+    bufs = np.empty((3, min(step, n), n))
+    grad = np.empty_like(hs) if h_s.requires_grad else None
+    loss = 0.0
+    for r0 in range(0, n, step):
+        b, lo, hi = min(step, n - r0), adj.indptr[r0], adj.indptr[min(n, r0 + step)]
+        k_s = _kernel_rows(hs, norms_s, r0, spec, bufs[0, :b])
+        e = np.subtract(k_s, _kernel_rows(ht, norms_t, r0, spec, bufs[1, :b]), out=bufs[1, :b])
+        w = bufs[2, :b]
+        w.fill(d2)
+        w[rows[lo:hi] - r0, adj.indices[lo:hi]] += (1.0 - d2) * adj.data[lo:hi]
+        w *= e
+        loss += np.vdot(w, e)
+        if grad is None:
+            continue
+        if spec.kind == "gauss":  # G_B = -W2 E K_s / 2t
+            w *= k_s
+            g_b = np.matmul(w, hs, out=grad[r0:r0 + b])
+            g_b -= w.sum(axis=1)[:, None] * hs[r0:r0 + b]
+            g_b *= 2.0 / spec.t
+        else:  # S_B = 2a W2 E (1 - K_s^2)
+            w *= np.subtract(1.0, np.multiply(k_s, k_s, out=k_s), out=k_s)
+            np.matmul(w, hs, out=grad[r0:r0 + b])
+            grad[r0:r0 + b] *= 4.0 * spec.a
+
+    def backward(g):
+        h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
+
+    return _make(np.array([[loss]]), (h_s,), backward)
 
 
 def cross_entropy(logits: Tensor, labels, mask) -> Tensor:

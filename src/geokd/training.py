@@ -28,9 +28,7 @@ from .distill import (
     layer_avg_distill,
     pgkd_span,
     teacher_layer_factors,
-    teacher_layer_kernels,
     trace_feature_dim,
-    weight_matrix,
 )
 from .errors import NumericError, ValidationError
 from .graphs import Graph
@@ -46,12 +44,17 @@ STUDENT_MODES = ("gkd_offline", "pgkd", "online", "self_distill", "compression")
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list."""
+    """Bias-corrected Adam over a fixed parameter list.
+
+    Training takes one step per epoch, so a non-finite gradient is reported
+    as a NumericError naming the step count as the epoch, and ``name[i]``.
+    """
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999, eps: float = 1e-8, name: str = "parameter"):
         self.params = list(params)
         self.lr = float(lr)
+        self.name = name
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
@@ -62,11 +65,15 @@ class Adam:
             p.zero_grad()
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ValidationError("adam step with unpopulated gradient")
+            if not np.isfinite(p.grad).all():
+                raise NumericError(
+                    f"epoch {self.step_count}: gradient of {self.name}[{i}] is not finite")
+        self.step_count += 1
+        t = self.step_count
+        for i, p in enumerate(self.params):
             g = p.grad
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
@@ -175,7 +182,8 @@ def _fit(model: GnnModel, g: Graph, plan: TrainPlan, terms) -> TrainResult:
         raise ValidationError(f"graph has no {empty} nodes")
     init_xavier(model, plan.seed, STREAM_STUDENT)
     model.set_trainable(True)
-    opt = Adam(model.parameters(), plan.lr)
+    opt = Adam(model.parameters(), plan.lr,
+               name="teacher weight" if plan.mode == "teacher" else "student weight")
     tracker = _BestTracker(model)
     metrics = []
     logits, trace = forward(model, g)
@@ -225,10 +233,9 @@ def _kd_term(plan: TrainPlan, teacher_logits, logits, g: Graph):
 class _GkdTerms:
     """gkd and online terms: alpha-scaled per-layer alignment, soft labels.
 
-    Built once per run: W on the full graph, unless a randomized kernel
-    aligns factors there; a frozen teacher's full-graph kernels or randomized
-    factors Phi_t, whose rows each batch gathers (with its own W); and the
-    full-graph terms of gradient-free student entries (input, sgc trace).
+    Built once per run: a frozen teacher's randomized factors Phi_t, whose
+    rows each batch gathers, and the full-graph terms of gradient-free
+    student entries (input, sgc trace).
     """
 
     def __init__(self, plan: TrainPlan, g: Graph, frozen_teacher_feats=None,
@@ -236,15 +243,14 @@ class _GkdTerms:
         self.plan, self.g = plan, g
         n, cfg = g.num_nodes, plan.distill
         self.batched = cfg.batch_size is not None and cfg.batch_size < n
-        factored = plan.kernel.kind == "randomized"
-        self.w = self.teacher_layers = self.fixed_terms = None
-        if cfg.alpha > 0 and not self.batched and not factored:
-            self.w = weight_matrix(g, cfg.delta, np.arange(n))
-        if cfg.alpha > 0 and frozen_teacher_feats is not None and (factored or not self.batched):
-            dims = [trace_feature_dim(student, l) for l in range(student.num_layers + 1)]
-            build = teacher_layer_factors if factored else teacher_layer_kernels
-            self.teacher_layers = build(frozen_teacher_feats, dims, plan.kernel)
-            self.fixed_terms = None if self.batched else {}
+        self.teacher_layers = self.fixed_terms = None
+        if cfg.alpha > 0 and frozen_teacher_feats is not None:
+            if plan.kernel.kind == "randomized":
+                dims = [trace_feature_dim(student, l) for l in range(student.num_layers + 1)]
+                self.teacher_layers = teacher_layer_factors(frozen_teacher_feats, dims,
+                                                            plan.kernel)
+            if not self.batched:
+                self.fixed_terms = {}
 
     def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
         spec, cfg = self.plan.kernel, self.plan.distill
@@ -257,10 +263,10 @@ class _GkdTerms:
                     [T.constant(f.values[ids]) for f in self.teacher_layers]
                 dis = layer_avg_distill([f[ids] for f in teacher_feats],
                                         [T.take_rows(h, ids) for h in trace], spec, cfg,
-                                        weight_matrix(self.g, cfg.delta, ids), t_layers)
+                                        self.g, ids, t_layers)
             else:
-                dis = layer_avg_distill(teacher_feats, trace, spec, cfg, self.w,
-                                        self.teacher_layers, self.fixed_terms, self.g)
+                dis = layer_avg_distill(teacher_feats, trace, spec, cfg, self.g, None,
+                                        self.teacher_layers, self.fixed_terms)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:
@@ -320,7 +326,7 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
     phi_params = mapper_t.parameters()
     if mapper_s is not mapper_t:
         phi_params = phi_params + mapper_s.parameters()
-    opt_phi = Adam(phi_params, plan.lr_mapper)
+    opt_phi = Adam(phi_params, plan.lr_mapper, name="mapper weight")
 
     def terms(epoch, logits, trace):
         # E-step: refit the inverse kernel with the GNN weights frozen; it
@@ -355,7 +361,7 @@ def train_online(g: Graph, g_complete: Graph, teacher: GnnModel,
     """Teacher and student trained jointly; one step each per epoch."""
     init_xavier(teacher, plan.seed, STREAM_TEACHER_ONLINE)
     teacher.set_trainable(True)
-    opt_t = Adam(teacher.parameters(), plan.lr)
+    opt_t = Adam(teacher.parameters(), plan.lr, name="online teacher weight")
     tracker_t = _BestTracker(teacher)
     gkd = _GkdTerms(plan, g)
     # as for the student, the teacher forward after each of its steps is

@@ -1,0 +1,204 @@
+"""The blocked gauss/sigmoid alignment op against its dense reference.
+
+``T.kernel_alignment`` sums the loss and its gradient over row blocks, so it
+adds in another order than the dense chain of ``kernel_matrix``,
+``weight_matrix`` and ``distill_loss``: values and gradients are compared to
+1e-12 relative, never bit for bit.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from geokd import tensor as T
+from geokd.cli import main
+from geokd.distill import (
+    DistillConfig,
+    distill_loss,
+    layer_avg_distill,
+    teacher_layer_kernels,
+    weight_matrix,
+)
+from geokd.errors import DimensionError, ValidationError
+from geokd.graphs import Graph, adjacency, sbm_generate, save_graph, split_edges
+from geokd.models import build_model, init_xavier
+from geokd.nhk import KernelSpec, kernel_matrix
+from geokd.tensor import Tensor
+from geokd.training import TrainPlan, train_student_gkd
+
+SPECS = [KernelSpec(kind="gauss", t=0.25), KernelSpec(kind="gauss", t=1.0),
+         KernelSpec(kind="gauss", t=3.0), KernelSpec(kind="sigmoid", a=1.0, b=0.0),
+         KernelSpec(kind="sigmoid", a=0.7, b=-0.3)]
+
+
+def dense_alignment(h_s, h_t, adj, delta, spec):
+    """The dense reference, with W = delta + (1 - delta) A."""
+    w = T.constant(delta + (1.0 - delta) * adj.densify())
+    return distill_loss(kernel_matrix(spec, h_t), kernel_matrix(spec, h_s), w)
+
+
+def loss_and_grad(align, hv_s, hv_t, adj, delta, spec):
+    h_s = Tensor(hv_s.copy(), requires_grad=True)
+    loss = align(h_s, T.constant(hv_t), adj, delta, spec)
+    loss.backward()
+    return loss.item(), h_s.grad
+
+
+def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
+    want, want_grad = loss_and_grad(dense_alignment, hv_s, hv_t, adj, delta, spec)
+    got, got_grad = loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec)
+    assert abs(got - want) <= rtol * abs(want)
+    assert np.max(np.abs(got_grad - want_grad)) <= rtol * np.max(np.abs(want_grad))
+
+
+def random_graph(n, seed, p=0.2, isolated=0):
+    """n nodes, the last ``isolated`` of them without edges."""
+    rng = np.random.default_rng(seed)
+    linked = n - isolated
+    edges = [(u, v) for u in range(linked) for v in range(u + 1, linked) if rng.random() < p]
+    return Graph(n, edges, rng.normal(size=(n, 2)), [0] * n, [0], [], [])
+
+
+def features(n, d, seed, coincident=False):
+    h = np.random.default_rng(seed).standard_normal((n, d))
+    if coincident and n > 2:
+        h[n // 2:] = h[0]  # zero distances and equal inner products
+    return h
+
+
+# n = 700 walks 8 row blocks of 93 rows, n = 300 two blocks
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 700])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-t{s.t}-a{s.a}-b{s.b}")
+def test_matches_dense_over_sizes(n, spec):
+    g = random_graph(n, n, p=min(1.0, 4.0 / n))
+    adj = adjacency(g)
+    assert_matches_dense(features(n, 6, n), features(n, 3, n + 1), adj, 0.4, spec)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("case", ["edges", "no_edges", "isolated", "coincident"])
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
+def test_matches_dense_on_graph_cases(kind, case, delta):
+    n = 40
+    g = random_graph(n, 3, p=0.0 if case == "no_edges" else 0.15,
+                     isolated=10 if case == "isolated" else 0)
+    spec = KernelSpec(kind=kind, t=0.7, a=1.3, b=0.4)
+    hv_s = features(n, 5, 4, coincident=case == "coincident")
+    hv_t = features(n, 8, 5, coincident=case == "coincident")
+    assert_matches_dense(hv_s, hv_t, adjacency(g), delta, spec)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
+def test_batch_with_repeated_ids_matches_weight_matrix(kind, delta):
+    g = sbm_generate([12, 12], 0.4, 0.1, 4, 0.5, 3)
+    ids = np.array([0, 5, 5, 13, 2, 23, 0, 7, 19, 19, 11])
+    spec = KernelSpec(kind=kind, t=0.5, a=2.0, b=0.3)
+    hv_s, hv_t = features(24, 6, 1)[ids], features(24, 4, 2)[ids]
+    adj = adjacency(g, ids)
+    assert np.array_equal(delta + (1.0 - delta) * adj.densify(),
+                          weight_matrix(g, delta, ids).values)
+    assert_matches_dense(hv_s, hv_t, adj, delta, spec)
+
+
+def test_adjacency_expands_repeated_ids():
+    g = Graph(4, [(0, 1), (1, 2)], np.zeros((4, 1)), [0] * 4, [0], [], [])
+    ids = [1, 0, 1, 3, 2]
+    dense = adjacency(g, ids).densify()
+    full = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
+    np.testing.assert_array_equal(dense, full[np.ix_(ids, ids)])
+    np.testing.assert_array_equal(adjacency(g).densify(), full)
+    assert adjacency(g) is adjacency(g)  # the full adjacency is cached
+
+
+def test_gradient_free_student_and_shape_checks():
+    adj = adjacency(random_graph(5, 0))
+    spec = KernelSpec(kind="gauss")
+    loss = T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 3, 1)), adj, 0.4, spec)
+    assert loss._backward is None and loss.item() > 0.0
+    with pytest.raises(DimensionError, match="rows 5 and 4"):
+        T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4, spec)
+    with pytest.raises(ValidationError, match="randomized"):
+        T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 2, 1)), adj, 0.4,
+                           KernelSpec(kind="randomized"))
+
+
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
+def test_layer_avg_full_graph_matches_dense(kind):
+    g = sbm_generate([20, 25], 0.3, 0.05, 4, 0.5, 6)
+    n = g.num_nodes
+    rng = np.random.default_rng(7)
+    spec = KernelSpec(kind=kind, t=0.8, a=0.6, b=0.2)
+    cfg = DistillConfig(alpha=1.5, delta=0.4)
+    t_feats = [rng.normal(size=(n, 4)), rng.normal(size=(n, 6)), rng.normal(size=(n, 2))]
+    s_trace = [T.constant(rng.normal(size=(n, 4))), T.parameter(rng.normal(size=(n, 3))),
+               T.parameter(rng.normal(size=(n, 2)))]
+    got = layer_avg_distill(t_feats, s_trace, spec, cfg, g)
+    got.backward()
+    got_grad = s_trace[1].grad.copy()
+    s_trace[1].zero_grad()
+    # the two loss terms read trace entries 0 and 1
+    w = weight_matrix(g, cfg.delta, np.arange(n))
+    k_t = teacher_layer_kernels(t_feats, [h.shape[1] for h in s_trace], spec)
+    assert len(k_t) == 2
+    want = T.scale(T.add(*(distill_loss(k_t[l], kernel_matrix(spec, s_trace[l]), w)
+                           for l in (0, 1))), cfg.alpha / 2)
+    want.backward()
+    assert abs(got.item() - want.item()) <= 1e-12 * want.item()
+    want_grad = s_trace[1].grad
+    assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def test_gauss_gkd_full_batch_allocates_no_node_by_node_buffer():
+    # one full-batch gauss epoch on 2,000 nodes: no kernel, no W, no teacher kernels
+    g_c = sbm_generate([500] * 4, 0.01, 0.001, 8, 0.5, 29)
+    g = split_edges(g_c, 0.5, 29)
+    teacher = build_model("gcn", 8, 32, 3, 4)
+    init_xavier(teacher, 30)
+    student = build_model("gcn", 8, 32, 3, 4)
+    plan = TrainPlan(mode="gkd_offline", epochs=1, seed=31, lr=0.05,
+                     kernel=KernelSpec(kind="gauss", t=1.0),
+                     distill=DistillConfig(alpha=1.0, delta=0.4))
+    n = g.num_nodes
+    tracemalloc.start()
+    try:
+        train_student_gkd(g, teacher, g_c, plan, student)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+def test_cli_gauss_gkd_matches_dense_reference(tmp_path, monkeypatch):
+    graph = tmp_path / "g.json"
+    save_graph(sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0), graph)
+
+    def run(name):
+        doc = {"mode": "teacher", "complete_graph": str(graph),
+               "split": {"kind": "edges", "pir": 0.5},
+               "teacher": {"depth": 3, "hidden": 8}, "student": {"depth": 3, "hidden": 8},
+               "kernel": {"kind": "gauss", "t": 0.5}, "distill": {"alpha": 2.0, "delta": 0.4},
+               "optimizer": {"lr": 0.05, "epochs": 3}, "out_dir": str(tmp_path / name)}
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train-teacher", "--config", str(cfg)]) == 0
+        doc.update(mode="gkd_offline", out_dir=str(tmp_path / name / "student"))
+        doc["teacher"]["checkpoint"] = str(tmp_path / name / "teacher.json")
+        cfg.write_text(json.dumps(doc))
+        assert main(["distill", "--config", str(cfg)]) == 0
+        out = tmp_path / name / "student"
+        metrics = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        return (out / "summary.json").read_bytes(), metrics
+
+    summary, metrics = run("blocked")
+    monkeypatch.setattr(T, "kernel_alignment", dense_alignment)
+    summary_ref, metrics_ref = run("dense")
+    assert summary == summary_ref
+    assert len(metrics) == len(metrics_ref) == 3
+    for got, want in zip(metrics, metrics_ref):
+        assert got["loss_dis"] > 0.0
+        assert abs(got["loss_dis"] - want["loss_dis"]) <= 1e-12 * want["loss_dis"]
+        assert {k: v for k, v in got.items() if k != "loss_dis"} == \
+            {k: v for k, v in want.items() if k != "loss_dis"}

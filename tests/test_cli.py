@@ -110,6 +110,26 @@ def test_non_finite_loss_exits_2_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_gradient_exits_2_before_any_output(tmp_path, capsys):
+    # every loss stays finite, but the sigmoid slope overflows the gradient
+    graph = tmp_path / "g20.json"
+    save_graph(sbm_generate([10, 10], 0.4, 0.05, 4, 0.5, 0), graph)
+    model = {"kind": "gcn", "depth": 2, "hidden": 4}
+    cfg = write_config(tmp_path, graph, mode="teacher", teacher=model,
+                       optimizer={"lr": 0.05, "epochs": 3},
+                       out_dir=str(tmp_path / "teacher_run"))
+    assert run_cli("train-teacher", "--config", cfg) == 0
+    cfg = write_config(tmp_path, graph, student=model,
+                       teacher={**model,
+                                "checkpoint": str(tmp_path / "teacher_run" / "teacher.json")},
+                       kernel={"kind": "sigmoid", "a": 1e308}, distill={"alpha": 1.0, "delta": 0.4},
+                       optimizer={"lr": 0.05, "epochs": 3})
+    with np.errstate(all="ignore"):
+        assert run_cli("distill", "--config", cfg) == 2
+    assert "epoch 0: gradient of student weight[0] is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_metrics_records_are_valid(tmp_path, graph_file):
     cfg = write_config(tmp_path, graph_file, mode="teacher")
     assert run_cli("train-teacher", "--config", cfg) == 0
@@ -419,6 +439,17 @@ def test_config_reports_bad_kernel(tmp_path, graph_file):
     with pytest.raises(GraphParseError) as exc:
         RunConfig.from_file(path)
     assert "kernel" in str(exc.value)
+
+
+@pytest.mark.parametrize("s", [0, -2])
+@pytest.mark.parametrize("mode,kind", [("gkd_offline", "randomized"), ("pgkd", "parametric")])
+def test_kernel_width_below_one_exits_1_naming_it(tmp_path, graph_file, capsys, mode, kind, s):
+    ckpt = make_teacher(tmp_path, graph_file)
+    cfg = write_config(tmp_path, graph_file, mode=mode, kernel={"kind": kind, "s": s},
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)})
+    assert run_cli("distill", "--config", cfg) == 1
+    assert "error: kernel: s must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section,key", [("kernel", "tt"), ("distill", "alhpa"),

@@ -22,6 +22,12 @@ from geokd.nhk import KernelSpec
 from geokd.training import sample_distill_batch
 
 
+def dense_adjacency(g):
+    a = np.zeros((g.num_nodes, g.num_nodes))
+    a[g.edges[:, 0], g.edges[:, 1]] = a[g.edges[:, 1], g.edges[:, 0]] = 1.0
+    return a
+
+
 def two_node_graph(edges=((0, 1),), delta_labels=(0, 1)):
     return Graph(2, list(edges), np.eye(2), list(delta_labels), [0, 1], [], [])
 
@@ -66,14 +72,14 @@ def test_weight_matrix_respects_subset():
     g = sbm_generate([4, 4], 0.9, 0.1, 2, 0.0, 1)
     subset = np.array([1, 3, 5])
     w = weight_matrix(g, 0.25, subset).values
-    adj = g.adjacency_dense()[np.ix_(subset, subset)]
+    adj = dense_adjacency(g)[np.ix_(subset, subset)]
     np.testing.assert_array_equal(w, 0.25 + 0.75 * adj)
     with pytest.raises(ValidationError):
         weight_matrix(g, 0.5, [0, 99])
 
 
 def reference_weight_matrix(g, delta, subset):
-    return delta + (1.0 - delta) * g.adjacency_dense()[np.ix_(subset, subset)]
+    return delta + (1.0 - delta) * dense_adjacency(g)[np.ix_(subset, subset)]
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0, 2.5])
@@ -158,27 +164,27 @@ def small_setup():
 
 
 def test_layer_avg_zero_for_equal_traces(small_setup):
-    _, t_feats, s_trace, w = small_setup
+    g, t_feats, s_trace, w = small_setup
     spec = KernelSpec(kind="gauss", t=1.0)
     cfg = DistillConfig(alpha=3.0)
     same = [T.Tensor(f) for f in t_feats]
-    assert layer_avg_distill(t_feats, same, spec, cfg, w).item() == pytest.approx(0.0, abs=1e-20)
+    assert layer_avg_distill(t_feats, same, spec, cfg, g).item() == pytest.approx(0.0, abs=1e-20)
 
 
 def test_layer_avg_zero_alpha(small_setup):
-    _, t_feats, s_trace, w = small_setup
+    g, t_feats, s_trace, w = small_setup
     loss = layer_avg_distill(t_feats, s_trace, KernelSpec(kind="gauss"),
-                             DistillConfig(alpha=0.0), w)
+                             DistillConfig(alpha=0.0), g)
     assert loss.item() == 0.0
 
 
 def test_layer_avg_matches_manual_loop(small_setup):
     from geokd.nhk import nhk_gauss
 
-    _, t_feats, s_trace, w = small_setup
+    g, t_feats, s_trace, w = small_setup
     spec = KernelSpec(kind="gauss", t=0.8)
-    cfg = DistillConfig(alpha=2.5)
-    loss = layer_avg_distill(t_feats, s_trace, spec, cfg, w).item()
+    cfg = DistillConfig(alpha=2.5, delta=0.4)
+    loss = layer_avg_distill(t_feats, s_trace, spec, cfg, g).item()
     manual = 0.0
     for l in range(len(s_trace) - 1):
         k_t = nhk_gauss(T.Tensor(t_feats[l]), 0.8).values
@@ -189,9 +195,9 @@ def test_layer_avg_matches_manual_loop(small_setup):
 
 
 def test_layer_avg_trace_length_mismatch(small_setup):
-    _, t_feats, s_trace, w = small_setup
+    g, t_feats, s_trace, w = small_setup
     with pytest.raises(DimensionError):
-        layer_avg_distill(t_feats[:-1], s_trace, KernelSpec(), DistillConfig(), w)
+        layer_avg_distill(t_feats[:-1], s_trace, KernelSpec(), DistillConfig(), g)
 
 
 # --------------------------------------------------------------------------
@@ -310,11 +316,11 @@ def test_randomized_full_graph_alignment_matches_dense(case, delta):
     s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 4))),
                T.parameter(rng.normal(size=(n, 2)))]
     params = s_trace[1:]
-    w = weight_matrix(g, delta, np.arange(n))
+    # a batch of every node takes the dense path: b x b kernels and weight_matrix
     want, want_grads = loss_and_grads(
-        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, w), params)
+        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g, np.arange(n)), params)
     got, got_grads = loss_and_grads(
-        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, None, g=g), params)
+        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g), params)
     assert abs(got - want) <= 1e-12 * abs(want)
     for gg, wg in zip(got_grads, want_grads):
         assert_close_rel(gg, wg)
@@ -329,13 +335,13 @@ def test_fixed_terms_memoize_gradient_free_layers():
     s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 3))),
                T.parameter(rng.normal(size=(n, 3)))]
     fixed = {}
-    args = (t_feats, s_trace, spec, DistillConfig(alpha=2.0, delta=0.4), None)
-    first = layer_avg_distill(*args, fixed_terms=fixed, g=g).item()
+    args = (t_feats, s_trace, spec, DistillConfig(alpha=2.0, delta=0.4), g)
+    first = layer_avg_distill(*args, fixed_terms=fixed).item()
     assert list(fixed) == [0]  # only the gradient-free input layer is kept
     assert fixed[0] == layer_avg_distill(t_feats[:2], s_trace[:2], spec,
-                                         DistillConfig(alpha=1.0, delta=0.4), None, g=g).item()
-    assert layer_avg_distill(*args, fixed_terms=fixed, g=g).item() == first
-    assert layer_avg_distill(*args, g=g).item() == first
+                                         DistillConfig(alpha=1.0, delta=0.4), g).item()
+    assert layer_avg_distill(*args, fixed_terms=fixed).item() == first
+    assert layer_avg_distill(*args).item() == first
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -438,10 +444,9 @@ def test_minibatch_loss_matches_full_in_expectation():
     cfg = DistillConfig(alpha=1.0, delta=0.3)
 
     def pair_loss(ids):
-        w = weight_matrix(g, cfg.delta, ids)
         t_feats = [h_t[ids], h_t[ids]]
         s_feats = [T.Tensor(h_s[ids]), T.Tensor(h_s[ids])]
-        return layer_avg_distill(t_feats, s_feats, spec, cfg, w).item()
+        return layer_avg_distill(t_feats, s_feats, spec, cfg, g, ids).item()
 
     full = pair_loss(np.arange(n))
     # gauss kernels have unit diagonals on both sides, so only off-diagonal

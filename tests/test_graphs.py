@@ -8,6 +8,7 @@ from geokd import tensor as T
 from geokd.graphs import (
     Graph,
     Measure,
+    adjacency,
     edge_endpoints,
     graph_to_dict,
     laplacian_sym,
@@ -83,7 +84,7 @@ def test_normalized_adjacency_support_and_symmetry():
     assert a_hat.transpose() is a_hat  # backward reuses the forward plan
     a = a_hat.densify()
     np.testing.assert_array_equal(a, a.T)
-    support = g.adjacency_dense() + np.eye(g.num_nodes)
+    support = adjacency(g).densify() + np.eye(g.num_nodes)
     assert np.all((a > 0) == (support > 0))
 
 

@@ -100,6 +100,14 @@ def test_sigmoid_offset():
     assert nhk_sigmoid(h, 1.0, 0.3).values[0, 0] == pytest.approx(np.tanh(0.3))
 
 
+def test_sigmoid_offset_is_not_scaled_by_the_slope():
+    # tanh(a <h_i, h_j> + b), not tanh(a (<h_i, h_j> + b))
+    h = T.Tensor([[1.0, 0.0], [0.6, 0.8]])
+    k = nhk_sigmoid(h, 2.0, 0.3).values
+    assert k[0, 1] == pytest.approx(np.tanh(1.5))  # 0.9051, where a (G + b) gives 0.9468
+    assert k[1, 1] == pytest.approx(np.tanh(2.3))
+
+
 def test_sigmoid_rotation_invariance():
     h = feats(6, 4, 2)
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geokd import nhk, training
+from geokd import distill, nhk, training
 from geokd import tensor as T
 from geokd.distill import DistillConfig
 from geokd.errors import NumericError, ValidationError
@@ -82,6 +82,52 @@ def test_adam_requires_gradients():
     p = T.parameter([[1.0]])
     with pytest.raises(ValidationError):
         Adam([p], lr=0.1).step()
+
+
+def test_adam_non_finite_gradient_names_epoch_and_parameter():
+    p, q = T.parameter([[1.0]]), T.parameter([[2.0, 3.0]])
+    opt = Adam([p, q], lr=0.1, name="student weight")
+    p.grad, q.grad = np.ones((1, 1)), np.ones((1, 2))
+    opt.step()
+    before = [p.values.copy(), q.values.copy()]
+    p.grad, q.grad = np.ones((1, 1)), np.array([[0.0, np.inf]])
+    with pytest.raises(NumericError,
+                       match=r"epoch 1: gradient of student weight\[1\] is not finite"):
+        opt.step()
+    # nothing is updated, not even the parameters before the bad one
+    np.testing.assert_array_equal(p.values, before[0])
+    np.testing.assert_array_equal(q.values, before[1])
+    assert opt.step_count == 1
+
+
+@pytest.mark.parametrize("mode,poisoned,name", [
+    ("teacher", "cross_entropy", "teacher weight"),
+    ("gkd_offline", "cross_entropy", "student weight"),
+    ("online", "cross_entropy", "online teacher weight"),
+    ("pgkd", "factored_reconstruction_loss", "mapper weight"),
+])
+def test_non_finite_gradient_with_finite_loss_raises(graphs, teacher, monkeypatch, mode,
+                                                     poisoned, name):
+    # a loss whose value is finite but whose backward sends NaN to its inputs
+    g_c, g = graphs
+    module = T if poisoned == "cross_entropy" else training
+    loss_fn = getattr(module, poisoned)
+
+    def poisoned_loss(*args):
+        loss = loss_fn(*args)
+        return T._make(loss.values.copy(), (loss,),
+                       lambda grad: loss._accumulate(np.full_like(grad, np.nan)))
+
+    monkeypatch.setattr(module, poisoned, poisoned_loss)
+    plan = quick_plan(mode=mode, seed=2, epochs=3, distill=DistillConfig(alpha=1.0, delta=0.4))
+    student = build_model("gcn", 6, 8, 3, 2)
+    with pytest.raises(NumericError, match=rf"epoch 0: gradient of {name}\[0\] is not finite"):
+        if mode == "teacher":
+            train_supervised(g, student, plan)
+        elif mode == "online":
+            train_online(g, g_c, build_model("gcn", 6, 8, 3, 2), student, plan)
+        else:
+            train_student(plan, g, g_c, teacher, student)
 
 
 # --------------------------------------------------------------------------
@@ -248,19 +294,23 @@ def test_gkd_minibatch_runs_and_is_deterministic(graphs, teacher):
 
 
 def test_gkd_minibatch_builds_no_full_weight_matrix(graphs, teacher, monkeypatch):
+    # a randomized batch builds W over its own ids; a gauss batch builds none
     g_c, g = graphs
     sizes = []
-    weight_matrix = training.weight_matrix
+    weight_matrix = distill.weight_matrix
 
     def recording_weight_matrix(graph, delta, ids):
         sizes.append(len(ids))
         return weight_matrix(graph, delta, ids)
 
-    monkeypatch.setattr(training, "weight_matrix", recording_weight_matrix)
-    plan = quick_plan(mode="gkd_offline", seed=6, epochs=3,
-                      distill=DistillConfig(alpha=2.0, delta=0.2, batch_size=15))
-    train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 6, 8, 3, 2))
-    assert sizes == [15, 15, 15]
+    monkeypatch.setattr(distill, "weight_matrix", recording_weight_matrix)
+    for kind, expect in (("randomized", [15, 15, 15]), ("gauss", [])):
+        sizes.clear()
+        plan = quick_plan(mode="gkd_offline", seed=6, epochs=3,
+                          kernel=KernelSpec(kind=kind, m=2),
+                          distill=DistillConfig(alpha=2.0, delta=0.2, batch_size=15))
+        train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 6, 8, 3, 2))
+        assert sizes == expect
 
 
 def test_gkd_trace_length_mismatch_raises(graphs, teacher):
