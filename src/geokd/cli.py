@@ -290,7 +290,13 @@ def _summary_doc(cfg: RunConfig, result: TrainResult, mode: str) -> dict:
 
 
 def cmd_gen_synthetic(args) -> int:
-    blocks = [int(b) for b in str(args.blocks).split(",") if b != ""]
+    try:
+        blocks = [int(b) for b in str(args.blocks).split(",") if b != ""]
+    except ValueError:
+        blocks = []
+    if not blocks or min(blocks) < 1:
+        raise GraphParseError(
+            "--blocks", f"expected comma-separated sizes >= 1, got {args.blocks!r}")
     g = sbm_generate(blocks, args.p_in, args.p_out, args.feature_dim,
                      args.noise_sigma, args.seed)
     out = Path(args.out)
@@ -303,7 +309,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def _load_cfg(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.plan.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
@@ -455,6 +461,9 @@ def _print_checks(results) -> int:
 
 
 def cmd_validate_kernels(args) -> int:
+    for flag, value, least in (("--seeds", args.seeds, 1), ("--nodes", args.nodes, 2)):
+        if value < least:
+            raise GraphParseError(flag, f"expected an integer >= {least}, got {value}")
     results = []
     for seed in range(args.seeds):
         results.extend(theorem_checks(seed, args.nodes))
@@ -500,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-pir")
     p.add_argument("--config", required=True)
     p.add_argument("--pirs", default=None, help="comma-separated PIR values")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep_pir)
 

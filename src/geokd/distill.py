@@ -5,12 +5,15 @@ connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
 
 The gauss and sigmoid kernels are entrywise maps of the pairwise distances or
-inner products, so ``T.kernel_alignment`` computes their loss block by block
-(as KeOps and FlashAttention reduce kernels): for a block B of b rows it
-rebuilds K_s,B and K_t,B from the features, W.*W on B from the CSR adjacency,
-and dL/dH_B from rows B alone, because dL/dD and dL/dG are symmetric. Time is
-O(n^2 d), memory O(b n + n d + |E|) with b n = 65536, in full batch and per
-batch alike. ``distill_loss`` over ``kernel_matrix`` is its dense reference.
+inner products, and the randomized kernel is the Gram of its factors, so
+``T.kernel_alignment`` computes every non-parametric loss block by block (as
+KeOps and FlashAttention reduce kernels): for a block B of b rows it rebuilds
+K_s,B and K_t,B from the features or factors, W.*W on B from the CSR
+adjacency, and dL/dH_B from rows B alone, because dL/dD and dL/dG are
+symmetric. Time is O(n^2 d), memory O(b n + n d + |E|) with
+b = max(64, 65536 // n). Every batch runs it; so does every full-graph gauss
+and sigmoid layer. ``distill_loss`` over ``kernel_matrix`` and
+``weight_matrix`` is its dense reference.
 
 The learned inverse kernel is a Gram, K = Phi Phi^T with Phi n x s, so its
 losses never need the n x n matrix. Reconstruction is K H = Phi (Phi^T H).
@@ -22,10 +25,11 @@ duplicate edges). Hence, with phi_u the row of node u,
         = delta^2 (||Phi_s^T Phi_s||^2 - 2 ||Phi_s^T Phi_t||^2 + ||Phi_t^T Phi_t||^2)
         + 2 (1 - delta^2) sum_{(u, v) in E} (<phi_s,u, phi_s,v> - <phi_t,u, phi_t,v>)^2
 
-in O(n s^2 + |E| s) time and O(n s + |E| s) memory. ``factored_distill_loss``
-and ``factored_reconstruction_loss`` compute these from tape ops; the dense
-``distill_loss``, ``inverse_nhk_gram`` and ``reconstruction_loss`` are the
-reference they are tested against.
+in O(n s^2 + |E| s) time and O(n s + |E| s) memory, which beats the blocked
+O(n^2 s) when n >> s: a full-graph randomized layer and pgkd use it.
+``factored_distill_loss`` and ``factored_reconstruction_loss`` compute these
+from tape ops; the dense ``distill_loss``, ``inverse_nhk_gram`` and
+``reconstruction_loss`` are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(
             f"kernel shapes differ: {k_teacher_sub.shape} vs {k_student.shape}"
         )
-    return T.frobenius_sq(k_student, T.constant(k_teacher_sub.values), w)
+    weighted = T.mul_elem(T.sub(k_student, T.constant(k_teacher_sub.values)), w)
+    return T.sum_all(T.mul_elem(weighted, weighted))
 
 
 def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):
@@ -128,8 +133,8 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     arrays; both sides must already be restricted to the aligned rows. Gauss and sigmoid
     layers run ``T.kernel_alignment``. A randomized kernel aligns factors,
     by default ``teacher_layer_factors``: on every node through
-    ``factored_distill_loss``, and on a batch through dense b x b kernels and
-    ``weight_matrix``. A frozen teacher may pass a dict ``fixed_terms``,
+    ``factored_distill_loss``, and on a batch through ``T.kernel_alignment``
+    on the factors. A frozen teacher may pass a dict ``fixed_terms``,
     kept across calls, that memoizes the terms of gradient-free student
     entries.
     """
@@ -144,10 +149,8 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     if factored and teacher_layers is None:
         teacher_layers = teacher_layer_factors(
             traces_teacher, [h.shape[1] for h in traces_student], spec)
-    if not factored:
+    if not factored or ids is not None:
         adj = adjacency(g, ids)
-    elif ids is not None:
-        w = weight_matrix(g, cfg.delta, ids)
 
     def align(l):
         h_s = traces_student[l]
@@ -156,7 +159,7 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
         phi_s = kernel_factor(spec, h_s)
         if ids is None:
             return factored_distill_loss(g, teacher_layers[l], phi_s, cfg.delta)
-        return distill_loss(T.gram(teacher_layers[l]), T.gram(phi_s), w)
+        return T.kernel_alignment(phi_s, teacher_layers[l], adj, cfg.delta, spec)
 
     total = None
     for l in range(num_layers):
@@ -181,20 +184,18 @@ def reconstruction_loss(k_dagger: Tensor, h_late: Tensor, h_early: Tensor) -> Te
         raise DimensionError(
             f"k_dagger cols {k_dagger.shape[1]} != h_late rows {h_late.shape[0]}"
         )
-    recon = T.matmul(k_dagger, h_late)
-    if recon.shape != h_early.shape:
-        raise DimensionError(
-            f"reconstruction shape {recon.shape} != target {h_early.shape}"
-        )
-    ones = T.constant(np.ones(h_early.shape))
-    return T.frobenius_sq(recon, h_early, ones)
+    return _sq_residual(T.matmul(k_dagger, h_late), h_early)
 
 
 def factored_reconstruction_loss(phi: Tensor, h_late: Tensor, h_early: Tensor) -> Tensor:
     """||Phi (Phi^T H_late) - H_early||_F^2, i.e. reconstruction_loss of Phi Phi^T."""
     if phi.shape[0] != h_late.shape[0]:
         raise DimensionError(f"phi rows {phi.shape[0]} != h_late rows {h_late.shape[0]}")
-    recon = T.matmul(phi, T.matmul(T.transpose(phi), h_late))
+    return _sq_residual(T.matmul(phi, T.matmul(T.transpose(phi), h_late)), h_early)
+
+
+def _sq_residual(recon: Tensor, h_early: Tensor) -> Tensor:
+    """||recon - H_early||_F^2 as a scalar tensor."""
     if recon.shape != h_early.shape:
         raise DimensionError(
             f"reconstruction shape {recon.shape} != target {h_early.shape}"

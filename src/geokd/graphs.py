@@ -283,10 +283,15 @@ def sbm_generate(blocks, p_in: float, p_out: float, feature_dim: int,
     labels = np.repeat(np.arange(len(blocks)), blocks)
 
     rng = _rng(seed, 103)
-    iu, ju = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    hit = rng.random(len(iu)) < p
-    edges = np.stack([iu[hit], ju[hit]], axis=1)
+    # the upper triangle in row-major order, as np.triu_indices(n, 1) lists
+    # it, drawn in chunks of about 2^20 pairs from the same stream
+    edges, cols, step = [], np.arange(n), max(1, (1 << 20) // n)
+    for r0 in range(0, n, step):
+        iu, ju = np.nonzero(cols > np.arange(r0, min(n, r0 + step))[:, None])
+        iu += r0
+        hit = rng.random(len(iu)) < np.where(labels[iu] == labels[ju], p_in, p_out)
+        edges.append(np.stack([iu[hit], ju[hit]], axis=1))
+    edges = np.concatenate(edges)
 
     feats = np.zeros((n, feature_dim))
     feats[np.arange(n), labels] = 1.0

@@ -91,7 +91,7 @@ def nhk_gauss(h: Tensor, t: float) -> Tensor:
     """exp(-||h_i - h_j||^2 / 4t): unit diagonal, entries in (0, 1], PSD."""
     if t <= 0:
         raise ValidationError("gauss kernel time must be > 0")
-    return T.gauss_kernel(h, t)
+    return T.exp(T.scale(T.pairwise_sqdist(h), -1.0 / (4.0 * t)))
 
 
 def nhk_sigmoid(h: Tensor, a: float = 1.0, b: float = 0.0) -> Tensor:

@@ -11,10 +11,10 @@ grouped by how many entries they store, and each group is one gather and one
 order, so results do not depend on how rows are grouped (see
 ``SparseMatrix.matmul_dense`` for the one exception).
 
-``gauss_kernel`` and ``frobenius_sq`` are one tape node each, working in place
-on their n x n buffers, and bit-identical to the primitive chains they replace;
-they are the dense reference of ``kernel_alignment``, which forms no n x n
-matrix.
+``kernel_alignment`` is the one fused op: the weighted distance between two
+kernels (gauss, sigmoid or a Gram of factors) as one tape node that forms no
+n x n matrix. The primitive chains over ``pairwise_sqdist`` and ``gram`` are
+its dense reference.
 """
 
 from __future__ import annotations
@@ -409,28 +409,6 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(out_vals, (a,), backward)
 
 
-def _sqdist_values(hv: np.ndarray) -> np.ndarray:
-    # numpy's matmul computes X @ X.T of a contiguous X as BLAS syrk and
-    # mirrors the triangle, so gm is exactly symmetric and gm_ij + gm_ji is
-    # gm_ij + gm_ij: doubled in place, with no strided transpose. r_i + r_j
-    # is symmetric too (a commutative addition)
-    hv = np.ascontiguousarray(hv)
-    gm = hv @ hv.T
-    r = np.diag(gm).copy()
-    gm += gm
-    out = r[:, None] + r[None, :]
-    out -= gm
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def _sqdist_grad(g: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    """Gradient wrt the rows hv of sum(g * D), D their squared distances."""
-    s = g + g.T
-    return 2.0 * (s.sum(axis=1, keepdims=True) * hv - s @ hv)
-
-
 def pairwise_sqdist(h: Tensor) -> Tensor:
     """n x n matrix of squared Euclidean row distances; exact zero diagonal.
 
@@ -440,33 +418,25 @@ def pairwise_sqdist(h: Tensor) -> Tensor:
     backward rule: diagonal and coincident-row contributions cancel in
     s.sum(1)*h - s@h).
     """
+    # numpy's matmul computes X @ X.T of a contiguous X as BLAS syrk and
+    # mirrors the triangle, so gm is exactly symmetric and gm_ij + gm_ji is
+    # gm_ij + gm_ij: doubled in place, with no strided transpose. r_i + r_j
+    # is symmetric too (a commutative addition)
+    hv = np.ascontiguousarray(h.values)
+    gm = hv @ hv.T
+    r = np.diag(gm).copy()
+    gm += gm
+    out = r[:, None] + r[None, :]
+    out -= gm
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
 
     def backward(g):
         if h.requires_grad:
-            h._accumulate_owned(_sqdist_grad(g, h.values))
+            s = g + g.T
+            h._accumulate_owned(2.0 * (s.sum(axis=1, keepdims=True) * h.values - s @ h.values))
 
-    return _make(_sqdist_values(h.values), (h,), backward)
-
-
-def gauss_kernel(h: Tensor, t: float) -> Tensor:
-    """exp(-D / 4t) for D = pairwise_sqdist(h), as one tape node.
-
-    Bit-identical, values and gradient, to exp(scale(pairwise_sqdist(h), c))
-    with c = -1/4t: the kernel buffer is scaled and exponentiated in place,
-    and the backward forms (g * K) * c before the distance gradient.
-    """
-    c = -1.0 / (4.0 * t)
-    k = _sqdist_values(h.values)
-    k *= c
-    np.exp(k, out=k)
-
-    def backward(g):
-        if h.requires_grad:
-            gd = g * k
-            gd *= c
-            h._accumulate_owned(_sqdist_grad(gd, h.values))
-
-    return _make(k, (h,), backward)
+    return _make(out, (h,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -478,40 +448,18 @@ def gram(h: Tensor) -> Tensor:
     return matmul(h, transpose(h))
 
 
-def frobenius_sq(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
-    """sum of W_ij^2 (A_ij - B_ij)^2 as a scalar tensor, one tape node.
-
-    Bit-identical, value and gradients, to sum_all(mul_elem(d, d)) with
-    d = mul_elem(sub(a, b), w).
-    """
-    _check_same_shape(a, b, "frobenius_sq")
-    _check_same_shape(a, w, "frobenius_sq")
-    weighted = a.values - b.values
-    weighted *= w.values
-
-    def backward(g):
-        # the tape calls this once, so the forward buffer becomes the gradient
-        x = weighted
-        x *= g[0, 0]
-        x += x  # mul_elem(d, d) adds the same product once per operand
-        if w.requires_grad:
-            w._accumulate_owned(x * (a.values - b.values))
-        x *= w.values
-        if a.requires_grad:
-            a._accumulate_owned(x)
-        if b.requires_grad:
-            b._accumulate_owned(-x)
-
-    return _make(np.array([[(weighted * weighted).sum()]]), (a, b, w), backward)
-
-
-_BLOCK_FLOATS = 65536  # a row block of kernel_alignment: b x n floats, 512 KiB
+# a row block of kernel_alignment is b x n floats with b = max(64, 65536 // n):
+# 512 KiB up to n = 1024, and never so few rows that its gemms slow down
+_BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
 
 
 def _kernel_rows(h: np.ndarray, norms: np.ndarray, r0: int, spec, out: np.ndarray):
-    """Rows r0 .. r0 + len(out) of spec's gauss or sigmoid kernel over h, in out."""
+    """Rows r0 .. r0 + len(out) of spec's kernel over h, in out: the gauss or
+    sigmoid kernel, or for a randomized spec the Gram h h^T of the factors h."""
     b = out.shape[0]
     np.matmul(h[r0:r0 + b], h.T, out=out)
+    if spec.kind == "randomized":
+        return out
     if spec.kind == "sigmoid":
         out *= spec.a
         out += spec.b
@@ -531,22 +479,23 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
     """sum of W2_ij (K_s - K_t)_ij^2 over the rows of h_s and h_t, one tape node.
 
     K is spec's gauss kernel exp(-D / 4t) or sigmoid kernel tanh(a G + b) of
-    each side's rows (the widths may differ); W2 = delta^2 + (1 - delta^2) A
-    for the binary CSR adjacency A. The forward walks blocks B of
-    b = 65536 // n rows, rebuilding K_s, K_t and W2 on B in b x n buffers,
-    and accumulates the loss and its gradient wrt h_s: as G = dL/dD (gauss)
-    and S = dL/dG (sigmoid) are symmetric, its rows B are
+    each side's rows, or for a randomized spec the Gram K = Phi Phi^T of rows
+    that are the factors Phi (the widths may differ); W2 = delta^2 +
+    (1 - delta^2) A for the binary CSR adjacency A. The forward walks blocks B
+    of b = max(64, 65536 // n) rows, rebuilding K_s, K_t and W2 on B in b x n
+    buffers, and accumulates the loss and its gradient wrt h_s: as G = dL/dD
+    (gauss) and S = dL/dG (sigmoid, Gram) are symmetric, its rows B are
     4 (diag(G_B 1) H_B - G_B H), resp. 2 S_B H. h_t gets no gradient.
     """
     n = h_s.shape[0]
     if h_t.shape[0] != n or adj.shape != (n, n):
         raise DimensionError(
             f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
-    if spec.kind not in ("gauss", "sigmoid"):
+    if spec.kind not in ("gauss", "sigmoid", "randomized"):
         raise ValidationError(f"kernel_alignment: no {spec.kind!r} kernel")
     hs, ht = np.ascontiguousarray(h_s.values), np.ascontiguousarray(h_t.values)
     norms_s, norms_t = (np.einsum("ij,ij->i", h, h) for h in (hs, ht))
-    step, d2, rows = max(1, _BLOCK_FLOATS // n), float(delta) ** 2, adj.row_ids()
+    step, d2, rows = max(_BLOCK_ROWS, _BLOCK_FLOATS // n), float(delta) ** 2, adj.row_ids()
     bufs = np.empty((3, min(step, n), n))
     grad = np.empty_like(hs) if h_s.requires_grad else None
     loss = 0.0
@@ -566,10 +515,13 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
             g_b = np.matmul(w, hs, out=grad[r0:r0 + b])
             g_b -= w.sum(axis=1)[:, None] * hs[r0:r0 + b]
             g_b *= 2.0 / spec.t
-        else:  # S_B = 2a W2 E (1 - K_s^2)
-            w *= np.subtract(1.0, np.multiply(k_s, k_s, out=k_s), out=k_s)
+        else:  # S_B = 2 W2 E, times a (1 - K_s^2) for sigmoid
+            c = 4.0
+            if spec.kind == "sigmoid":
+                w *= np.subtract(1.0, np.multiply(k_s, k_s, out=k_s), out=k_s)
+                c *= spec.a
             np.matmul(w, hs, out=grad[r0:r0 + b])
-            grad[r0:r0 + b] *= 4.0 * spec.a
+            grad[r0:r0 + b] *= c
 
     def backward(g):
         h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))

@@ -1,9 +1,10 @@
-"""The blocked gauss/sigmoid alignment op against its dense reference.
+"""The blocked alignment op against its dense reference.
 
 ``T.kernel_alignment`` sums the loss and its gradient over row blocks, so it
-adds in another order than the dense chain of ``kernel_matrix``,
-``weight_matrix`` and ``distill_loss``: values and gradients are compared to
-1e-12 relative, never bit for bit.
+adds in another order than the dense chain of ``kernel_matrix`` (for a
+randomized spec, whose rows are factors, ``gram``), ``weight_matrix`` and
+``distill_loss``: values and gradients are compared to 1e-12 relative, never
+bit for bit.
 """
 
 import json
@@ -30,12 +31,16 @@ from geokd.training import TrainPlan, train_student_gkd
 
 SPECS = [KernelSpec(kind="gauss", t=0.25), KernelSpec(kind="gauss", t=1.0),
          KernelSpec(kind="gauss", t=3.0), KernelSpec(kind="sigmoid", a=1.0, b=0.0),
-         KernelSpec(kind="sigmoid", a=0.7, b=-0.3)]
+         KernelSpec(kind="sigmoid", a=0.7, b=-0.3), KernelSpec(kind="randomized")]
+KINDS = ["gauss", "sigmoid", "randomized"]
 
 
 def dense_alignment(h_s, h_t, adj, delta, spec):
-    """The dense reference, with W = delta + (1 - delta) A."""
+    """The dense reference, with W = delta + (1 - delta) A; the rows of a
+    randomized spec are the factors of its kernel."""
     w = T.constant(delta + (1.0 - delta) * adj.densify())
+    if spec.kind == "randomized":
+        return distill_loss(T.gram(h_t), T.gram(h_s), w)
     return distill_loss(kernel_matrix(spec, h_t), kernel_matrix(spec, h_s), w)
 
 
@@ -68,8 +73,10 @@ def features(n, d, seed, coincident=False):
     return h
 
 
-# n = 700 walks 8 row blocks of 93 rows, n = 300 two blocks
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 700])
+# n = 700 walks 8 row blocks of 93 rows, n = 300 two blocks; at n = 1100
+# 65536 // n is 59, so the 64-row floor applies: 17 blocks of 64 rows and one
+# of 12
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 700, 1100])
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-t{s.t}-a{s.a}-b{s.b}")
 def test_matches_dense_over_sizes(n, spec):
     g = random_graph(n, n, p=min(1.0, 4.0 / n))
@@ -79,7 +86,7 @@ def test_matches_dense_over_sizes(n, spec):
 
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("case", ["edges", "no_edges", "isolated", "coincident"])
-@pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_matches_dense_on_graph_cases(kind, case, delta):
     n = 40
     g = random_graph(n, 3, p=0.0 if case == "no_edges" else 0.15,
@@ -91,7 +98,7 @@ def test_matches_dense_on_graph_cases(kind, case, delta):
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
-@pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_batch_with_repeated_ids_matches_weight_matrix(kind, delta):
     g = sbm_generate([12, 12], 0.4, 0.1, 4, 0.5, 3)
     ids = np.array([0, 5, 5, 13, 2, 23, 0, 7, 19, 19, 11])
@@ -101,6 +108,28 @@ def test_batch_with_repeated_ids_matches_weight_matrix(kind, delta):
     assert np.array_equal(delta + (1.0 - delta) * adj.densify(),
                           weight_matrix(g, delta, ids).values)
     assert_matches_dense(hv_s, hv_t, adj, delta, spec)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_batch_layer_runs_the_blocked_op(kind, monkeypatch):
+    g = sbm_generate([12, 12], 0.4, 0.1, 4, 0.5, 3)
+    ids = np.array([0, 5, 5, 13, 2, 23, 0, 7, 19, 19, 11])
+    rng = np.random.default_rng(8)
+    t_feats = [rng.normal(size=(11, 4)), rng.normal(size=(11, 6)), rng.normal(size=(11, 2))]
+    s_trace = [T.parameter(rng.normal(size=(11, 4))), T.parameter(rng.normal(size=(11, 3))),
+               T.parameter(rng.normal(size=(11, 2)))]
+    calls, op = [], T.kernel_alignment
+
+    def recording_op(h_s, h_t, adj, delta, spec):
+        calls.append((h_s.shape, h_t.shape, adj.shape))
+        return op(h_s, h_t, adj, delta, spec)
+
+    monkeypatch.setattr(T, "kernel_alignment", recording_op)
+    spec = KernelSpec(kind=kind, m=2)
+    layer_avg_distill(t_feats, s_trace, spec, DistillConfig(delta=0.4), g, ids).backward()
+    # a randomized layer aligns factors of width (m + 1) * 2d, d the student's
+    widths = [(24, 24), (18, 18)] if kind == "randomized" else [(4, 4), (3, 6)]
+    assert calls == [((11, w_s), (11, w_t), (11, 11)) for w_s, w_t in widths]
 
 
 def test_adjacency_expands_repeated_ids():
@@ -120,9 +149,9 @@ def test_gradient_free_student_and_shape_checks():
     assert loss._backward is None and loss.item() > 0.0
     with pytest.raises(DimensionError, match="rows 5 and 4"):
         T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4, spec)
-    with pytest.raises(ValidationError, match="randomized"):
+    with pytest.raises(ValidationError, match="parametric"):
         T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 2, 1)), adj, 0.4,
-                           KernelSpec(kind="randomized"))
+                           KernelSpec(kind="parametric"))
 
 
 @pytest.mark.parametrize("kind", ["gauss", "sigmoid"])

@@ -71,6 +71,15 @@ def test_gen_synthetic_zero_probability_edgeless(tmp_path):
     assert json.loads(out.read_text())["edges"] == []
 
 
+@pytest.mark.parametrize("blocks", ["x,2", "3,,y", "", "0,4", "5,-1"])
+def test_gen_synthetic_bad_blocks_exit_1_naming_the_flag(tmp_path, capsys, blocks):
+    out = tmp_path / "g.json"
+    assert run_cli("gen-synthetic", "--blocks", blocks, "--p-in", "0.5", "--p-out", "0.1",
+                   "--out", out) == 1
+    assert "error: --blocks: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # train-teacher / eval
 
@@ -383,6 +392,32 @@ def test_validate_kernels_passes(capsys):
     assert run_cli("validate-kernels", "--seeds", "2", "--nodes", "12") == 0
     out = capsys.readouterr().out
     assert "semigroup" in out and "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv,flag", [(["--seeds", "0"], "--seeds"),
+                                       (["--seeds", "-2"], "--seeds"),
+                                       (["--nodes", "1"], "--nodes"),
+                                       (["--nodes", "-5"], "--nodes")])
+def test_validate_kernels_bad_counts_exit_1_naming_the_flag(capsys, argv, flag):
+    assert run_cli("validate-kernels", *argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {flag}: " in captured.err
+    assert captured.out == ""
+
+
+def test_validate_kernels_smallest_graph_passes(capsys):
+    assert run_cli("validate-kernels", "--seeds", "1", "--nodes", "2") == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_sweep_pir_has_no_seed_flag(tmp_path, graph_file, capsys):
+    # every sweep run takes its seed from sweep.seeds, so --seed is refused
+    cfg = write_config(tmp_path, graph_file, sweep={"pirs": [0.5], "seeds": [0]})
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep-pir", "--config", cfg, "--seed", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gradcheck_passes():

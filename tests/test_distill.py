@@ -13,12 +13,13 @@ from geokd.distill import (
     layer_avg_distill,
     pgkd_span,
     reconstruction_loss,
+    teacher_layer_kernels,
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
 from geokd.graphs import Graph, sbm_generate
 from geokd.models import build_model, forward, init_xavier
-from geokd.nhk import KernelSpec
+from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.training import sample_distill_batch
 
 
@@ -306,7 +307,8 @@ def test_factored_distill_matches_dense(case, delta):
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("case", range(4))
 def test_randomized_full_graph_alignment_matches_dense(case, delta):
-    # factored_distill_loss per layer against the n x n kernels and a dense W
+    # factored_distill_loss per layer, and the blocked op on a batch of every
+    # node, against the n x n kernels and a dense W
     g = factor_graphs()[case]
     n = g.num_nodes
     rng = np.random.default_rng([21, case])
@@ -316,14 +318,17 @@ def test_randomized_full_graph_alignment_matches_dense(case, delta):
     s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 4))),
                T.parameter(rng.normal(size=(n, 2)))]
     params = s_trace[1:]
-    # a batch of every node takes the dense path: b x b kernels and weight_matrix
-    want, want_grads = loss_and_grads(
-        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g, np.arange(n)), params)
-    got, got_grads = loss_and_grads(
-        lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g), params)
-    assert abs(got - want) <= 1e-12 * abs(want)
-    for gg, wg in zip(got_grads, want_grads):
-        assert_close_rel(gg, wg)
+    w = weight_matrix(g, delta, np.arange(n))
+    k_t = teacher_layer_kernels(t_feats, [h.shape[1] for h in s_trace], spec)
+    want, want_grads = loss_and_grads(lambda: T.scale(T.add(*(
+        distill_loss(k_t[l], kernel_matrix(spec, s_trace[l]), w) for l in (0, 1))),
+        cfg.alpha / 2), params)
+    for ids in (None, np.arange(n)):
+        got, got_grads = loss_and_grads(
+            lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g, ids), params)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for gg, wg in zip(got_grads, want_grads):
+            assert_close_rel(gg, wg)
 
 
 def test_fixed_terms_memoize_gradient_free_layers():

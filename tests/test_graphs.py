@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,44 @@ def test_sbm_masks_follow_two_one_one():
     assert len(g.train_mask) == 100
     assert len(g.val_mask) == 50
     assert len(g.test_mask) == 50
+
+
+def triu_sbm_reference(blocks, p_in, p_out, feature_dim, noise_sigma, seed):
+    """sbm_generate's edges and features, every pair drawn in one call over
+    np.triu_indices(n, 1)."""
+    n = sum(blocks)
+    labels = np.repeat(np.arange(len(blocks)), blocks)
+    rng = np.random.default_rng([seed, 103])
+    iu, ju = np.triu_indices(n, k=1)
+    hit = rng.random(len(iu)) < np.where(labels[iu] == labels[ju], p_in, p_out)
+    feats = np.zeros((n, feature_dim))
+    feats[np.arange(n), labels] = 1.0
+    feats += noise_sigma * rng.standard_normal((n, feature_dim))
+    return np.stack([iu[hit], ju[hit]], axis=1), feats
+
+
+# n = 1025 and 1400 draw the triangle in two row chunks, the last of 2 rows
+# for n = 1025
+@pytest.mark.parametrize("blocks", [[1], [3, 4], [100, 120, 80], [1000, 24, 1], [900, 500]])
+def test_sbm_chunked_draws_match_one_triu_draw(blocks):
+    g = sbm_generate(blocks, 0.3, 0.02, 5, 0.5, 7)
+    edges, feats = triu_sbm_reference(blocks, 0.3, 0.02, 5, 0.5, 7)
+    assert g.edges.dtype == edges.dtype and g.edges.shape == edges.shape
+    np.testing.assert_array_equal(g.edges, edges)
+    np.testing.assert_array_equal(g.features.values, feats)
+
+
+def test_sbm_memory_is_below_one_pair_array():
+    # np.triu_indices at n = 6000 alone holds two 18M-entry index arrays (288 MB)
+    n = 6000
+    tracemalloc.start()
+    try:
+        g = sbm_generate([n // 4] * 4, 0.01, 0.001, 8, 0.5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == n
+    assert peak < n * n * 8 / 4
 
 
 def test_sbm_validates_inputs():

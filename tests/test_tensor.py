@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geokd import tensor as T
+from geokd.distill import distill_loss
 from geokd.errors import DimensionError, NumericError, ValidationError
 from geokd.tensor import SparseMatrix, Tensor, grad_check
 
@@ -275,26 +276,27 @@ def test_gram_psd():
 
 
 # --------------------------------------------------------------------------
-# frobenius
+# weighted Frobenius distance: distill_loss(b, a, w) = sum of W^2 (A - B)^2,
+# a chain of sub, mul_elem and sum_all
 
 
 def test_frobenius_identical_and_hand_value():
     a = Tensor([[0.1, 0.2], [0.2, 0.3]])
     zero = Tensor(np.zeros((2, 2)))
     ones = Tensor(np.ones((2, 2)))
-    assert T.frobenius_sq(a, a, ones).item() == 0.0
-    assert abs(T.frobenius_sq(a, zero, ones).item() - 0.18) < 1e-12
+    assert distill_loss(a, a, ones).item() == 0.0
+    assert abs(distill_loss(zero, a, ones).item() - 0.18) < 1e-12
 
 
 def test_frobenius_zero_weights_annihilate():
     a, b = rand((3, 3), 16), rand((3, 3), 17)
-    assert T.frobenius_sq(a, b, Tensor(np.zeros((3, 3)))).item() == 0.0
+    assert distill_loss(b, a, Tensor(np.zeros((3, 3)))).item() == 0.0
 
 
 def test_frobenius_gradient():
     a, b = rand((3, 3), 18), rand((3, 3), 19)
-    w = Tensor(np.random.default_rng(20).uniform(0, 1, size=(3, 3)))
-    assert grad_check(lambda: T.frobenius_sq(a, b, w), [a, b]) < 1e-6
+    w = rand((3, 3), 20, lo=0.0)
+    assert grad_check(lambda: distill_loss(b, a, w), [a, w]) < 1e-6
 
 
 # --------------------------------------------------------------------------
