@@ -297,6 +297,14 @@ def cmd_gen_synthetic(args) -> int:
     if not blocks or min(blocks) < 1:
         raise GraphParseError(
             "--blocks", f"expected comma-separated sizes >= 1, got {args.blocks!r}")
+    for flag, value, ok, want in (
+            ("--feature-dim", args.feature_dim, args.feature_dim >= len(blocks),
+             f">= {len(blocks)}, one per block"),
+            ("--p-in", args.p_in, 0.0 <= args.p_in <= 1.0, "a probability in [0, 1]"),
+            ("--p-out", args.p_out, 0.0 <= args.p_out <= 1.0, "a probability in [0, 1]"),
+            ("--noise-sigma", args.noise_sigma, 0.0 <= args.noise_sigma < np.inf, "finite >= 0")):
+        if not ok:
+            raise GraphParseError(flag, f"expected {want}, got {value!r}")
     g = sbm_generate(blocks, args.p_in, args.p_out, args.feature_dim,
                      args.noise_sigma, args.seed)
     out = Path(args.out)

@@ -22,14 +22,14 @@ binary with a zero diagonal, which ``Graph`` guarantees (no self-loops, no
 duplicate edges). Hence, with phi_u the row of node u,
 
     ||W .* (K_s - K_t)||_F^2
-        = delta^2 (||Phi_s^T Phi_s||^2 - 2 ||Phi_s^T Phi_t||^2 + ||Phi_t^T Phi_t||^2)
-        + 2 (1 - delta^2) sum_{(u, v) in E} (<phi_s,u, phi_s,v> - <phi_t,u, phi_t,v>)^2
+        = delta^2 (||Phi_s^T Phi_s||^2 - 2 ||Phi_t^T Phi_s||^2 + ||Phi_t^T Phi_t||^2)
+        + (1 - delta^2) sum_{A_uv = 1} (<phi_s,u, phi_s,v> - <phi_t,u, phi_t,v>)^2
 
-in O(n s^2 + |E| s) time and O(n s + |E| s) memory, which beats the blocked
-O(n^2 s) when n >> s: a full-graph randomized layer and pgkd use it.
-``factored_distill_loss`` and ``factored_reconstruction_loss`` compute these
-from tape ops; the dense ``distill_loss``, ``inverse_nhk_gram`` and
-``reconstruction_loss`` are the reference they are tested against.
+in O(n s^2 + |E| s) time and O(n s + |E|) memory, which beats the blocked
+O(n^2 s) when n >> s: ``T.gram_alignment`` is this one tape node, run by a
+full-graph randomized layer and by pgkd (``factored_distill_loss``). The
+dense ``distill_loss``, ``inverse_nhk_gram`` and ``reconstruction_loss`` are
+the reference it and ``factored_reconstruction_loss`` are tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ValidationError
-from .graphs import Graph, adjacency, edge_endpoints
+from .graphs import Graph, adjacency
 from .models import GnnModel, init_xavier
 from .nhk import KernelSpec, kernel_factor, kernel_matrix
 from .tensor import Tensor
@@ -133,8 +133,8 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     arrays; both sides must already be restricted to the aligned rows. Gauss and sigmoid
     layers run ``T.kernel_alignment``. A randomized kernel aligns factors,
     by default ``teacher_layer_factors``: on every node through
-    ``factored_distill_loss``, and on a batch through ``T.kernel_alignment``
-    on the factors. A frozen teacher may pass a dict ``fixed_terms``,
+    ``T.gram_alignment``, and on a batch through ``T.kernel_alignment`` on
+    the factors. A frozen teacher may pass a dict ``fixed_terms``,
     kept across calls, that memoizes the terms of gradient-free student
     entries.
     """
@@ -149,8 +149,7 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     if factored and teacher_layers is None:
         teacher_layers = teacher_layer_factors(
             traces_teacher, [h.shape[1] for h in traces_student], spec)
-    if not factored or ids is not None:
-        adj = adjacency(g, ids)
+    adj = adjacency(g, ids)
 
     def align(l):
         h_s = traces_student[l]
@@ -158,7 +157,7 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
             return T.kernel_alignment(h_s, T.constant(traces_teacher[l]), adj, cfg.delta, spec)
         phi_s = kernel_factor(spec, h_s)
         if ids is None:
-            return factored_distill_loss(g, teacher_layers[l], phi_s, cfg.delta)
+            return T.gram_alignment(phi_s, teacher_layers[l], adj, cfg.delta)
         return T.kernel_alignment(phi_s, teacher_layers[l], adj, cfg.delta, spec)
 
     total = None
@@ -204,44 +203,14 @@ def _sq_residual(recon: Tensor, h_early: Tensor) -> Tensor:
     return T.sum_all(T.mul_elem(diff, diff))
 
 
-def _sq_cross_gram(a: Tensor, b: Tensor) -> Tensor:
-    """||A^T B||_F^2 as a scalar tensor."""
-    m = T.matmul(T.transpose(a), b)
-    return T.sum_all(T.mul_elem(m, m))
-
-
 def factored_distill_loss(g: Graph, phi_teacher_sub: Tensor, phi_student: Tensor,
                           delta: float) -> Tensor:
-    """distill_loss(Phi_t Phi_t^T, Phi_s Phi_s^T, weight_matrix(g, delta, all nodes)).
-
-    Computed from the factors by the identity in the module docstring; the
-    teacher factor is detached.
-    """
-    if phi_teacher_sub.shape != phi_student.shape:
-        raise DimensionError(
-            f"factor shapes differ: {phi_teacher_sub.shape} vs {phi_student.shape}"
-        )
-    if phi_student.shape[0] != g.num_nodes:
-        raise DimensionError(
-            f"factor rows {phi_student.shape[0]} != num_nodes {g.num_nodes}"
-        )
-    phi_s, phi_t = phi_student, phi_teacher_sub.detach()
-    all_pairs = T.add(
-        T.sub(_sq_cross_gram(phi_s, phi_s), T.scale(_sq_cross_gram(phi_s, phi_t), 2.0)),
-        _sq_cross_gram(phi_t, phi_t),
-    )
-    loss = T.scale(all_pairs, delta * delta)
-    if g.num_edges:
-        sel_u, sel_v = edge_endpoints(g)
-        ones = T.constant(np.ones((phi_s.shape[1], 1)))
-
-        def edge_dots(phi):
-            return T.matmul(T.mul_elem(T.spmm(sel_u, phi), T.spmm(sel_v, phi)), ones)
-
-        diff = T.sub(edge_dots(phi_s), edge_dots(phi_t))
-        on_edges = T.sum_all(T.mul_elem(diff, diff))
-        loss = T.add(loss, T.scale(on_edges, 2.0 * (1.0 - delta * delta)))
-    return loss
+    """distill_loss(Phi_t Phi_t^T, Phi_s Phi_s^T, weight_matrix(g, delta, all nodes)) as
+    ``T.gram_alignment`` on g's adjacency; the teacher factor gets no gradient."""
+    if phi_teacher_sub.shape != phi_student.shape or phi_student.shape[0] != g.num_nodes:
+        raise DimensionError(f"factor shapes {phi_teacher_sub.shape} and "
+                             f"{phi_student.shape}, expected {g.num_nodes} rows each")
+    return T.gram_alignment(phi_student, phi_teacher_sub, adjacency(g), delta)
 
 
 def kd_soft_label_loss(teacher_logits, student_logits: Tensor, tau: float, mask) -> Tensor:

@@ -3,8 +3,8 @@
 Edges are undirected, stored once as (u, v) with u < v, no self-loops. The
 normalized adjacency and Laplacian add the implicit self-loop (A + I) and are
 cached on the graph, which is immutable after construction; so are the
-parameter-free propagations A_hat^k X of the features and the edge endpoint
-selectors.
+parameter-free propagations A_hat^k X of the features and the binary
+adjacency.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class Graph:
         self._norm_adj = None
         self._laplacian = None
         self._hops = [self.features]  # [X, A_hat X, ...], see propagated_features
-        self._endpoints = None  # see edge_endpoints
         self._adjacency = None  # see adjacency
 
     def _check_mask(self, mask, name):
@@ -154,23 +153,6 @@ def propagated_features(g: Graph, hops: int) -> list:
     while len(g._hops) <= hops:
         g._hops.append(spmm(normalize_adjacency(g), g._hops[-1]))
     return g._hops[:hops + 1]
-
-
-def edge_endpoints(g: Graph) -> tuple[SparseMatrix, SparseMatrix]:
-    """Selectors (S_u, S_v), each |E| x n, with S_u @ H = H[edges[:, 0]].
-
-    Gathering rows through ``spmm`` makes the backward pass a CSR scatter-add
-    over the transpose's bucket plan: each node sums its edges' gradients in
-    edge order, exactly as ``np.add.at`` would, without its per-element loop.
-    """
-    if g._endpoints is None:
-        m = g.num_edges
-        indptr = np.arange(m + 1, dtype=np.int64)
-        g._endpoints = tuple(
-            SparseMatrix(m, g.num_nodes, indptr, g.edges[:, side], np.ones(m))
-            for side in (0, 1)
-        )
-    return g._endpoints
 
 
 def adjacency(g: Graph, ids=None) -> SparseMatrix:

@@ -11,10 +11,10 @@ grouped by how many entries they store, and each group is one gather and one
 order, so results do not depend on how rows are grouped (see
 ``SparseMatrix.matmul_dense`` for the one exception).
 
-``kernel_alignment`` is the one fused op: the weighted distance between two
-kernels (gauss, sigmoid or a Gram of factors) as one tape node that forms no
-n x n matrix. The primitive chains over ``pairwise_sqdist`` and ``gram`` are
-its dense reference.
+The fused ops ``kernel_alignment`` (gauss, sigmoid or a Gram of factors, by
+row blocks) and ``gram_alignment`` (a Gram of factors, from its r x r Grams)
+each give the weighted distance between two kernels as one tape node with no
+n x n matrix; the chains over ``pairwise_sqdist`` and ``gram`` are their reference.
 """
 
 from __future__ import annotations
@@ -206,8 +206,9 @@ class SparseMatrix:
             )
         return self._transpose
 
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """CSR @ dense, one gather and one einsum per degree bucket.
+    def matmul_dense(self, x: np.ndarray, data=None) -> np.ndarray:
+        """CSR @ dense, one gather and one einsum per degree bucket; ``data``,
+        when given, replaces the stored values entry for entry.
 
         Rows storing k entries form one bucket, held as (k, rows) arrays of
         column indices and values, so there are at most sqrt(2 * nnz) buckets.
@@ -231,10 +232,13 @@ class SparseMatrix:
                 rows = np.flatnonzero(counts == k)
                 pos = self.indptr[rows] + np.arange(k)[:, None]
                 self._plan.append((rows, self.indices[pos], self.data[pos]))
-        if len(self._plan) == 1 and len(self._plan[0][0]) == self.rows:
-            return _bucket_product(x, *self._plan[0][1:])
+        plan = self._plan if data is None else [
+            (rows, idx, data[self.indptr[rows] + np.arange(len(idx))[:, None]])
+            for rows, idx, _ in self._plan]
+        if len(plan) == 1 and len(plan[0][0]) == self.rows:
+            return _bucket_product(x, *plan[0][1:])
         out = np.zeros((self.rows, x.shape[1]))
-        for rows, idx, vals in self._plan:
+        for rows, idx, vals in plan:
             out[rows] = _bucket_product(x, idx, vals)
         return out
 
@@ -527,6 +531,42 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
         h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
 
     return _make(np.array([[loss]]), (h_s,), backward)
+
+
+def gram_alignment(phi_s: Tensor, phi_t: Tensor, adj: SparseMatrix, delta: float) -> Tensor:
+    """kernel_alignment(phi_s, phi_t, adj, delta, randomized spec) in O(n r + |E|) memory.
+
+    The loss is delta^2 (||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2), G_ts = Phi_t^T
+    Phi_s the r x r Grams, plus (1 - delta^2) sum_e rho_e^2 over the entries
+    e = (i, j) of adj, rho_e = <phi_s,i, phi_s,j> - <phi_t,i, phi_t,j>, gathered
+    in blocks of entries. The node keeps rho and the Grams: as adj is
+    symmetric, dL/dPhi_s = 4 delta^2 (Phi_s G_ss - Phi_t G_ts) + 4 (1 - delta^2)
+    A_rho Phi_s, A_rho being adj with the values rho. phi_t gets no gradient.
+    """
+    n = phi_s.shape[0]
+    if phi_t.shape[0] != n or adj.shape != (n, n):
+        raise DimensionError(
+            f"gram_alignment: rows {n} and {phi_t.shape[0]}, adjacency {adj.shape}")
+    hs, ht = phi_s.values, phi_t.values
+    g_ss, g_ts, g_tt = hs.T @ hs, ht.T @ hs, ht.T @ ht
+    rows, cols, d2 = adj.row_ids(), adj.indices, float(delta) ** 2
+    rho = np.empty(adj.nnz)
+    step = max(1, _BLOCK_FLOATS // max(hs.shape[1], ht.shape[1]))
+    for lo in range(0, adj.nnz, step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        np.subtract(np.einsum("ij,ij->i", hs[r], hs[c]), np.einsum("ij,ij->i", ht[r], ht[c]),
+                    out=rho[lo:lo + step])
+    loss = d2 * (np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt)) \
+        + (1.0 - d2) * np.dot(rho, rho)
+
+    def backward(g):
+        grad = adj.matmul_dense(hs, rho)
+        grad *= 4.0 * (1.0 - d2) * g[0, 0]
+        if d2:
+            grad += 4.0 * d2 * g[0, 0] * (hs @ g_ss - ht @ g_ts)
+        phi_s._accumulate_owned(grad)
+
+    return _make(np.array([[loss]]), (phi_s,), backward)
 
 
 def cross_entropy(logits: Tensor, labels, mask) -> Tensor:

@@ -1,12 +1,14 @@
-"""The blocked alignment op against its dense reference.
+"""The fused alignment ops against their dense reference.
 
 ``T.kernel_alignment`` sums the loss and its gradient over row blocks, so it
 adds in another order than the dense chain of ``kernel_matrix`` (for a
 randomized spec, whose rows are factors, ``gram``), ``weight_matrix`` and
-``distill_loss``: values and gradients are compared to 1e-12 relative, never
-bit for bit.
+``distill_loss``; ``T.gram_alignment`` computes a randomized spec's loss from
+r x r Grams and per-edge residuals, in a third order. Values and gradients
+are compared to 1e-12 relative, never bit for bit.
 """
 
+import itertools
 import json
 import tracemalloc
 
@@ -18,6 +20,7 @@ from geokd.cli import main
 from geokd.distill import (
     DistillConfig,
     distill_loss,
+    factored_distill_loss,
     layer_avg_distill,
     teacher_layer_kernels,
     weight_matrix,
@@ -51,11 +54,20 @@ def loss_and_grad(align, hv_s, hv_t, adj, delta, spec):
     return loss.item(), h_s.grad
 
 
+def gram_alignment(h_s, h_t, adj, delta, spec):
+    return T.gram_alignment(h_s, h_t, adj, delta)
+
+
 def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
-    want, want_grad = loss_and_grad(dense_alignment, hv_s, hv_t, adj, delta, spec)
-    got, got_grad = loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec)
-    assert abs(got - want) <= rtol * abs(want)
-    assert np.max(np.abs(got_grad - want_grad)) <= rtol * np.max(np.abs(want_grad))
+    """The blocked op against the dense chain; for a randomized spec the
+    factored op against both."""
+    ops = [dense_alignment, T.kernel_alignment]
+    if spec.kind == "randomized":
+        ops.append(gram_alignment)
+    results = [loss_and_grad(op, hv_s, hv_t, adj, delta, spec) for op in ops]
+    for (want, want_grad), (got, got_grad) in itertools.combinations(results, 2):
+        assert abs(got - want) <= rtol * abs(want)
+        assert np.max(np.abs(got_grad - want_grad)) <= rtol * np.max(np.abs(want_grad))
 
 
 def random_graph(n, seed, p=0.2, isolated=0):
@@ -147,8 +159,12 @@ def test_gradient_free_student_and_shape_checks():
     spec = KernelSpec(kind="gauss")
     loss = T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 3, 1)), adj, 0.4, spec)
     assert loss._backward is None and loss.item() > 0.0
+    loss = T.gram_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 3, 1)), adj, 0.4)
+    assert loss._backward is None and loss.item() > 0.0
     with pytest.raises(DimensionError, match="rows 5 and 4"):
         T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4, spec)
+    with pytest.raises(DimensionError, match="rows 5 and 4"):
+        T.gram_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4)
     with pytest.raises(ValidationError, match="parametric"):
         T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 2, 1)), adj, 0.4,
                            KernelSpec(kind="parametric"))
@@ -198,6 +214,26 @@ def test_gauss_gkd_full_batch_allocates_no_node_by_node_buffer():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_factored_alignment_peaks_below_eight_factor_buffers():
+    # the student graph of a pgkd node split at n = 1,600 (about 1,200 nodes
+    # and 7,200 edges), with the r = 320 factor columns of a full-graph
+    # randomized layer of width 32: the op keeps the Grams and one residual
+    # per edge, never an |E| x r gather
+    g = sbm_generate([300] * 4, 0.032, 0.0027, 4, 0.5, 32)
+    n, r = g.num_nodes, 320
+    rng = np.random.default_rng(33)
+    phi_t = T.constant(np.tanh(rng.normal(size=(n, r))))
+    phi_s = T.parameter(np.tanh(rng.normal(size=(n, r))))
+    tracemalloc.start()
+    try:
+        factored_distill_loss(g, phi_t, phi_s, 0.4).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges > 6000 and phi_s.grad is not None
+    assert peak <= 8 * n * r * 8
 
 
 def test_cli_gauss_gkd_matches_dense_reference(tmp_path, monkeypatch):

@@ -80,6 +80,18 @@ def test_gen_synthetic_bad_blocks_exit_1_naming_the_flag(tmp_path, capsys, block
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--feature-dim", "2"), ("--p-in", "1.5"), ("--p-in", "nan"), ("--p-out", "-0.1"),
+    ("--noise-sigma", "nan"), ("--noise-sigma", "-1"), ("--noise-sigma", "inf")])
+def test_gen_synthetic_bad_values_exit_1_naming_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "g.json"
+    args = {"--blocks": "4,4,4", "--p-in": "0.5", "--p-out": "0.1", "--feature-dim": "3",
+            "--noise-sigma": "0.5", flag: value}
+    assert run_cli("gen-synthetic", *(x for kv in args.items() for x in kv), "--out", out) == 1
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # train-teacher / eval
 

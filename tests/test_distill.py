@@ -307,7 +307,7 @@ def test_factored_distill_matches_dense(case, delta):
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("case", range(4))
 def test_randomized_full_graph_alignment_matches_dense(case, delta):
-    # factored_distill_loss per layer, and the blocked op on a batch of every
+    # T.gram_alignment per layer, and the blocked op on a batch of every
     # node, against the n x n kernels and a dense W
     g = factor_graphs()[case]
     n = g.num_nodes

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from geokd.errors import GraphParseError, ValidationError
-from geokd import tensor as T
 from geokd.graphs import (
     Graph,
     Measure,
     adjacency,
-    edge_endpoints,
     graph_to_dict,
     laplacian_sym,
     load_graph,
@@ -126,23 +124,6 @@ def test_adjacency_plus_laplacian_is_identity():
     g = sbm_generate([8, 8], 0.5, 0.15, 3, 0.5, 3)
     total = normalize_adjacency(g).densify() + laplacian_sym(g).densify()
     assert np.max(np.abs(total - np.eye(g.num_nodes))) < 1e-12
-
-
-def test_edge_endpoints_gather_and_scatter_like_add_at():
-    g = sbm_generate([30, 30], 0.3, 0.05, 4, 0.5, 5)
-    sel_u, sel_v = edge_endpoints(g)
-    assert edge_endpoints(g)[0] is sel_u  # cached on the graph
-    rng = np.random.default_rng(6)
-    h = T.parameter(rng.normal(size=(g.num_nodes, 7)))
-    upstream = rng.normal(size=(g.num_edges, 7))
-    for side, sel in enumerate((sel_u, sel_v)):
-        out = T.spmm(sel, h)
-        assert out.values.tobytes() == h.values[g.edges[:, side]].tobytes()
-        h.zero_grad()
-        T.sum_all(T.mul_elem(out, T.constant(upstream))).backward()
-        want = np.zeros_like(h.values)
-        np.add.at(want, g.edges[:, side], upstream)
-        assert h.grad.tobytes() == want.tobytes()
 
 
 def test_measure_modes():

@@ -120,6 +120,11 @@ def test_spmm_bucket_plan_matches_dense(rows, cols, degrees, d):
     if d > 1:
         np.testing.assert_array_equal(got, row_sequential(s, x))
     np.testing.assert_array_equal(s.matmul_dense(x), got)  # cached plan reused
+    # values given per entry run on the same plan, as if they were stored
+    other = np.random.default_rng(seed + 2).uniform(-1, 1, size=s.nnz)
+    np.testing.assert_array_equal(
+        s.matmul_dense(x, other),
+        SparseMatrix(rows, cols, s.indptr, s.indices, other).matmul_dense(x))
 
 
 def test_spmm_single_entry_rows_round_like_einsum():
