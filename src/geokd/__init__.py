@@ -13,7 +13,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .graphs import Graph, Measure, load_graph, save_graph, sbm_generate
+from .graphs import Graph, load_graph, save_graph, sbm_generate
 from .models import GnnModel, build_model, forward, init_xavier
 from .nhk import KernelSpec
 from .distill import DistillConfig
@@ -31,7 +31,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "KernelSpec",
-    "Measure",
     "NumericError",
     "SparseMatrix",
     "Tensor",

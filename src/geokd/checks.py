@@ -23,7 +23,7 @@ from .distill import (
     reconstruction_loss,
     weight_matrix,
 )
-from .graphs import Measure, adjacency, laplacian_sym, normalize_adjacency, sbm_generate
+from .graphs import adjacency, laplacian_sym, normalize_adjacency, sbm_generate
 from .models import GnnModel, forward, init_xavier, sgc_euler_equivalence
 from .nhk import (
     KernelSpec,
@@ -64,9 +64,8 @@ def theorem_checks(seed: int, n: int = 20) -> list[CheckResult]:
     results.append(CheckResult("heat kernel symmetry", float(np.max(np.abs(k1 - k1.T))), 1e-10))
     results.append(CheckResult("heat kernel PSD (negated min eig)", max(0.0, -_min_eig(k1)), 1e-10))
 
-    mu = Measure.uniform(g.num_nodes)
     k_half = T.Tensor(exact_heat_kernel(lap, 0.5))
-    composed = nhk_compose(k_half, k_half, mu).values
+    composed = nhk_compose(k_half, k_half, np.ones(g.num_nodes)).values
     k_full = exact_heat_kernel(lap, 1.0)
     results.append(
         CheckResult("semigroup K(s)K(t)=K(s+t)", float(np.linalg.norm(composed - k_full)), 1e-8)

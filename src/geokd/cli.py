@@ -15,12 +15,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checks import gradient_suite, kernel_checks, theorem_checks
+from .config import config_fields
 from .distill import DistillConfig
 from .errors import DimensionError, GeokdError, GraphParseError, NumericError, ValidationError
 from .graphs import (
@@ -39,27 +40,28 @@ from .training import STUDENT_MODES, TrainPlan, TrainResult, train_student, trai
 
 _MISSING = object()
 
-
-def _get(doc: dict, key: str, expect=None, default=_MISSING, prefix: str = ""):
-    name = prefix + key
-    if key not in doc or doc[key] is None:
-        if default is _MISSING:
-            raise GraphParseError(name, "missing required field")
-        return default
-    val = doc[key]
-    if expect is not None and not isinstance(val, expect):
-        raise GraphParseError(name, f"expected {expect}, got {type(val).__name__}")
-    return val
-
-
-_NUM = (int, float)
-# (accepted JSON types, conversion) per scalar field annotation; a
-# list[<scalar>] field takes a nonempty list of that scalar. A field of another
-# type, such as KernelSpec.decay_weights, is not a config key
-_SCALARS = {"float": (_NUM, float), "int": (int, int), "str": (str, str)}
-_OPTIMIZER_KEYS = ("epochs", "patience", "lr", "lr_mapper")
+# (accepted JSON types, conversion) per scalar field type; a JSON boolean is
+# not a number, although bool subclasses int
+_SCALARS = {"float": ((int, float), float), "int": (int, int), "str": (str, str)}
 _TOP_KEYS = ("mode", "seed", "complete_graph", "partial_graph", "split", "teacher",
              "student", "kernel", "distill", "optimizer", "out_dir", "sweep")
+
+
+def _scalar(value, kind: str, name: str):
+    """value as the scalar field type ``kind``; a mistyped value is named."""
+    expect, convert = _SCALARS[kind]
+    if not isinstance(value, expect) or isinstance(value, bool):
+        raise GraphParseError(name, f"expected {kind}, got {type(value).__name__}")
+    return convert(value)
+
+
+def _get(doc: dict, key: str, kind: str, default=_MISSING):
+    """Top-level scalar ``key``; absent or null gives default, else it is required."""
+    if doc.get(key) is None:
+        if default is _MISSING:
+            raise GraphParseError(key, "missing required field")
+        return default
+    return _scalar(doc[key], kind, key)
 
 
 def _reject_unknown(doc: dict, keys, prefix: str = ""):
@@ -68,55 +70,45 @@ def _reject_unknown(doc: dict, keys, prefix: str = ""):
         raise GraphParseError(prefix + unknown[0], "unknown key")
 
 
-def _object(doc: dict, name: str, keys) -> dict:
-    """Config section ``name``, {} if absent or null; an unknown key is an error."""
+def _section(doc: dict, name: str, cls, **given):
+    """cls built from config section ``name`` and the fields ``given``.
+
+    The section sets cls's scalar and scalar-list fields (``config_fields``)
+    that are not given. An absent or null key keeps the dataclass default,
+    and is an error for a field without one. An unknown key, a mistyped value
+    or a value cls rejects is an error naming its field: cls raises
+    GraphParseError naming a field of the section, or ValidationError.
+    """
+    kinds = {k: t for k, t in config_fields(cls).items() if k not in given}
     sub = doc.get(name) or {}
     if not isinstance(sub, dict):
         raise GraphParseError(name, "expected a JSON object")
-    _reject_unknown(sub, keys, name + ".")
-    return sub
-
-
-def _field_names(cls) -> list:
-    return [f.name for f in fields(cls)]
-
-
-def _section(doc: dict, name: str, cls, keys=None, **given):
-    """cls built from the scalar and scalar-list fields in config section ``name``.
-
-    Absent or null keys keep the dataclass default; an unknown key, a
-    mistyped value or a value cls rejects is an error naming its field.
-    """
-    kinds = {f.name: f.type.split(" | ")[0] for f in fields(cls)
-             if keys is None or f.name in keys}
-    kinds = {k: t for k, t in kinds.items()
-             if t in _SCALARS or (t.startswith("list[") and t[5:-1] in _SCALARS)}
-    sub = _object(doc, name, kinds)
+    _reject_unknown(sub, kinds, name + ".")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
     kwargs = dict(given)
     for key, kind in kinds.items():
+        field_name = f"{name}.{key}"
         if sub.get(key) is None:
-            continue
-        if kind in _SCALARS:
-            expect, convert = _SCALARS[kind]
-            kwargs[key] = convert(_get(sub, key, expect, prefix=name + "."))
+            if key in required:
+                raise GraphParseError(field_name, "missing required field")
+        elif kind in _SCALARS:
+            kwargs[key] = _scalar(sub[key], kind, field_name)
         else:  # list[<scalar>]
-            kwargs[key] = _scalar_list(_get(sub, key, list, prefix=name + "."),
-                                       kind[5:-1], f"{name}.{key}")
+            kwargs[key] = _scalar_list(sub[key], kind[5:-1], field_name)
     try:
         return cls(**kwargs)
+    except GraphParseError as e:
+        raise GraphParseError(f"{name}.{e.field}", e.message) from e
     except ValidationError as e:
         raise GraphParseError(name, str(e)) from e
 
 
-def _scalar_list(items: list, kind: str, name: str) -> list:
+def _scalar_list(items, kind: str, name: str) -> list:
     """A nonempty JSON list of one scalar kind; a bad entry is named by index."""
-    if not items:
-        raise GraphParseError(name, "expected a nonempty list")
-    expect, convert = _SCALARS[kind]
-    for i, item in enumerate(items):
-        if not isinstance(item, expect):
-            raise GraphParseError(f"{name}[{i}]", f"expected {kind}, got {type(item).__name__}")
-    return [convert(item) for item in items]
+    if not isinstance(items, list) or not items:
+        raise GraphParseError(name, f"expected a nonempty list of {kind}")
+    return [_scalar(item, kind, f"{name}[{i}]") for i, item in enumerate(items)]
 
 
 @dataclass
@@ -126,17 +118,12 @@ class ModelSection:
     hidden: int = 32
     checkpoint: str | None = None
 
-    @classmethod
-    def from_dict(cls, doc: dict, prefix: str) -> "ModelSection":
-        kind = _get(doc, "kind", str, "gcn", prefix)
-        if kind not in ("gcn", "sgc"):
-            raise GraphParseError(prefix + "kind", f"unknown model kind {kind!r}")
-        depth = int(_get(doc, "depth", int, 3, prefix))
-        hidden = int(_get(doc, "hidden", int, 32, prefix))
-        if depth < 1 or hidden < 1:
-            raise GraphParseError(prefix + "depth", "depth and hidden must be >= 1")
-        ckpt = _get(doc, "checkpoint", str, None, prefix)
-        return cls(kind, depth, hidden, ckpt)
+    def __post_init__(self):
+        if self.kind not in ("gcn", "sgc"):
+            raise GraphParseError("kind", f"unknown model kind {self.kind!r}")
+        for name, value in (("depth", self.depth), ("hidden", self.hidden)):
+            if value < 1:
+                raise GraphParseError(name, f"expected an integer >= 1, got {value}")
 
 
 @dataclass
@@ -145,16 +132,11 @@ class SplitSection:
     pir: float
     seed: int | None = None  # defaults to the run seed
 
-    @classmethod
-    def from_dict(cls, doc: dict, prefix: str) -> "SplitSection":
-        kind = _get(doc, "kind", str, prefix=prefix)
-        if kind not in ("edges", "nodes"):
-            raise GraphParseError(prefix + "kind", f"unknown split kind {kind!r}")
-        pir = float(_get(doc, "pir", _NUM, prefix=prefix))
-        if not 0.0 <= pir <= 1.0:
-            raise GraphParseError(prefix + "pir", f"{pir} outside [0, 1]")
-        seed = _get(doc, "seed", int, None, prefix)
-        return cls(kind, pir, seed)
+    def __post_init__(self):
+        if self.kind not in ("edges", "nodes"):
+            raise GraphParseError("kind", f"unknown split kind {self.kind!r}")
+        if not 0.0 <= self.pir <= 1.0:
+            raise GraphParseError("pir", f"{self.pir} outside [0, 1]")
 
 
 @dataclass
@@ -166,9 +148,9 @@ class SweepSection:
     def __post_init__(self):
         for p in self.pirs:
             if not 0.0 <= p <= 1.0:
-                raise GraphParseError("sweep.pirs", f"{p} outside [0, 1]")
+                raise GraphParseError("pirs", f"{p} outside [0, 1]")
         if self.split_kind not in (None, "edges", "nodes"):
-            raise GraphParseError("sweep.split_kind", f"unknown kind {self.split_kind!r}")
+            raise GraphParseError("split_kind", f"unknown kind {self.split_kind!r}")
 
 
 @dataclass
@@ -186,19 +168,18 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse a config document; every section rejects keys it does not know."""
         _reject_unknown(doc, _TOP_KEYS)
-        mode = _get(doc, "mode", str, "gkd_offline")
+        mode = _get(doc, "mode", "str", "gkd_offline")
         if mode not in ("teacher",) + STUDENT_MODES:
             raise GraphParseError("mode", f"unknown mode {mode!r}")
-        complete = _get(doc, "complete_graph", str)
+        complete = _get(doc, "complete_graph", "str")
         if not Path(complete).exists():
             raise GraphParseError("complete_graph", f"file not found: {complete}")
-        partial = _get(doc, "partial_graph", str, None)
+        partial = _get(doc, "partial_graph", "str", None)
         if partial is not None and not Path(partial).exists():
             raise GraphParseError("partial_graph", f"file not found: {partial}")
-        split = _object(doc, "split", _field_names(SplitSection))
-        split = SplitSection.from_dict(split, "split.") if split else None
-        plan = _section(doc, "optimizer", TrainPlan, _OPTIMIZER_KEYS, mode=mode,
-                        seed=int(_get(doc, "seed", int, 0)),
+        split = _section(doc, "split", SplitSection) if doc.get("split") else None
+        plan = _section(doc, "optimizer", TrainPlan, mode=mode,
+                        seed=_get(doc, "seed", "int", 0),
                         kernel=_section(doc, "kernel", KernelSpec),
                         distill=_section(doc, "distill", DistillConfig))
         return cls(
@@ -206,11 +187,9 @@ class RunConfig:
             plan=plan,
             partial_graph=partial,
             split=split,
-            teacher=ModelSection.from_dict(
-                _object(doc, "teacher", _field_names(ModelSection)), "teacher."),
-            student=ModelSection.from_dict(
-                _object(doc, "student", _field_names(ModelSection)), "student."),
-            out_dir=_get(doc, "out_dir", str, "runs/out"),
+            teacher=_section(doc, "teacher", ModelSection),
+            student=_section(doc, "student", ModelSection),
+            out_dir=_get(doc, "out_dir", "str", "runs/out"),
             sweep=_section(doc, "sweep", SweepSection),
         )
 

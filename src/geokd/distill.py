@@ -118,7 +118,7 @@ def teacher_layer_factors(traces_teacher, traces_student_dims, spec: KernelSpec)
     """A randomized kernel's factors Phi_t (K_t = Phi_t Phi_t^T) of the teacher's
     feature arrays; layer l is projected to spec.s, else twice the student's
     feature width at l."""
-    return [kernel_factor(spec, T.constant(h), spec.s if spec.s is not None else 2 * d)
+    return [kernel_factor(spec, T.constant(h), spec.width(d))
             for h, d in zip(traces_teacher[:-1], traces_student_dims)]
 
 

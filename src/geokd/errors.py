@@ -17,7 +17,7 @@ class GraphParseError(GeokdError):
     """A graph or config file does not match its schema."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
 
 

@@ -99,27 +99,6 @@ class Graph:
         return 1.0 + np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
 
-class Measure:
-    """Per-node weights for kernel aggregation; uniform or inverse degree."""
-
-    def __init__(self, mode: str, values: np.ndarray):
-        if mode not in ("uniform", "inverse-degree"):
-            raise ValidationError(f"unknown measure mode {mode!r}")
-        self.mode = mode
-        self.values = np.asarray(values, dtype=np.float64)
-        if np.any(self.values <= 0):
-            raise ValidationError("measure values must be positive")
-
-    @classmethod
-    def uniform(cls, n: int) -> "Measure":
-        return cls("uniform", np.ones(n))
-
-    @classmethod
-    def inverse_degree(cls, g: Graph) -> "Measure":
-        # degree includes the implicit self-loop, so never zero
-        return cls("inverse-degree", 1.0 / g.degrees_with_self_loop())
-
-
 def normalize_adjacency(g: Graph) -> SparseMatrix:
     """D^{-1/2} (A + I) D^{-1/2} with D the self-loop-augmented degrees."""
     if g._norm_adj is not None:

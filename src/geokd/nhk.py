@@ -21,7 +21,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ValidationError
-from .graphs import Measure
 from .tensor import SparseMatrix, Tensor
 
 
@@ -54,6 +53,11 @@ class KernelSpec:
             if np.any(w <= 0) or np.any(np.diff(w) > 0):
                 raise ValidationError("decay weights must be positive and nonincreasing")
 
+    def width(self, dim: int) -> int:
+        """Randomized projection or parametric mapper output width for inputs
+        of width dim: s, else 2 * dim."""
+        return self.s if self.s is not None else 2 * dim
+
     def weights(self) -> np.ndarray:
         if self.decay_weights is not None:
             return np.asarray(self.decay_weights, dtype=np.float64)
@@ -78,7 +82,7 @@ def build_projections(spec: KernelSpec, dim: int, s: int | None = None) -> Rando
     Memoized on (seed, m, s, dim): every caller shares one read-only set.
     """
     if s is None:
-        s = spec.s if spec.s is not None else 2 * dim
+        s = spec.width(dim)
     return _projections(int(spec.seed), int(spec.m), int(s), int(dim))
 
 
@@ -99,31 +103,25 @@ def nhk_sigmoid(h: Tensor, a: float = 1.0, b: float = 0.0) -> Tensor:
     return T.tanh(T.scale(T.gram(h), a, b))
 
 
-def randomized_features(h: Tensor, proj: RandomProjections, weights,
-                        activation: str = "tanh") -> Tensor:
-    """Phi = sigma(H P), column block k scaled by sqrt(w_k / (m+1)).
+def randomized_features(h: Tensor, proj: RandomProjections, weights) -> Tensor:
+    """Phi = tanh(H P), column block k scaled by sqrt(w_k / (m+1)).
 
-    The alignment loss is homogeneous, so the 1/(m+1) is free; with it a
-    single identity projection of unit weight gives the plain Gram matrix.
+    The alignment loss is homogeneous, so the 1/(m+1) is free; with it the
+    kernel is the decay-weighted mean of the m+1 Gram matrices.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != proj.m + 1:
         raise ValidationError("need one weight per projection matrix")
     if h.shape[1] != proj.d:
         raise DimensionError(f"projection dim {proj.d} != feature dim {h.shape[1]}")
-    if activation not in ("tanh", "identity"):
-        raise ValidationError(f"unknown activation {activation!r}")
-    phi = T.matmul(h, T.constant(proj.stacked))
-    if activation == "tanh":
-        phi = T.tanh(phi)
+    phi = T.tanh(T.matmul(h, T.constant(proj.stacked)))
     cols = np.repeat(np.sqrt(weights / len(weights)), proj.s)
     return T.mul_elem(phi, T.constant(np.broadcast_to(cols, phi.shape)))
 
 
-def nhk_randomized(h: Tensor, proj: RandomProjections, weights,
-                   activation: str = "tanh") -> Tensor:
-    """Decay-weighted average of sigma(H W_k^T) Gram matrices, k = 0..m."""
-    return T.gram(randomized_features(h, proj, weights, activation))
+def nhk_randomized(h: Tensor, proj: RandomProjections, weights) -> Tensor:
+    """Decay-weighted average of tanh(H W_k^T) Gram matrices, k = 0..m."""
+    return T.gram(randomized_features(h, proj, weights))
 
 
 def kernel_factor(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
@@ -142,13 +140,16 @@ def kernel_matrix(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
     raise ValidationError("parametric kernels are trained, not evaluated directly")
 
 
-def nhk_compose(k_a: Tensor, k_b: Tensor, mu: Measure) -> Tensor:
-    """Semigroup composition K_a diag(mu) K_b."""
+def nhk_compose(k_a: Tensor, k_b: Tensor, mu) -> Tensor:
+    """Semigroup composition K_a diag(mu) K_b for positive node weights mu."""
+    mu = np.asarray(mu, dtype=np.float64)
     if k_a.shape != k_b.shape or k_a.shape[0] != k_a.shape[1]:
         raise DimensionError(f"compose needs equal square shapes, got {k_a.shape}, {k_b.shape}")
-    if len(mu.values) != k_a.shape[0]:
+    if len(mu) != k_a.shape[0]:
         raise DimensionError("measure length != kernel size")
-    return T.matmul(T.matmul(k_a, T.constant(np.diag(mu.values))), k_b)
+    if np.any(mu <= 0):
+        raise ValidationError("measure values must be positive")
+    return T.matmul(T.matmul(k_a, T.constant(np.diag(mu))), k_b)
 
 
 # ---------------------------------------------------------------------------

@@ -189,11 +189,6 @@ class SparseMatrix:
         indptr = np.cumsum(indptr)
         return cls(rows, cols, indptr, cc, vv)
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     def densify(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
         out[self.row_ids(), self.indices] = self.data

@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
+from .config import config_fields
 from .distill import (
     DistillConfig,
     InverseNhkMapper,
@@ -94,17 +95,12 @@ class MetricsRecord:
     loss_rec: float | None = None
 
     def public_dict(self) -> dict:
-        """Deterministic serialization; wall time lives in a sidecar file."""
-        doc = {
-            "epoch": self.epoch,
-            "loss_pre": self.loss_pre,
-            "loss_dis": self.loss_dis,
-            "train_acc": self.train_acc,
-            "val_acc": self.val_acc,
-            "test_acc": self.test_acc,
-        }
-        if self.loss_rec is not None:
-            doc["loss_rec"] = self.loss_rec
+        """Deterministic serialization: the fields in order, loss_rec only
+        when set; wall time lives in a sidecar file."""
+        doc = asdict(self)
+        del doc["wall_ms"]
+        if self.loss_rec is None:
+            del doc["loss_rec"]
         return doc
 
 
@@ -296,7 +292,7 @@ def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
     _, late_s = pgkd_span(student)
     d_t = trace_feature_dim(teacher, late_t)
     d_s = trace_feature_dim(student, late_s)
-    s = plan.kernel.s if plan.kernel.s is not None else 2 * d_s
+    s = plan.kernel.width(d_s)
     if d_t == d_s:
         mapper = InverseNhkMapper(d_s, s)
         mapper.init(plan.seed, STREAM_MAPPER)
@@ -413,9 +409,14 @@ def sample_distill_batch(n: int, batch_size: int, seed: int, epoch: int) -> np.n
     return ids
 
 
-_GRID_KERNEL_KEYS = {"t", "a", "b", "m", "s"}
-_GRID_DISTILL_KEYS = {"alpha", "delta", "alpha_kd", "tau_kd", "batch_size"}
-_GRID_PLAN_KEYS = {"lr", "lr_mapper", "epochs", "patience"}
+def _grid_keys(cls) -> set:
+    """cls's config fields but kind, mode and seed, which pick what runs."""
+    return set(config_fields(cls)) - {"kind", "mode", "seed"}
+
+
+_GRID_KERNEL_KEYS = _grid_keys(KernelSpec)
+_GRID_DISTILL_KEYS = _grid_keys(DistillConfig)
+_GRID_PLAN_KEYS = _grid_keys(TrainPlan)
 
 
 def apply_grid_overrides(plan: TrainPlan, overrides: dict) -> TrainPlan:

@@ -530,6 +530,29 @@ def test_unknown_key_in_any_section_exits_1_naming_it(tmp_path, graph_file, caps
     assert not (tmp_path / "out").exists()
 
 
+BAD_VALUES = [
+    ({"optimizer": {"epochs": True}}, "optimizer.epochs: expected int, got bool"),
+    ({"split": {"kind": "edges", "pir": True}}, "split.pir: expected float, got bool"),
+    ({"distill": {"batch_size": True}}, "distill.batch_size: expected int, got bool"),
+    ({"seed": True}, "seed: expected int, got bool"),
+    ({"sweep": {"pirs": [True]}}, "sweep.pirs[0]: expected float, got bool"),
+    ({"teacher": {"hidden": 0}}, "teacher.hidden: expected an integer >= 1, got 0"),
+    ({"student": {"kind": "gcn", "hidden": -3}}, "student.hidden: expected an integer >= 1"),
+    ({"student": {"depth": 0}}, "student.depth: expected an integer >= 1, got 0"),
+    ({"split": {"pir": 0.5}}, "split.kind: missing required field"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", BAD_VALUES,
+                         ids=[message.split(":")[0] for _, message in BAD_VALUES])
+def test_bad_config_value_exits_1_naming_the_field(tmp_path, graph_file, capsys,
+                                                   overrides, message):
+    cfg = write_config(tmp_path, graph_file, **overrides)
+    assert run_cli("distill", "--config", cfg) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_sections_fill_dataclass_defaults(tmp_path, graph_file):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"mode": "pgkd", "complete_graph": str(graph_file),

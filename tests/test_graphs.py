@@ -7,7 +7,6 @@ import pytest
 from geokd.errors import GraphParseError, ValidationError
 from geokd.graphs import (
     Graph,
-    Measure,
     adjacency,
     graph_to_dict,
     laplacian_sym,
@@ -124,14 +123,6 @@ def test_adjacency_plus_laplacian_is_identity():
     g = sbm_generate([8, 8], 0.5, 0.15, 3, 0.5, 3)
     total = normalize_adjacency(g).densify() + laplacian_sym(g).densify()
     assert np.max(np.abs(total - np.eye(g.num_nodes))) < 1e-12
-
-
-def test_measure_modes():
-    g = tiny_graph()
-    assert np.all(Measure.uniform(2).values == 1.0)
-    np.testing.assert_allclose(Measure.inverse_degree(g).values, [0.5, 0.5])
-    with pytest.raises(ValidationError):
-        Measure("uniform", [0.0, 1.0])
 
 
 # --------------------------------------------------------------------------

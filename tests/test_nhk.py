@@ -3,7 +3,7 @@ import pytest
 
 from geokd import tensor as T
 from geokd.errors import DimensionError, ValidationError
-from geokd.graphs import Measure, laplacian_sym, sbm_generate
+from geokd.graphs import laplacian_sym, sbm_generate
 from geokd.nhk import (
     KernelSpec,
     RandomProjections,
@@ -120,22 +120,12 @@ def test_sigmoid_rotation_invariance():
 # randomized
 
 
-def test_randomized_reduces_to_gram():
-    h = feats(5, 3, 4)
-    proj = RandomProjections(0, 1, 3, 3)
-    proj.stacked = np.hstack([np.eye(3), np.eye(3)])
-    k = nhk_randomized(h, proj, [1.0, 1.0], activation="identity").values
-    np.testing.assert_allclose(k, h.values @ h.values.T, atol=1e-12)
-
-
-def looped_randomized(h, proj, weights, activation="tanh"):
+def looped_randomized(h, proj, weights):
     """The per-projection loop the stacked kernel replaced, kept as its reference."""
     out = None
     for k, w_k in enumerate(weights):
         mat = proj.stacked[:, k * proj.s:(k + 1) * proj.s].T  # W_k, s x d
-        phi = T.matmul(h, T.constant(mat.T))
-        if activation == "tanh":
-            phi = T.tanh(phi)
+        phi = T.tanh(T.matmul(h, T.constant(mat.T)))
         term = T.scale(T.gram(phi), w_k / len(weights))
         out = term if out is None else T.add(out, term)
     return out
@@ -174,7 +164,7 @@ def test_stacked_matches_looped_kernel(n, m):
         assert_rel(a, b)
 
 
-@pytest.mark.parametrize("variant", ["identity", "decay_weights", "s"])
+@pytest.mark.parametrize("variant", ["decay_weights", "s"])
 def test_stacked_matches_looped_variants(variant):
     rng = np.random.default_rng(31)
     h = T.parameter(rng.normal(size=(9, 4)))
@@ -182,11 +172,8 @@ def test_stacked_matches_looped_variants(variant):
     spec = KernelSpec(kind="randomized", t=0.7, m=3, seed=2,
                       decay_weights=(1.0, 0.5, 0.5, 0.1) if variant == "decay_weights" else None)
     proj = build_projections(spec, 4, 3 if variant == "s" else None)
-    activation = "identity" if variant == "identity" else "tanh"
-    got = kernel_and_grad(
-        lambda x: nhk_randomized(x, proj, spec.weights(), activation), h, upstream)
-    want = kernel_and_grad(
-        lambda x: looped_randomized(x, proj, spec.weights(), activation), h, upstream)
+    got = kernel_and_grad(lambda x: nhk_randomized(x, proj, spec.weights()), h, upstream)
+    want = kernel_and_grad(lambda x: looped_randomized(x, proj, spec.weights()), h, upstream)
     for a, b in zip(got, want):
         assert_rel(a, b)
 
@@ -204,8 +191,6 @@ def test_randomized_features_column_blocks():
             rtol=1e-15)
     with pytest.raises(ValidationError):
         randomized_features(h, proj, weights[:2])
-    with pytest.raises(ValidationError):
-        randomized_features(h, proj, weights, activation="relu")
 
 
 def test_randomized_psd_and_symmetric():
@@ -295,19 +280,19 @@ def test_kernel_matrix_dispatch():
 
 def test_compose_identity():
     eye = T.Tensor(np.eye(4))
-    out = nhk_compose(eye, eye, Measure.uniform(4))
+    out = nhk_compose(eye, eye, np.ones(4))
     np.testing.assert_array_equal(out.values, np.eye(4))
 
 
 def test_compose_semigroup_oracle(lap):
     k_half = T.Tensor(exact_heat_kernel(lap, 0.5))
-    composed = nhk_compose(k_half, k_half, Measure.uniform(k_half.shape[0])).values
+    composed = nhk_compose(k_half, k_half, np.ones(k_half.shape[0])).values
     assert np.linalg.norm(composed - exact_heat_kernel(lap, 1.0)) < 1e-8
 
 
 def test_compose_associative(lap):
     n = lap.rows
-    mu = Measure.uniform(n)
+    mu = np.ones(n)
     rng = np.random.default_rng(8)
     a, b, c = (T.Tensor(rng.normal(size=(n, n))) for _ in range(3))
     left = nhk_compose(nhk_compose(a, b, mu), c, mu).values
@@ -317,7 +302,11 @@ def test_compose_associative(lap):
 
 def test_compose_shape_checks():
     with pytest.raises(DimensionError):
-        nhk_compose(T.Tensor(np.eye(3)), T.Tensor(np.eye(4)), Measure.uniform(3))
+        nhk_compose(T.Tensor(np.eye(3)), T.Tensor(np.eye(4)), np.ones(3))
+    with pytest.raises(DimensionError):
+        nhk_compose(T.Tensor(np.eye(3)), T.Tensor(np.eye(3)), np.ones(4))
+    with pytest.raises(ValidationError):
+        nhk_compose(T.Tensor(np.eye(2)), T.Tensor(np.eye(2)), [0.0, 1.0])
 
 
 def test_exact_heat_kernel_time_zero(lap):

@@ -628,3 +628,9 @@ def test_grid_overrides_nested_fields():
     assert plan.distill.alpha == 7.0
     assert plan.kernel.t == 2.0
     assert plan.lr == 0.5
+
+
+def test_grid_keys_are_the_tunable_config_fields():
+    assert training._GRID_KERNEL_KEYS == {"t", "a", "b", "m", "s"}
+    assert training._GRID_DISTILL_KEYS == {"alpha", "delta", "alpha_kd", "tau_kd", "batch_size"}
+    assert training._GRID_PLAN_KEYS == {"lr", "lr_mapper", "epochs", "patience"}
