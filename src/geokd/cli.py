@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -48,11 +49,18 @@ _TOP_KEYS = ("mode", "seed", "complete_graph", "partial_graph", "split", "teache
 
 
 def _scalar(value, kind: str, name: str):
-    """value as the scalar field type ``kind``; a mistyped value is named."""
+    """value as the scalar field type ``kind``; a mistyped value, or a float
+    that is not finite (json reads NaN and Infinity), is named."""
     expect, convert = _SCALARS[kind]
     if not isinstance(value, expect) or isinstance(value, bool):
         raise GraphParseError(name, f"expected {kind}, got {type(value).__name__}")
-    return convert(value)
+    try:
+        converted = convert(value)
+    except OverflowError:  # an integer beyond the float range
+        converted = math.inf
+    if kind == "float" and not math.isfinite(converted):
+        raise GraphParseError(name, f"expected a finite number, got {converted}")
+    return converted
 
 
 def _get(doc: dict, key: str, kind: str, default=_MISSING):
@@ -177,7 +185,7 @@ class RunConfig:
         partial = _get(doc, "partial_graph", "str", None)
         if partial is not None and not Path(partial).exists():
             raise GraphParseError("partial_graph", f"file not found: {partial}")
-        split = _section(doc, "split", SplitSection) if doc.get("split") else None
+        split = None if doc.get("split") is None else _section(doc, "split", SplitSection)
         plan = _section(doc, "optimizer", TrainPlan, mode=mode,
                         seed=_get(doc, "seed", "int", 0),
                         kernel=_section(doc, "kernel", KernelSpec),

@@ -3,6 +3,12 @@
 A gcn layer is relu(A_hat @ H @ Theta) with a linear final layer; sgc applies
 A_hat L times and one linear map at the end. ``forward`` returns logits plus
 the trace [H^0 .. H^L] used by the distillation losses.
+
+A_hat @ H @ Theta is associative and propagation costs O(|E| * width), so a
+gcn layer after the first propagates its narrower side: A_hat @ (H @ Theta)
+when Theta narrows (d_out < d_in), else (A_hat @ H) @ Theta. A_hat is
+symmetric, so the backward spmm runs at that width too. The two orders agree
+up to rounding (Kipf & Welling, 2017).
 """
 
 from __future__ import annotations
@@ -142,7 +148,9 @@ def forward(model: GnnModel, g: Graph):
     Hops that hold no parameter come from ``propagated_features``, computed
     once per graph: the whole sgc trace [X, A_hat X, .., A_hat^L X], and
     A_hat X for the first gcn layer. The values are the same as propagating
-    on every call.
+    on every call. Each later gcn layer propagates its narrower side, so a
+    32 -> 4 output layer runs both its spmms at 4 columns; an equal-width
+    layer keeps the (A_hat H) Theta order.
     """
     x = g.features
     if x.shape[1] != model.dims[0]:
@@ -155,10 +163,13 @@ def forward(model: GnnModel, g: Graph):
     a_hat = normalize_adjacency(g)
     trace = [x]
     h = propagated_features(g, 1)[1]
-    for l in range(model.num_layers):
-        if l > 0:
-            h = T.spmm(a_hat, h)
-        h = T.matmul(h, model.weights[l])
+    for l, w in enumerate(model.weights):
+        if l == 0:
+            h = T.matmul(h, w)
+        elif w.shape[1] < w.shape[0]:
+            h = T.spmm(a_hat, T.matmul(h, w))
+        else:
+            h = T.matmul(T.spmm(a_hat, h), w)
         if l < model.num_layers - 1:
             h = T.relu(h)
         trace.append(h)

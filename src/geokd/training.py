@@ -31,7 +31,7 @@ from .distill import (
     teacher_layer_factors,
     trace_feature_dim,
 )
-from .errors import NumericError, ValidationError
+from .errors import GraphParseError, NumericError, ValidationError
 from .graphs import Graph
 from .models import GnnModel, accuracies, forward, init_xavier
 from .nhk import KernelSpec
@@ -120,6 +120,9 @@ class TrainPlan:
             raise ValidationError("epochs must be >= 1")
         if self.mode not in ("teacher",) + STUDENT_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
+        for name in ("lr", "lr_mapper"):  # a negative rate would ascend the loss
+            if not getattr(self, name) > 0:
+                raise GraphParseError(name, f"expected a number > 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -553,6 +553,33 @@ def test_bad_config_value_exits_1_naming_the_field(tmp_path, graph_file, capsys,
     assert not (tmp_path / "out").exists()
 
 
+BAD_NUMBERS = {  # json.dumps writes nan and inf as NaN and Infinity, which json.load reads
+    "lr_negative": ({"optimizer": {"lr": -0.5}}, "optimizer.lr: expected a number > 0, got -0.5"),
+    "lr_nan": ({"optimizer": {"lr": float("nan")}}, "optimizer.lr: expected a finite number"),
+    "lr_beyond_float": ({"optimizer": {"lr": 10 ** 400}},
+                        "optimizer.lr: expected a finite number, got inf"),
+    "lr_mapper_zero": ({"optimizer": {"lr_mapper": 0}},
+                       "optimizer.lr_mapper: expected a number > 0, got 0.0"),
+    "kernel_t_nan": ({"kernel": {"kind": "gauss", "t": float("nan")}},
+                     "kernel.t: expected a finite number, got nan"),
+    "alpha_inf": ({"distill": {"alpha": float("inf")}},
+                  "distill.alpha: expected a finite number, got inf"),
+    "delta_nan": ({"distill": {"delta": float("nan")}}, "distill.delta: expected a finite number"),
+    "tau_kd_nan": ({"distill": {"tau_kd": float("nan")}},
+                   "distill.tau_kd: expected a finite number"),
+    "split_empty": ({"split": {}}, "split.kind: missing required field"),
+}
+
+
+@pytest.mark.parametrize("overrides,message", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_bad_number_or_empty_split_exits_1_naming_the_field(tmp_path, graph_file, capsys,
+                                                            overrides, message):
+    cfg = write_config(tmp_path, graph_file, **overrides)
+    assert run_cli("distill", "--config", cfg) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_sections_fill_dataclass_defaults(tmp_path, graph_file):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"mode": "pgkd", "complete_graph": str(graph_file),

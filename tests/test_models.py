@@ -12,6 +12,7 @@ from geokd.models import (
     init_xavier,
     sgc_euler_equivalence,
 )
+from geokd.tensor import SparseMatrix
 
 
 @pytest.fixture
@@ -99,8 +100,12 @@ def test_sgc_matches_dense_propagation(graph):
     assert len(trace) == 3
 
 
-def unfolded_forward(model, g):
-    """Reference forward that propagates every hop, the features included."""
+def unfolded_forward(model, g, narrow_side=True):
+    """Reference forward that propagates every hop, the features included.
+
+    With ``narrow_side`` a gcn layer after the first propagates its narrower
+    side, as ``forward`` does; without, every layer runs (A_hat H) W.
+    """
     a_hat = normalize_adjacency(g)
     h, trace = g.features, [g.features]
     if model.kind == "sgc":
@@ -108,12 +113,74 @@ def unfolded_forward(model, g):
             h = T.spmm(a_hat, h)
             trace.append(h)
         return T.matmul(h, model.weights[0]), trace
-    for l in range(model.num_layers):
-        h = T.matmul(T.spmm(a_hat, h), model.weights[l])
+    for l, w in enumerate(model.weights):
+        if narrow_side and l > 0 and w.shape[1] < w.shape[0]:
+            h = T.spmm(a_hat, T.matmul(h, w))
+        else:
+            h = T.matmul(T.spmm(a_hat, h), w)
         if l < model.num_layers - 1:
             h = T.relu(h)
         trace.append(h)
     return h, trace
+
+
+def _weighted_logit_sum(logits):
+    c = np.random.default_rng(12).normal(size=logits.shape)
+    return T.sum_all(T.mul_elem(logits, T.constant(c)))
+
+
+# layer 1 narrows 16 -> 5, layer 2 widens 5 -> 9, layer 3 narrows 9 -> 3
+NARROW_WIDEN_DIMS = [6, 16, 5, 9, 3]
+
+
+def test_narrow_order_matches_wide_first_order():
+    g = sbm_generate([14, 11, 15], 0.4, 0.05, 6, 0.5, 4)
+    model = GnnModel("gcn", NARROW_WIDEN_DIMS)
+    init_xavier(model, 13)
+    model.set_trainable(True)
+    runs = []
+    for fwd in (lambda m, g: unfolded_forward(m, g, narrow_side=False), forward):
+        for w in model.weights:
+            w.zero_grad()
+        logits, trace = fwd(model, g)
+        _weighted_logit_sum(logits).backward()
+        runs.append(([h.values for h in trace] + [logits.values],
+                     [w.grad.copy() for w in model.weights]))
+    (got_values, got_grads), (want_values, want_grads) = runs[1], runs[0]
+    for got, want in zip(got_values + got_grads, want_values + want_grads):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grad_check_through_narrowing_layer(graph):
+    model = GnnModel("gcn", [4, 8, 3])  # layer 1 propagates A_hat (H W)
+    init_xavier(model, 14)
+    model.set_trainable(True)
+    assert T.grad_check(lambda: _weighted_logit_sum(forward(model, graph)[0]),
+                        model.parameters()) < 1e-4
+
+
+def test_every_spmm_runs_at_the_narrower_width(monkeypatch):
+    g = sbm_generate([14, 11, 15], 0.4, 0.05, 6, 0.5, 4)
+    model = GnnModel("gcn", NARROW_WIDEN_DIMS)
+    init_xavier(model, 15)
+    forward(model, g)  # fills the per-graph A_hat X cache
+    model.set_trainable(True)
+    widths = []
+    matmul_dense = SparseMatrix.matmul_dense
+
+    def spy(self, x, *args, **kwargs):
+        widths.append(x.shape[1])
+        return matmul_dense(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "matmul_dense", spy)
+    logits, _ = forward(model, g)
+    forward_widths = list(widths)
+    _weighted_logit_sum(logits).backward()
+    narrow = [min(d_in, d_out) for d_in, d_out in
+              zip(NARROW_WIDEN_DIMS[1:-1], NARROW_WIDEN_DIMS[2:])]
+    assert forward_widths == narrow == [5, 5, 3]
+    assert widths[len(narrow):] == narrow[::-1]  # backward runs the layers in reverse
 
 
 @pytest.mark.parametrize("kind", ["gcn", "sgc"])
