@@ -15,7 +15,6 @@ from .distill import (
     DistillConfig,
     InverseNhkMapper,
     distill_loss,
-    factored_distill_loss,
     factored_reconstruction_loss,
     inverse_nhk_gram,
     kd_soft_label_loss,
@@ -217,24 +216,25 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     w = weight_matrix(g, 0.4, np.arange(g.num_nodes))
     cfg = DistillConfig(alpha=2.0, delta=0.4)
 
-    def gkd_loss(kind, ids=None):
-        spec = KernelSpec(kind=kind, t=0.8, a=1.3, b=-0.2, m=2, seed=seed)
+    def gkd_loss(kind, s=None):
+        spec = KernelSpec(kind=kind, t=0.8, a=1.3, b=-0.2, m=2, s=s, seed=seed)
 
         def f():
             _, s_trace = forward(gcn, g)
-            return layer_avg_distill(t_feats, s_trace, spec, cfg, g, ids)
+            return layer_avg_distill(t_feats, s_trace, spec, cfg, g)
 
         return f
 
-    all_ids = np.arange(g.num_nodes)
     results.append(_grad_case("gauss distill loss", gkd_loss("gauss"), gcn.parameters()))
     results.append(_grad_case("sigmoid distill loss", gkd_loss("sigmoid"), gcn.parameters()))
-    results.append(_grad_case("randomized distill loss", gkd_loss("randomized", all_ids),
+    # on 8 nodes, factors of width r = 3s with s = 2d = 8 and 10 walk row
+    # blocks; at s = 1, n >= 2r and kernel_alignment sums r x r Grams
+    results.append(_grad_case("randomized distill loss, row blocks", gkd_loss("randomized"),
                               gcn.parameters()))
-    results.append(_grad_case("randomized factored distill loss", gkd_loss("randomized"),
-                              gcn.parameters()))
-    # the blocked alignment op on a batch with a repeated id and a teacher of
-    # another width (for randomized, rows of factors)
+    results.append(_grad_case("randomized distill loss, r x r Grams",
+                              gkd_loss("randomized", s=1), gcn.parameters()))
+    # the alignment op on a batch with a repeated id and a teacher of another
+    # width (for randomized, 6 rows of factors of width 3 and 2: r x r Grams)
     batch = [0, 3, 3, 5, 7, 1]
     adj = adjacency(g, batch)
     hb, tb = rand(6, 3), T.constant(rng.uniform(-1, 1, size=(6, 2)))
@@ -276,8 +276,8 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
 
     def factored_align_loss():
         _, s_trace = forward(gcn, g)
-        return factored_distill_loss(
-            g, mapper.apply(T.constant(t_late)), mapper.apply(s_trace[1]), 0.4)
+        return T.kernel_alignment(mapper.apply(s_trace[1]), mapper.apply(T.constant(t_late)),
+                                  adjacency(g), 0.4, KernelSpec(kind="parametric"))
 
     results.append(
         _grad_case("pgkd factored alignment loss", factored_align_loss, gcn.parameters())

@@ -49,8 +49,8 @@ _TOP_KEYS = ("mode", "seed", "complete_graph", "partial_graph", "split", "teache
 
 
 def _scalar(value, kind: str, name: str):
-    """value as the scalar field type ``kind``; a mistyped value, or a float
-    that is not finite (json reads NaN and Infinity), is named."""
+    """value as the scalar field type ``kind``; a mistyped value, a float that
+    is not finite (json reads NaN and Infinity) or a negative seed is named."""
     expect, convert = _SCALARS[kind]
     if not isinstance(value, expect) or isinstance(value, bool):
         raise GraphParseError(name, f"expected {kind}, got {type(value).__name__}")
@@ -60,7 +60,14 @@ def _scalar(value, kind: str, name: str):
         converted = math.inf
     if kind == "float" and not math.isfinite(converted):
         raise GraphParseError(name, f"expected a finite number, got {converted}")
+    if name.rsplit(".", 1)[-1].startswith("seed"):  # seed, <section>.seed, sweep.seeds[i]
+        _require_seed(converted, name)
     return converted
+
+
+def _require_seed(seed: int, name: str):
+    if seed < 0:  # numpy random streams take only seeds >= 0
+        raise GraphParseError(name, f"expected an integer >= 0, got {seed}")
 
 
 def _get(doc: dict, key: str, kind: str, default=_MISSING):
@@ -521,6 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _require_seed(args.seed, "--seed")
         return args.func(args)
     except (ValidationError, GraphParseError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)

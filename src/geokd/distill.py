@@ -4,32 +4,32 @@ The alignment loss is ||(K_teacher_sub - K_student) .* W||_F^2 where W weights
 connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
 
-The gauss and sigmoid kernels are entrywise maps of the pairwise distances or
-inner products, and the randomized kernel is the Gram of its factors, so
-``T.kernel_alignment`` computes every non-parametric loss block by block (as
-KeOps and FlashAttention reduce kernels): for a block B of b rows it rebuilds
-K_s,B and K_t,B from the features or factors, W.*W on B from the CSR
-adjacency, and dL/dH_B from rows B alone, because dL/dD and dL/dG are
-symmetric. Time is O(n^2 d), memory O(b n + n d + |E|) with
-b = max(64, 65536 // n). Every batch runs it; so does every full-graph gauss
-and sigmoid layer. ``distill_loss`` over ``kernel_matrix`` and
+Every alignment loss, gkd's per layer and pgkd's, is one call of
+``T.kernel_alignment``, which picks how to sum it from its input. The gauss
+and sigmoid kernels are entrywise maps of the pairwise distances or inner
+products, so it computes them block by block (as KeOps and FlashAttention
+reduce kernels): for a block B of b rows it rebuilds K_s,B and K_t,B, W.*W on
+B from the CSR adjacency, and dL/dH_B from rows B alone, because dL/dD and
+dL/dG are symmetric. Time is O(n^2 d), memory O(b n + n d + |E|) with
+b = max(64, 65536 // n). ``distill_loss`` over ``kernel_matrix`` and
 ``weight_matrix`` is its dense reference.
 
-The learned inverse kernel is a Gram, K = Phi Phi^T with Phi n x s, so its
-losses never need the n x n matrix. Reconstruction is K H = Phi (Phi^T H).
-For alignment, W .* W = delta^2 + (1 - delta^2) A whenever the adjacency A is
-binary with a zero diagonal, which ``Graph`` guarantees (no self-loops, no
-duplicate edges). Hence, with phi_u the row of node u,
+The randomized kernel and the learned inverse (parametric) kernel are Grams,
+K = Phi Phi^T with Phi n x r, so their losses never need the n x n matrix.
+Reconstruction is K H = Phi (Phi^T H). For alignment, W .* W = delta^2 +
+(1 - delta^2) A whenever the adjacency A is binary with a zero diagonal,
+which ``Graph`` guarantees (no self-loops, no duplicate edges). Hence, with
+phi_u the row of node u,
 
     ||W .* (K_s - K_t)||_F^2
         = delta^2 (||Phi_s^T Phi_s||^2 - 2 ||Phi_t^T Phi_s||^2 + ||Phi_t^T Phi_t||^2)
         + (1 - delta^2) sum_{A_uv = 1} (<phi_s,u, phi_s,v> - <phi_t,u, phi_t,v>)^2
 
-in O(n s^2 + |E| s) time and O(n s + |E|) memory, which beats the blocked
-O(n^2 s) when n >> s: ``T.gram_alignment`` is this one tape node, run by a
-full-graph randomized layer and by pgkd (``factored_distill_loss``). The
-dense ``distill_loss``, ``inverse_nhk_gram`` and ``reconstruction_loss`` are
-the reference it and ``factored_reconstruction_loss`` are tested against.
+in O(n r^2 + |E| r) time and O(n r + |E|) memory. ``T.kernel_alignment``
+takes this form when n >= 2r, where it beats walking the row blocks of
+Phi Phi^T, and the blocks below. The dense ``distill_loss``,
+``inverse_nhk_gram`` and ``reconstruction_loss`` are the reference it and
+``factored_reconstruction_loss`` are tested against.
 """
 
 from __future__ import annotations
@@ -130,13 +130,12 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
 
     The kernel bridging layer l-1 to l is evaluated on the source features,
     so the L loss terms read trace entries 0 .. L-1. Teacher entries are
-    arrays; both sides must already be restricted to the aligned rows. Gauss and sigmoid
-    layers run ``T.kernel_alignment``. A randomized kernel aligns factors,
-    by default ``teacher_layer_factors``: on every node through
-    ``T.gram_alignment``, and on a batch through ``T.kernel_alignment`` on
-    the factors. A frozen teacher may pass a dict ``fixed_terms``,
-    kept across calls, that memoizes the terms of gradient-free student
-    entries.
+    arrays; both sides must already be restricted to the aligned rows. Each
+    layer is one ``T.kernel_alignment``, on the features or, for a randomized
+    kernel, on their factors (the teacher's by default
+    ``teacher_layer_factors``). A frozen teacher may pass a dict
+    ``fixed_terms``, kept across calls, that memoizes the terms of
+    gradient-free student entries.
     """
     if len(traces_teacher) != len(traces_student):
         raise DimensionError(
@@ -145,6 +144,8 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     num_layers = len(traces_student) - 1
     if num_layers < 1:
         raise ValidationError("traces must cover at least one layer")
+    if spec.kind == "parametric":
+        raise ValidationError("parametric kernels are trained: only pgkd aligns them")
     factored = spec.kind == "randomized"
     if factored and teacher_layers is None:
         teacher_layers = teacher_layer_factors(
@@ -152,13 +153,11 @@ def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
     adj = adjacency(g, ids)
 
     def align(l):
-        h_s = traces_student[l]
-        if not factored:
-            return T.kernel_alignment(h_s, T.constant(traces_teacher[l]), adj, cfg.delta, spec)
-        phi_s = kernel_factor(spec, h_s)
-        if ids is None:
-            return T.gram_alignment(phi_s, teacher_layers[l], adj, cfg.delta)
-        return T.kernel_alignment(phi_s, teacher_layers[l], adj, cfg.delta, spec)
+        if factored:
+            return T.kernel_alignment(kernel_factor(spec, traces_student[l]),
+                                      teacher_layers[l], adj, cfg.delta, spec)
+        return T.kernel_alignment(traces_student[l], T.constant(traces_teacher[l]),
+                                  adj, cfg.delta, spec)
 
     total = None
     for l in range(num_layers):
@@ -201,16 +200,6 @@ def _sq_residual(recon: Tensor, h_early: Tensor) -> Tensor:
         )
     diff = T.sub(recon, h_early)
     return T.sum_all(T.mul_elem(diff, diff))
-
-
-def factored_distill_loss(g: Graph, phi_teacher_sub: Tensor, phi_student: Tensor,
-                          delta: float) -> Tensor:
-    """distill_loss(Phi_t Phi_t^T, Phi_s Phi_s^T, weight_matrix(g, delta, all nodes)) as
-    ``T.gram_alignment`` on g's adjacency; the teacher factor gets no gradient."""
-    if phi_teacher_sub.shape != phi_student.shape or phi_student.shape[0] != g.num_nodes:
-        raise DimensionError(f"factor shapes {phi_teacher_sub.shape} and "
-                             f"{phi_student.shape}, expected {g.num_nodes} rows each")
-    return T.gram_alignment(phi_student, phi_teacher_sub, adjacency(g), delta)
 
 
 def kd_soft_label_loss(teacher_logits, student_logits: Tensor, tau: float, mask) -> Tensor:

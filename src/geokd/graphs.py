@@ -204,29 +204,15 @@ def split_nodes(g_complete: Graph, pir: float, seed: int):
     train = g_complete.train_mask
     n_remove = int(round(pir * len(train)))
     removed = _rng(seed, 102).choice(len(train), size=n_remove, replace=False)
-    removed_ids = set(train[removed].tolist())
-    kept_old_ids = np.array(
-        [i for i in range(g_complete.num_nodes) if i not in removed_ids], dtype=np.int64
-    )
-    new_id = -np.ones(g_complete.num_nodes, dtype=np.int64)
-    new_id[kept_old_ids] = np.arange(len(kept_old_ids))
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g_complete.edges
-        if u not in removed_ids and v not in removed_ids
-    ]
-    def remap_mask(m):
-        return new_id[np.array([i for i in m if i not in removed_ids], dtype=np.int64)]
-
-    g = Graph(
-        len(kept_old_ids),
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-        g_complete.features.values[kept_old_ids],
-        g_complete.labels[kept_old_ids],
-        remap_mask(g_complete.train_mask),
-        remap_mask(g_complete.val_mask),
-        remap_mask(g_complete.test_mask),
-    )
+    keep = np.ones(g_complete.num_nodes, dtype=bool)
+    keep[train[removed]] = False
+    kept_old_ids = np.flatnonzero(keep)
+    new_id = np.cumsum(keep) - 1
+    edges = g_complete.edges[keep[g_complete.edges].all(axis=1)]
+    g = Graph(len(kept_old_ids), new_id[edges], g_complete.features.values[kept_old_ids],
+              g_complete.labels[kept_old_ids],
+              *(new_id[m[keep[m]]] for m in
+                (train, g_complete.val_mask, g_complete.test_mask)))
     return g, kept_old_ids
 
 

@@ -35,7 +35,6 @@ class KernelSpec:
     m: int = 4                    # randomized: projection count (terms 0..m)
     s: int | None = None          # randomized/parametric output dim; default 2d
     seed: int = 0                 # shared projection seed
-    decay_weights: tuple | None = None  # randomized: w_0..w_m; default exp(-t*k/m)
 
     def __post_init__(self):
         if self.kind not in ("gauss", "sigmoid", "randomized", "parametric"):
@@ -46,12 +45,6 @@ class KernelSpec:
             raise ValidationError("projection count m must be >= 1")
         if self.s is not None and self.s < 1:
             raise ValidationError("s must be >= 1")
-        if self.decay_weights is not None:
-            w = np.asarray(self.decay_weights, dtype=np.float64)
-            if len(w) != self.m + 1:
-                raise ValidationError("need m+1 decay weights")
-            if np.any(w <= 0) or np.any(np.diff(w) > 0):
-                raise ValidationError("decay weights must be positive and nonincreasing")
 
     def width(self, dim: int) -> int:
         """Randomized projection or parametric mapper output width for inputs
@@ -59,8 +52,7 @@ class KernelSpec:
         return self.s if self.s is not None else 2 * dim
 
     def weights(self) -> np.ndarray:
-        if self.decay_weights is not None:
-            return np.asarray(self.decay_weights, dtype=np.float64)
+        """The randomized kernel's decay weights w_k = exp(-t k / m), k = 0..m."""
         k = np.arange(self.m + 1)
         return np.exp(-self.t * k / self.m)
 

@@ -11,10 +11,11 @@ grouped by how many entries they store, and each group is one gather and one
 order, so results do not depend on how rows are grouped (see
 ``SparseMatrix.matmul_dense`` for the one exception).
 
-The fused ops ``kernel_alignment`` (gauss, sigmoid or a Gram of factors, by
-row blocks) and ``gram_alignment`` (a Gram of factors, from its r x r Grams)
-each give the weighted distance between two kernels as one tape node with no
-n x n matrix; the chains over ``pairwise_sqdist`` and ``gram`` are their reference.
+The fused op ``kernel_alignment`` gives the weighted distance between two
+kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
+matrix. It walks row blocks, except for a Gram of n >= 2r factor rows of
+width r, which it computes from r x r Grams. The chains over
+``pairwise_sqdist`` and ``gram`` are its reference.
 """
 
 from __future__ import annotations
@@ -450,14 +451,15 @@ def gram(h: Tensor) -> Tensor:
 # a row block of kernel_alignment is b x n floats with b = max(64, 65536 // n):
 # 512 KiB up to n = 1024, and never so few rows that its gemms slow down
 _BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
+_GRAM_KINDS = ("randomized", "parametric")  # kernels K = Phi Phi^T of factor rows
 
 
 def _kernel_rows(h: np.ndarray, norms: np.ndarray, r0: int, spec, out: np.ndarray):
     """Rows r0 .. r0 + len(out) of spec's kernel over h, in out: the gauss or
-    sigmoid kernel, or for a randomized spec the Gram h h^T of the factors h."""
+    sigmoid kernel, or for a Gram kind the Gram h h^T of the factors h."""
     b = out.shape[0]
     np.matmul(h[r0:r0 + b], h.T, out=out)
-    if spec.kind == "randomized":
+    if spec.kind in _GRAM_KINDS:
         return out
     if spec.kind == "sigmoid":
         out *= spec.a
@@ -478,20 +480,31 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
     """sum of W2_ij (K_s - K_t)_ij^2 over the rows of h_s and h_t, one tape node.
 
     K is spec's gauss kernel exp(-D / 4t) or sigmoid kernel tanh(a G + b) of
-    each side's rows, or for a randomized spec the Gram K = Phi Phi^T of rows
-    that are the factors Phi (the widths may differ); W2 = delta^2 +
-    (1 - delta^2) A for the binary CSR adjacency A. The forward walks blocks B
-    of b = max(64, 65536 // n) rows, rebuilding K_s, K_t and W2 on B in b x n
-    buffers, and accumulates the loss and its gradient wrt h_s: as G = dL/dD
-    (gauss) and S = dL/dG (sigmoid, Gram) are symmetric, its rows B are
-    4 (diag(G_B 1) H_B - G_B H), resp. 2 S_B H. h_t gets no gradient.
+    each side's rows, or for a randomized or parametric spec the Gram
+    K = Phi Phi^T of rows that are the factors Phi (the widths r may differ);
+    W2 = delta^2 + (1 - delta^2) A for the binary CSR adjacency A. h_t gets
+    no gradient. A Gram kernel with n >= 2 max(r_s, r_t) rows takes
+    ``_gram_alignment``, O(n r^2 + |E| r); every other input walks row blocks,
+    O(n^2 d) (``_blocked_alignment``), which is the faster of the two for a
+    Gram kernel below that n.
     """
     n = h_s.shape[0]
     if h_t.shape[0] != n or adj.shape != (n, n):
         raise DimensionError(
             f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
-    if spec.kind not in ("gauss", "sigmoid", "randomized"):
-        raise ValidationError(f"kernel_alignment: no {spec.kind!r} kernel")
+    if spec.kind in _GRAM_KINDS and n >= 2 * max(h_s.shape[1], h_t.shape[1]):
+        return _gram_alignment(h_s, h_t, adj, delta)
+    return _blocked_alignment(h_s, h_t, adj, delta, spec)
+
+
+def _blocked_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
+                       spec) -> Tensor:
+    """kernel_alignment by blocks B of b = max(64, 65536 // n) rows: it rebuilds
+    K_s, K_t and W2 on B in b x n buffers and accumulates the loss and its
+    gradient wrt h_s. As G = dL/dD (gauss) and S = dL/dG (sigmoid, Gram) are
+    symmetric, its rows B are 4 (diag(G_B 1) H_B - G_B H), resp. 2 S_B H.
+    """
+    n = h_s.shape[0]
     hs, ht = np.ascontiguousarray(h_s.values), np.ascontiguousarray(h_t.values)
     norms_s, norms_t = (np.einsum("ij,ij->i", h, h) for h in (hs, ht))
     step, d2, rows = max(_BLOCK_ROWS, _BLOCK_FLOATS // n), float(delta) ** 2, adj.row_ids()
@@ -528,20 +541,16 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
     return _make(np.array([[loss]]), (h_s,), backward)
 
 
-def gram_alignment(phi_s: Tensor, phi_t: Tensor, adj: SparseMatrix, delta: float) -> Tensor:
-    """kernel_alignment(phi_s, phi_t, adj, delta, randomized spec) in O(n r + |E|) memory.
+def _gram_alignment(phi_s: Tensor, phi_t: Tensor, adj: SparseMatrix, delta: float) -> Tensor:
+    """kernel_alignment of a Gram kernel in O(n r + |E|) memory.
 
     The loss is delta^2 (||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2), G_ts = Phi_t^T
     Phi_s the r x r Grams, plus (1 - delta^2) sum_e rho_e^2 over the entries
     e = (i, j) of adj, rho_e = <phi_s,i, phi_s,j> - <phi_t,i, phi_t,j>, gathered
     in blocks of entries. The node keeps rho and the Grams: as adj is
     symmetric, dL/dPhi_s = 4 delta^2 (Phi_s G_ss - Phi_t G_ts) + 4 (1 - delta^2)
-    A_rho Phi_s, A_rho being adj with the values rho. phi_t gets no gradient.
+    A_rho Phi_s, A_rho being adj with the values rho.
     """
-    n = phi_s.shape[0]
-    if phi_t.shape[0] != n or adj.shape != (n, n):
-        raise DimensionError(
-            f"gram_alignment: rows {n} and {phi_t.shape[0]}, adjacency {adj.shape}")
     hs, ht = phi_s.values, phi_t.values
     g_ss, g_ts, g_tt = hs.T @ hs, ht.T @ hs, ht.T @ ht
     rows, cols, d2 = adj.row_ids(), adj.indices, float(delta) ** 2

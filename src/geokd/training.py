@@ -23,7 +23,6 @@ from .config import config_fields
 from .distill import (
     DistillConfig,
     InverseNhkMapper,
-    factored_distill_loss,
     factored_reconstruction_loss,
     kd_soft_label_loss,
     layer_avg_distill,
@@ -32,7 +31,7 @@ from .distill import (
     trace_feature_dim,
 )
 from .errors import GraphParseError, NumericError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, adjacency
 from .models import GnnModel, accuracies, forward, init_xavier
 from .nhk import KernelSpec
 
@@ -42,6 +41,8 @@ STREAM_MAPPER = 203
 STREAM_BATCH = 204
 
 STUDENT_MODES = ("gkd_offline", "pgkd", "online", "self_distill", "compression")
+# pgkd aligns the Grams of the mapped features, whatever plan.kernel says
+_INVERSE_KERNEL = KernelSpec(kind="parametric")
 
 
 class Adam:
@@ -118,6 +119,8 @@ class TrainPlan:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
+        if self.patience < 0:  # would stop after the first epoch
+            raise GraphParseError("patience", f"expected an integer >= 0, got {self.patience}")
         if self.mode not in ("teacher",) + STUDENT_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         for name in ("lr", "lr_mapper"):  # a negative rate would ascend the loss
@@ -345,7 +348,8 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
         if cfg.alpha > 0:
             phi_t = mapper_t.apply(t_late_sub)
             phi_s = mapper_s.apply(trace[late_s])
-            dis = T.scale(factored_distill_loss(g, phi_t, phi_s, cfg.delta), cfg.alpha)
+            dis = T.scale(T.kernel_alignment(phi_s, phi_t, adjacency(g), cfg.delta,
+                                             _INVERSE_KERNEL), cfg.alpha)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:

@@ -1,11 +1,13 @@
-"""The fused alignment ops against their dense reference.
+"""The fused alignment op against its dense reference.
 
 ``T.kernel_alignment`` sums the loss and its gradient over row blocks, so it
 adds in another order than the dense chain of ``kernel_matrix`` (for a
-randomized spec, whose rows are factors, ``gram``), ``weight_matrix`` and
-``distill_loss``; ``T.gram_alignment`` computes a randomized spec's loss from
-r x r Grams and per-edge residuals, in a third order. Values and gradients
-are compared to 1e-12 relative, never bit for bit.
+randomized or parametric spec, whose rows are factors, ``gram``),
+``weight_matrix`` and ``distill_loss``; for such a spec with n >= 2r factor
+rows it takes its other branch, ``_gram_alignment``, which sums r x r Grams
+and per-edge residuals in a third order. Every test runs both branches
+whatever the shape. Values and gradients are compared to 1e-12 relative,
+never bit for bit.
 """
 
 import itertools
@@ -20,7 +22,6 @@ from geokd.cli import main
 from geokd.distill import (
     DistillConfig,
     distill_loss,
-    factored_distill_loss,
     layer_avg_distill,
     teacher_layer_kernels,
     weight_matrix,
@@ -34,15 +35,17 @@ from geokd.training import TrainPlan, train_student_gkd
 
 SPECS = [KernelSpec(kind="gauss", t=0.25), KernelSpec(kind="gauss", t=1.0),
          KernelSpec(kind="gauss", t=3.0), KernelSpec(kind="sigmoid", a=1.0, b=0.0),
-         KernelSpec(kind="sigmoid", a=0.7, b=-0.3), KernelSpec(kind="randomized")]
-KINDS = ["gauss", "sigmoid", "randomized"]
+         KernelSpec(kind="sigmoid", a=0.7, b=-0.3), KernelSpec(kind="randomized"),
+         KernelSpec(kind="parametric")]
+KINDS = ["gauss", "sigmoid", "randomized", "parametric"]
+GRAM_KINDS = ("randomized", "parametric")
 
 
 def dense_alignment(h_s, h_t, adj, delta, spec):
     """The dense reference, with W = delta + (1 - delta) A; the rows of a
-    randomized spec are the factors of its kernel."""
+    randomized or parametric spec are the factors of its kernel."""
     w = T.constant(delta + (1.0 - delta) * adj.densify())
-    if spec.kind == "randomized":
+    if spec.kind in GRAM_KINDS:
         return distill_loss(T.gram(h_t), T.gram(h_s), w)
     return distill_loss(kernel_matrix(spec, h_t), kernel_matrix(spec, h_s), w)
 
@@ -55,14 +58,14 @@ def loss_and_grad(align, hv_s, hv_t, adj, delta, spec):
 
 
 def gram_alignment(h_s, h_t, adj, delta, spec):
-    return T.gram_alignment(h_s, h_t, adj, delta)
+    return T._gram_alignment(h_s, h_t, adj, delta)
 
 
 def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
-    """The blocked op against the dense chain; for a randomized spec the
-    factored op against both."""
-    ops = [dense_alignment, T.kernel_alignment]
-    if spec.kind == "randomized":
+    """The op and its row blocks against the dense chain; for a Gram spec
+    its r x r Gram branch against all three, whatever n and r."""
+    ops = [dense_alignment, T.kernel_alignment, T._blocked_alignment]
+    if spec.kind in GRAM_KINDS:
         ops.append(gram_alignment)
     results = [loss_and_grad(op, hv_s, hv_t, adj, delta, spec) for op in ops]
     for (want, want_grad), (got, got_grad) in itertools.combinations(results, 2):
@@ -122,7 +125,7 @@ def test_batch_with_repeated_ids_matches_weight_matrix(kind, delta):
     assert_matches_dense(hv_s, hv_t, adj, delta, spec)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid", "randomized"])
 def test_every_batch_layer_runs_the_blocked_op(kind, monkeypatch):
     g = sbm_generate([12, 12], 0.4, 0.1, 4, 0.5, 3)
     ids = np.array([0, 5, 5, 13, 2, 23, 0, 7, 19, 19, 11])
@@ -156,18 +159,51 @@ def test_adjacency_expands_repeated_ids():
 
 def test_gradient_free_student_and_shape_checks():
     adj = adjacency(random_graph(5, 0))
-    spec = KernelSpec(kind="gauss")
-    loss = T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 3, 1)), adj, 0.4, spec)
-    assert loss._backward is None and loss.item() > 0.0
-    loss = T.gram_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 3, 1)), adj, 0.4)
-    assert loss._backward is None and loss.item() > 0.0
+    for op in (T._blocked_alignment, gram_alignment):
+        loss = op(Tensor(features(5, 2, 0)), Tensor(features(5, 2, 1)), adj, 0.4,
+                  KernelSpec(kind="parametric"))
+        assert loss._backward is None and loss.item() > 0.0
     with pytest.raises(DimensionError, match="rows 5 and 4"):
-        T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4, spec)
-    with pytest.raises(DimensionError, match="rows 5 and 4"):
-        T.gram_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4)
-    with pytest.raises(ValidationError, match="parametric"):
-        T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(5, 2, 1)), adj, 0.4,
+        T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
                            KernelSpec(kind="parametric"))
+    with pytest.raises(DimensionError, match=r"adjacency \(5, 5\)"):
+        T.kernel_alignment(Tensor(features(4, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
+                           KernelSpec(kind="gauss"))
+    # gkd has no learned kernel to align
+    trace = [T.constant(features(5, 2, 0)), T.constant(features(5, 2, 1))]
+    with pytest.raises(ValidationError, match="parametric"):
+        layer_avg_distill([h.values for h in trace], trace, KernelSpec(kind="parametric"),
+                          DistillConfig(), random_graph(5, 0))
+
+
+@pytest.mark.parametrize("kind,n,r_s,r_t,grams", [
+    ("parametric", 1200, 64, 64, True),     # pgkd-nodes: 1,200 student nodes
+    ("randomized", 3200, 320, 320, True),   # a full-graph layer of width 32
+    ("randomized", 256, 160, 160, False),   # gkd-randomized-batch, batch 256
+    ("randomized", 256, 320, 320, False),
+    ("randomized", 39, 20, 12, False),      # n = 2r - 1
+    ("randomized", 40, 20, 12, True),       # n = 2r
+    ("parametric", 40, 12, 20, True),       # r is the wider side
+    ("parametric", 39, 12, 20, False),
+    ("gauss", 64, 2, 2, False),             # entrywise kernels always walk row blocks
+    ("sigmoid", 64, 2, 2, False),
+])
+def test_gram_branch_from_the_shape(kind, n, r_s, r_t, grams, monkeypatch):
+    calls, branch = [], T._gram_alignment
+
+    def spy(phi_s, phi_t, adj, delta):
+        calls.append((phi_s.shape[1], phi_t.shape[1]))
+        return branch(phi_s, phi_t, adj, delta)
+
+    monkeypatch.setattr(T, "_gram_alignment", spy)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    adj = adjacency(Graph(n, edges, np.zeros((n, 1)), [0] * n, [0], [], []))
+    rng = np.random.default_rng(n)
+    phi_s = T.parameter(np.tanh(rng.normal(size=(n, r_s))))
+    phi_t = T.constant(np.tanh(rng.normal(size=(n, r_t))))
+    T.kernel_alignment(phi_s, phi_t, adj, 0.4, KernelSpec(kind=kind)).backward()
+    assert calls == ([(r_s, r_t)] if grams else [])
+    assert phi_s.grad is not None
 
 
 @pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
@@ -228,7 +264,8 @@ def test_factored_alignment_peaks_below_eight_factor_buffers():
     phi_s = T.parameter(np.tanh(rng.normal(size=(n, r))))
     tracemalloc.start()
     try:
-        factored_distill_loss(g, phi_t, phi_s, 0.4).backward()
+        T.kernel_alignment(phi_s, phi_t, adjacency(g), 0.4,
+                           KernelSpec(kind="parametric")).backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

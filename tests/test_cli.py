@@ -568,6 +568,8 @@ BAD_NUMBERS = {  # json.dumps writes nan and inf as NaN and Infinity, which json
     "tau_kd_nan": ({"distill": {"tau_kd": float("nan")}},
                    "distill.tau_kd: expected a finite number"),
     "split_empty": ({"split": {}}, "split.kind: missing required field"),
+    "patience_negative": ({"optimizer": {"patience": -3}},
+                          "optimizer.patience: expected an integer >= 0, got -3"),
 }
 
 
@@ -577,6 +579,29 @@ def test_bad_number_or_empty_split_exits_1_naming_the_field(tmp_path, graph_file
     cfg = write_config(tmp_path, graph_file, **overrides)
     assert run_cli("distill", "--config", cfg) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,overrides,flags,name", [
+    ("train-teacher", {"seed": -1}, [], "seed"),
+    ("distill", {"split": {"kind": "nodes", "pir": 0.5, "seed": -1}}, [], "split.seed"),
+    ("distill", {"kernel": {"kind": "randomized", "seed": -2}}, [], "kernel.seed"),
+    ("sweep-pir", {"sweep": {"seeds": [0, -1]}}, [], "sweep.seeds[1]"),
+    ("train-teacher", {}, ["--seed", "-1"], "--seed"),
+    ("distill", {}, ["--seed", "-1"], "--seed"),
+    ("gradcheck", None, ["--seed", "-1"], "--seed"),
+    ("gen-synthetic", None, ["--blocks", "5,5", "--p-in", "0.5", "--p-out", "0.1",
+                             "--seed", "-1"], "--seed"),
+])
+def test_negative_seed_exits_1_naming_it(tmp_path, graph_file, capsys, command, overrides,
+                                         flags, name):
+    argv = [command, *flags]
+    if overrides is not None:
+        argv += ["--config", write_config(tmp_path, graph_file, **overrides)]
+    if command == "gen-synthetic":
+        argv += ["--out", tmp_path / "out"]
+    assert run_cli(*argv) == 1
+    assert f"error: {name}: expected an integer >= 0, got -" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

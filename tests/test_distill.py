@@ -6,7 +6,6 @@ from geokd.distill import (
     DistillConfig,
     InverseNhkMapper,
     distill_loss,
-    factored_distill_loss,
     factored_reconstruction_loss,
     inverse_nhk_gram,
     kd_soft_label_loss,
@@ -17,7 +16,7 @@ from geokd.distill import (
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
-from geokd.graphs import Graph, sbm_generate
+from geokd.graphs import Graph, adjacency, sbm_generate
 from geokd.models import build_model, forward, init_xavier
 from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.training import sample_distill_batch
@@ -267,6 +266,17 @@ def assert_close_rel(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * scale
 
 
+PARAMETRIC = KernelSpec(kind="parametric")
+
+
+def inverse_kernel_alignments(g, phi_t, phi_s, delta):
+    """pgkd's alignment as the op computes it, and by each of its branches."""
+    adj = adjacency(g)
+    return [T.kernel_alignment(phi_s, phi_t, adj, delta, PARAMETRIC),
+            T._blocked_alignment(phi_s, phi_t, adj, delta, PARAMETRIC),
+            T._gram_alignment(phi_s, phi_t, adj, delta)]
+
+
 def loss_and_grads(f, params):
     for p in params:
         p.zero_grad()
@@ -293,42 +303,43 @@ def test_factored_distill_matches_dense(case, delta):
         w = weight_matrix(g, delta, np.arange(n))
         return distill_loss(inverse_nhk_gram(mapper_t, h_t), inverse_nhk_gram(mapper_s, h_s), w)
 
-    def factored():
-        return factored_distill_loss(g, mapper_t.apply(h_t), mapper_s.apply(h_s), delta)
-
     want, want_grads = loss_and_grads(dense, params)
-    got, got_grads = loss_and_grads(factored, params)
-    assert abs(got - want) <= 1e-12 * abs(want)
-    for gg, wg in zip(got_grads, want_grads):
-        assert_close_rel(gg, wg)
-    assert not np.any(got_grads[2])  # the teacher factor is detached
+    for branch in range(3):
+        got, got_grads = loss_and_grads(lambda: inverse_kernel_alignments(
+            g, mapper_t.apply(h_t), mapper_s.apply(h_s), delta)[branch], params)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for gg, wg in zip(got_grads, want_grads):
+            assert_close_rel(gg, wg)
+        assert not np.any(got_grads[2])  # the teacher factor is detached
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("case", range(4))
 def test_randomized_full_graph_alignment_matches_dense(case, delta):
-    # T.gram_alignment per layer, and the blocked op on a batch of every
-    # node, against the n x n kernels and a dense W
+    # every node and a batch of every node, against the n x n kernels and a
+    # dense W; factors of width r = 3 s walk row blocks at s = 2d (r >= 18),
+    # and at s = 1 take r x r Grams wherever n >= 6
     g = factor_graphs()[case]
     n = g.num_nodes
     rng = np.random.default_rng([21, case])
-    spec = KernelSpec(kind="randomized", t=1.0, m=2, seed=case)
     cfg = DistillConfig(alpha=1.5, delta=delta)
     t_feats = [rng.normal(size=(n, 3)), rng.normal(size=(n, 5)), rng.normal(size=(n, 2))]
     s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 4))),
                T.parameter(rng.normal(size=(n, 2)))]
     params = s_trace[1:]
     w = weight_matrix(g, delta, np.arange(n))
-    k_t = teacher_layer_kernels(t_feats, [h.shape[1] for h in s_trace], spec)
-    want, want_grads = loss_and_grads(lambda: T.scale(T.add(*(
-        distill_loss(k_t[l], kernel_matrix(spec, s_trace[l]), w) for l in (0, 1))),
-        cfg.alpha / 2), params)
-    for ids in (None, np.arange(n)):
-        got, got_grads = loss_and_grads(
-            lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g, ids), params)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        for gg, wg in zip(got_grads, want_grads):
-            assert_close_rel(gg, wg)
+    for s in (None, 1):
+        spec = KernelSpec(kind="randomized", t=1.0, m=2, s=s, seed=case)
+        k_t = teacher_layer_kernels(t_feats, [h.shape[1] for h in s_trace], spec)
+        want, want_grads = loss_and_grads(lambda: T.scale(T.add(*(
+            distill_loss(k_t[l], kernel_matrix(spec, s_trace[l]), w) for l in (0, 1))),
+            cfg.alpha / 2), params)
+        for ids in (None, np.arange(n)):
+            got, got_grads = loss_and_grads(
+                lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g, ids), params)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            for gg, wg in zip(got_grads, want_grads):
+                assert_close_rel(gg, wg)
 
 
 def test_fixed_terms_memoize_gradient_free_layers():
@@ -371,19 +382,19 @@ def test_factored_reconstruction_matches_dense(case):
 def test_factored_distill_identical_factors_zero(delta):
     g = sbm_generate([6, 5], 0.6, 0.2, 3, 0.5, 23)
     phi = T.parameter(np.tanh(np.random.default_rng(24).normal(size=(g.num_nodes, 6))))
-    loss = factored_distill_loss(g, phi, phi, delta)
-    assert loss.item() == 0.0
-    loss.backward()
-    assert not np.any(phi.grad)
+    for loss in inverse_kernel_alignments(g, phi, phi, delta):
+        phi.zero_grad()
+        assert loss.item() == 0.0
+        loss.backward()
+        assert not np.any(phi.grad)
 
 
 def test_factored_losses_check_shapes():
     g = sbm_generate([3, 3], 0.6, 0.2, 3, 0.5, 25)
     phi = T.Tensor(np.ones((6, 4)))
     with pytest.raises(DimensionError):
-        factored_distill_loss(g, phi, T.Tensor(np.ones((6, 3))), 0.4)
-    with pytest.raises(DimensionError):
-        factored_distill_loss(g, T.Tensor(np.ones((5, 4))), T.Tensor(np.ones((5, 4))), 0.4)
+        T.kernel_alignment(T.Tensor(np.ones((5, 4))), T.Tensor(np.ones((5, 4))), adjacency(g),
+                           0.4, PARAMETRIC)
     with pytest.raises(DimensionError):
         factored_reconstruction_loss(phi, T.Tensor(np.ones((5, 2))), T.Tensor(np.ones((5, 2))))
     with pytest.raises(DimensionError):

@@ -7,6 +7,7 @@ import pytest
 from geokd.errors import GraphParseError, ValidationError
 from geokd.graphs import (
     Graph,
+    _rng,
     adjacency,
     graph_to_dict,
     laplacian_sym,
@@ -187,6 +188,38 @@ def test_split_nodes_edges_are_induced_subgraph(complete):
         if u in set(remap.tolist()) and v in set(remap.tolist())
     }
     assert {tuple(e) for e in g.edges} == sub_edges
+
+
+def looped_split_nodes(g_complete, pir, seed):
+    """split_nodes as a loop over every node and edge with set lookups: the
+    reference the vectorized version must match byte for byte."""
+    train = g_complete.train_mask
+    drawn = _rng(seed, 102).choice(len(train), size=int(round(pir * len(train))), replace=False)
+    removed = set(train[drawn].tolist())
+    kept = np.array([i for i in range(g_complete.num_nodes) if i not in removed], dtype=np.int64)
+    new_id = -np.ones(g_complete.num_nodes, dtype=np.int64)
+    new_id[kept] = np.arange(len(kept))
+    edges = [(new_id[u], new_id[v]) for u, v in g_complete.edges
+             if u not in removed and v not in removed]
+
+    def remap(m):
+        return new_id[np.array([i for i in m if i not in removed], dtype=np.int64)]
+
+    g = Graph(len(kept), np.array(edges, dtype=np.int64).reshape(-1, 2),
+              g_complete.features.values[kept], g_complete.labels[kept], remap(train),
+              remap(g_complete.val_mask), remap(g_complete.test_mask))
+    return g, kept
+
+
+@pytest.mark.parametrize("pir", [0.0, 0.3, 0.5, 1.0])
+def test_split_nodes_matches_the_looped_reference(complete, pir):
+    (g, ids), (ref, ref_ids) = split_nodes(complete, pir, 14), looped_split_nodes(complete, pir, 14)
+    assert g.num_nodes == ref.num_nodes
+    pairs = [(ids, ref_ids), (g.features.values, ref.features.values)] + [
+        (getattr(g, k), getattr(ref, k))
+        for k in ("edges", "labels", "train_mask", "val_mask", "test_mask")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_split_nodes_features_follow_remap(complete):
