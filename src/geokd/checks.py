@@ -20,6 +20,7 @@ from .distill import (
     kd_soft_label_loss,
     layer_avg_distill,
     reconstruction_loss,
+    teacher_layer_rows,
     weight_matrix,
 )
 from .graphs import adjacency, laplacian_sym, normalize_adjacency, sbm_generate
@@ -221,7 +222,8 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
 
         def f():
             _, s_trace = forward(gcn, g)
-            return layer_avg_distill(t_feats, s_trace, spec, cfg, g)
+            return layer_avg_distill(teacher_layer_rows(t_feats, gcn.dims, spec), s_trace,
+                                     spec, cfg, g)
 
         return f
 

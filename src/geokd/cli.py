@@ -24,7 +24,7 @@ import numpy as np
 from .checks import gradient_suite, kernel_checks, theorem_checks
 from .config import config_fields
 from .distill import DistillConfig
-from .errors import DimensionError, GeokdError, GraphParseError, NumericError, ValidationError
+from .errors import GeokdError, GraphParseError, NumericError, ValidationError
 from .graphs import (
     Graph,
     load_graph,
@@ -37,7 +37,7 @@ from .graphs import (
 )
 from .models import GnnModel, accuracies, build_model, forward
 from .nhk import KernelSpec
-from .training import STUDENT_MODES, TrainPlan, TrainResult, train_student, train_supervised
+from .training import TrainPlan, TrainResult, train_student, train_supervised
 
 _MISSING = object()
 
@@ -92,7 +92,8 @@ def _section(doc: dict, name: str, cls, **given):
     that are not given. An absent or null key keeps the dataclass default,
     and is an error for a field without one. An unknown key, a mistyped value
     or a value cls rejects is an error naming its field: cls raises
-    GraphParseError naming a field of the section, or ValidationError.
+    GraphParseError naming a field of the section or a given field, or
+    ValidationError.
     """
     kinds = {k: t for k, t in config_fields(cls).items() if k not in given}
     sub = doc.get(name) or {}
@@ -114,6 +115,8 @@ def _section(doc: dict, name: str, cls, **given):
     try:
         return cls(**kwargs)
     except GraphParseError as e:
+        if e.field.split(".")[0] in given:
+            raise
         raise GraphParseError(f"{name}.{e.field}", e.message) from e
     except ValidationError as e:
         raise GraphParseError(name, str(e)) from e
@@ -184,8 +187,6 @@ class RunConfig:
         """Parse a config document; every section rejects keys it does not know."""
         _reject_unknown(doc, _TOP_KEYS)
         mode = _get(doc, "mode", "str", "gkd_offline")
-        if mode not in ("teacher",) + STUDENT_MODES:
-            raise GraphParseError("mode", f"unknown mode {mode!r}")
         complete = _get(doc, "complete_graph", "str")
         if not Path(complete).exists():
             raise GraphParseError("complete_graph", f"file not found: {complete}")
@@ -261,22 +262,27 @@ def _build_from_section(section: ModelSection, g: Graph, num_classes: int) -> Gn
 # Output writers
 
 
-def _write_metrics(out: Path, result: TrainResult):
+def _write_run(cfg: RunConfig, result: TrainResult, mode: str, checkpoints: dict):
+    """The checkpoints {file name: model}, metrics.jsonl, timing.json and
+    summary.json of a training run in cfg.out_dir, then its one-line report."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, model in checkpoints.items():
+        model.save(out / name)
     write_atomic(out / "metrics.jsonl", lambda f: f.writelines(
         json.dumps(rec.public_dict()) + "\n" for rec in result.metrics))
     walls = [rec.wall_ms for rec in result.metrics]
     write_json(out / "timing.json", {"wall_ms_per_epoch": walls, "wall_ms_total": sum(walls)})
-
-
-def _summary_doc(cfg: RunConfig, result: TrainResult, mode: str) -> dict:
-    return {
+    write_json(out / "summary.json", {
         "mode": mode,
         "seed": cfg.plan.seed,
         "epochs_run": len(result.metrics),
         "best_epoch": result.best_epoch,
         "best_val_acc": result.best_val_acc,
         "best_test_acc": result.best_test_acc,
-    }
+    }, indent=2)
+    print(f"{mode}: best val {result.best_val_acc:.4f} "
+          f"test {result.best_test_acc:.4f} (epoch {result.best_epoch})")
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +329,7 @@ def cmd_train_teacher(args) -> int:
     g_complete = load_graph(cfg.complete_graph)
     model = _build_from_section(cfg.teacher, g_complete, g_complete.num_classes)
     result = train_supervised(g_complete, model, replace(cfg.plan, mode="teacher"))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model.save(out / "teacher.json")
-    _write_metrics(out, result)
-    write_json(out / "summary.json", _summary_doc(cfg, result, "teacher"), indent=2)
-    print(f"teacher: best val {result.best_val_acc:.4f} "
-          f"test {result.best_test_acc:.4f} (epoch {result.best_epoch})")
+    _write_run(cfg, result, "teacher", {"teacher.json": model})
     return 0
 
 
@@ -354,15 +354,10 @@ def cmd_distill(args) -> int:
             )
         teacher = GnnModel.load(cfg.teacher.checkpoint)
     result = train_student(cfg.plan, g, g_complete, teacher, student, node_map)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.model.save(out / "student.json")
+    checkpoints = {"student.json": result.model}
     if result.teacher_model is not None:
-        result.teacher_model.save(out / "teacher_online.json")
-    _write_metrics(out, result)
-    write_json(out / "summary.json", _summary_doc(cfg, result, mode), indent=2)
-    print(f"{mode}: best val {result.best_val_acc:.4f} "
-          f"test {result.best_test_acc:.4f} (epoch {result.best_epoch})")
+        checkpoints["teacher_online.json"] = result.teacher_model
+    _write_run(cfg, result, mode, checkpoints)
     return 0
 
 
@@ -394,6 +389,7 @@ def cmd_sweep_pir(args) -> int:
                 "--pirs", f"expected comma-separated numbers in [0, 1], got {args.pirs!r}") from e
     split_kind = cfg.sweep.split_kind or (cfg.split.kind if cfg.split else "edges")
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
+    method_plan = replace(cfg.plan, mode=method)  # checks its kernel before any training
 
     g_complete = load_graph(cfg.complete_graph)
     num_classes = g_complete.num_classes
@@ -423,7 +419,7 @@ def cmd_sweep_pir(args) -> int:
                          res_plain.best_test_acc))
 
             student = _build_from_section(cfg.student, g, num_classes)
-            res_gkd = train_student(replace(cfg.plan, mode=method, seed=seed),
+            res_gkd = train_student(replace(method_plan, seed=seed),
                                     g, g_complete, teacher, student, node_map)
             rows.append((pir, method, seed, res_gkd.best_val_acc,
                          res_gkd.best_test_acc))
@@ -531,17 +527,12 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             _require_seed(args.seed, "--seed")
         return args.func(args)
-    except (ValidationError, GraphParseError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename}", file=sys.stderr)
-        return 1
-    except GeokdError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (GeokdError, FileNotFoundError) as e:
+        msg = f"file not found: {e.filename}" if isinstance(e, FileNotFoundError) else e
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,9 @@ connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
 
 Every alignment loss, gkd's per layer and pgkd's, is one call of
-``T.kernel_alignment``, which picks how to sum it from its input. The gauss
+``T.kernel_alignment``, which picks how to sum it from its input: gkd's
+reads the rows ``nhk.kernel_rows`` gives for its kernel, pgkd's the mapped
+features whose Gram is the parametric kernel. The gauss
 and sigmoid kernels are entrywise maps of the pairwise distances or inner
 products, so it computes them block by block (as KeOps and FlashAttention
 reduce kernels): for a block B of b rows it rebuilds K_s,B and K_t,B, W.*W on
@@ -42,7 +44,7 @@ from . import tensor as T
 from .errors import DimensionError, ValidationError
 from .graphs import Graph, adjacency
 from .models import GnnModel, init_xavier
-from .nhk import KernelSpec, kernel_factor, kernel_matrix
+from .nhk import KernelSpec, kernel_matrix, kernel_rows
 from .tensor import Tensor
 
 
@@ -108,63 +110,45 @@ def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
 def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):
     """The frozen teacher's kernel matrices, one per loss layer, detached: the
     dense reference for the teacher side of ``layer_avg_distill``."""
-    if spec.kind == "randomized":
-        return [T.gram(phi).detach() for phi in
-                teacher_layer_factors(traces_teacher, traces_student_dims, spec)]
-    return [kernel_matrix(spec, T.constant(h)).detach() for h in traces_teacher[:-1]]
-
-
-def teacher_layer_factors(traces_teacher, traces_student_dims, spec: KernelSpec):
-    """A randomized kernel's factors Phi_t (K_t = Phi_t Phi_t^T) of the teacher's
-    feature arrays; layer l is projected to spec.s, else twice the student's
-    feature width at l."""
-    return [kernel_factor(spec, T.constant(h), spec.width(d))
+    return [kernel_matrix(spec, T.constant(h), spec.width(d)).detach()
             for h, d in zip(traces_teacher[:-1], traces_student_dims)]
 
 
-def layer_avg_distill(traces_teacher, traces_student, spec: KernelSpec,
-                      cfg: DistillConfig, g: Graph, ids=None, teacher_layers=None,
-                      fixed_terms=None) -> Tensor:
+def teacher_layer_rows(traces_teacher, traces_student_dims, spec: KernelSpec):
+    """``kernel_rows`` of the teacher's feature arrays, one per loss layer; a
+    randomized kernel projects layer l to spec.s, else twice the student's
+    feature width at l."""
+    return [kernel_rows(spec, T.constant(h), spec.width(d))
+            for h, d in zip(traces_teacher[:-1], traces_student_dims)]
+
+
+def layer_avg_distill(teacher_rows, traces_student, spec: KernelSpec, cfg: DistillConfig,
+                      g: Graph, ids=None, fixed_terms=None) -> Tensor:
     """Mean per-layer kernel alignment scaled by alpha, over the pairs of the
     nodes ``ids`` of g (every node when None).
 
     The kernel bridging layer l-1 to l is evaluated on the source features,
-    so the L loss terms read trace entries 0 .. L-1. Teacher entries are
-    arrays; both sides must already be restricted to the aligned rows. Each
-    layer is one ``T.kernel_alignment``, on the features or, for a randomized
-    kernel, on their factors (the teacher's by default
-    ``teacher_layer_factors``). A frozen teacher may pass a dict
+    so the L loss terms read trace entries 0 .. L-1. Layer l is one
+    ``T.kernel_alignment`` of the student's ``kernel_rows`` against
+    ``teacher_rows[l]`` (see ``teacher_layer_rows``); both sides must already
+    be restricted to the aligned rows. A frozen teacher may pass a dict
     ``fixed_terms``, kept across calls, that memoizes the terms of
     gradient-free student entries.
     """
-    if len(traces_teacher) != len(traces_student):
-        raise DimensionError(
-            f"trace length mismatch: {len(traces_teacher)} vs {len(traces_student)}"
-        )
     num_layers = len(traces_student) - 1
     if num_layers < 1:
         raise ValidationError("traces must cover at least one layer")
-    if spec.kind == "parametric":
-        raise ValidationError("parametric kernels are trained: only pgkd aligns them")
-    factored = spec.kind == "randomized"
-    if factored and teacher_layers is None:
-        teacher_layers = teacher_layer_factors(
-            traces_teacher, [h.shape[1] for h in traces_student], spec)
+    if len(teacher_rows) != num_layers:
+        raise DimensionError(
+            f"{len(teacher_rows)} teacher layers for {num_layers} student layers")
     adj = adjacency(g, ids)
-
-    def align(l):
-        if factored:
-            return T.kernel_alignment(kernel_factor(spec, traces_student[l]),
-                                      teacher_layers[l], adj, cfg.delta, spec)
-        return T.kernel_alignment(traces_student[l], T.constant(traces_teacher[l]),
-                                  adj, cfg.delta, spec)
-
     total = None
     for l in range(num_layers):
         if fixed_terms is not None and l in fixed_terms:
             term = T.constant([[fixed_terms[l]]])
         else:
-            term = align(l)
+            term = T.kernel_alignment(kernel_rows(spec, traces_student[l]), teacher_rows[l],
+                                      adj, cfg.delta, spec)
             if fixed_terms is not None and not traces_student[l].requires_grad:
                 fixed_terms[l] = term.item()
         total = term if total is None else T.add(total, term)

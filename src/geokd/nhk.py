@@ -9,7 +9,8 @@ semigroup and expansion checks.
 The randomized kernel is a random-feature map (Rahimi & Recht, 2007): with
 the projections stacked as P = [W_0^T ... W_m^T], Phi = sigma(H P) with column
 block k scaled by sqrt(w_k / (m+1)) gives K = Phi Phi^T, so a loss can work
-on the n x (m+1)s factor Phi instead of the n x n K.
+on the n x (m+1)s factor Phi instead of the n x n K. ``kernel_rows`` is the
+one place that decides what an alignment reads for each kind.
 """
 
 from __future__ import annotations
@@ -116,20 +117,25 @@ def nhk_randomized(h: Tensor, proj: RandomProjections, weights) -> Tensor:
     return T.gram(randomized_features(h, proj, weights))
 
 
-def kernel_factor(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
-    """Phi with kernel_matrix(spec, h, s) = Phi Phi^T, for a randomized spec."""
-    return randomized_features(h, build_projections(spec, h.shape[1], s), spec.weights())
+def kernel_rows(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
+    """The rows ``T.kernel_alignment`` reads for spec's kernel over h: h itself
+    for gauss and sigmoid, and for randomized the factor Phi of
+    K = Phi Phi^T, projected to width s (default ``spec.width``)."""
+    if spec.kind == "randomized":
+        return randomized_features(h, build_projections(spec, h.shape[1], s), spec.weights())
+    if spec.kind == "parametric":
+        raise ValidationError("parametric kernels are trained: only pgkd aligns them")
+    return h
 
 
 def kernel_matrix(spec: KernelSpec, h: Tensor, s: int | None = None) -> Tensor:
     """The kernel of spec over the rows of h; s is the randomized projection width."""
+    rows = kernel_rows(spec, h, s)
     if spec.kind == "gauss":
-        return nhk_gauss(h, spec.t)
+        return nhk_gauss(rows, spec.t)
     if spec.kind == "sigmoid":
-        return nhk_sigmoid(h, spec.a, spec.b)
-    if spec.kind == "randomized":
-        return T.gram(kernel_factor(spec, h, s))
-    raise ValidationError("parametric kernels are trained, not evaluated directly")
+        return nhk_sigmoid(rows, spec.a, spec.b)
+    return T.gram(rows)
 
 
 def nhk_compose(k_a: Tensor, k_b: Tensor, mu) -> Tensor:

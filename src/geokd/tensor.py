@@ -547,12 +547,12 @@ def _gram_alignment(phi_s: Tensor, phi_t: Tensor, adj: SparseMatrix, delta: floa
     The loss is delta^2 (||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2), G_ts = Phi_t^T
     Phi_s the r x r Grams, plus (1 - delta^2) sum_e rho_e^2 over the entries
     e = (i, j) of adj, rho_e = <phi_s,i, phi_s,j> - <phi_t,i, phi_t,j>, gathered
-    in blocks of entries. The node keeps rho and the Grams: as adj is
+    in blocks of entries. The node keeps rho and, for delta > 0, the Grams
+    (at delta = 0 neither the loss nor its gradient reads them): as adj is
     symmetric, dL/dPhi_s = 4 delta^2 (Phi_s G_ss - Phi_t G_ts) + 4 (1 - delta^2)
     A_rho Phi_s, A_rho being adj with the values rho.
     """
     hs, ht = phi_s.values, phi_t.values
-    g_ss, g_ts, g_tt = hs.T @ hs, ht.T @ hs, ht.T @ ht
     rows, cols, d2 = adj.row_ids(), adj.indices, float(delta) ** 2
     rho = np.empty(adj.nnz)
     step = max(1, _BLOCK_FLOATS // max(hs.shape[1], ht.shape[1]))
@@ -560,8 +560,10 @@ def _gram_alignment(phi_s: Tensor, phi_t: Tensor, adj: SparseMatrix, delta: floa
         r, c = rows[lo:lo + step], cols[lo:lo + step]
         np.subtract(np.einsum("ij,ij->i", hs[r], hs[c]), np.einsum("ij,ij->i", ht[r], ht[c]),
                     out=rho[lo:lo + step])
-    loss = d2 * (np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt)) \
-        + (1.0 - d2) * np.dot(rho, rho)
+    loss = (1.0 - d2) * np.dot(rho, rho)
+    if d2:
+        g_ss, g_ts, g_tt = hs.T @ hs, ht.T @ hs, ht.T @ ht
+        loss += d2 * (np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt))
 
     def backward(g):
         grad = adj.matmul_dense(hs, rho)

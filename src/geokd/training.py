@@ -2,7 +2,9 @@
 EM-style parametric distillation, mini-batch sampling and grid search.
 
 Every mode runs the one epoch loop in ``_fit`` and supplies only the loss
-terms it adds to the cross-entropy.
+terms it adds to the cross-entropy. ``TrainPlan`` checks each mode's kernel
+once: pgkd aligns the learned parametric kernel, and every other student
+mode aligns the ``nhk.kernel_rows`` of a gauss, sigmoid or randomized one.
 
 Every run is a pure function of (graphs, plan, seed). Random streams are
 namespaced so that a distilled student with all distillation weights at zero
@@ -27,7 +29,7 @@ from .distill import (
     kd_soft_label_loss,
     layer_avg_distill,
     pgkd_span,
-    teacher_layer_factors,
+    teacher_layer_rows,
     trace_feature_dim,
 )
 from .errors import GraphParseError, NumericError, ValidationError
@@ -41,8 +43,7 @@ STREAM_MAPPER = 203
 STREAM_BATCH = 204
 
 STUDENT_MODES = ("gkd_offline", "pgkd", "online", "self_distill", "compression")
-# pgkd aligns the Grams of the mapped features, whatever plan.kernel says
-_INVERSE_KERNEL = KernelSpec(kind="parametric")
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class Adam:
@@ -52,12 +53,10 @@ class Adam:
     as a NumericError naming the step count as the epoch, and ``name[i]``.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, name: str = "parameter"):
+    def __init__(self, params, lr: float, name: str = "parameter"):
         self.params = list(params)
         self.lr = float(lr)
         self.name = name
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -77,11 +76,11 @@ class Adam:
         t = self.step_count
         for i, p in enumerate(self.params):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = _BETA1 * self.m[i] + (1 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1 - _BETA2) * (g * g)
+            m_hat = self.m[i] / (1 - _BETA1 ** t)
+            v_hat = self.v[i] / (1 - _BETA2 ** t)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 @dataclass
@@ -117,15 +116,24 @@ class TrainPlan:
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
+        if self.mode not in ("teacher",) + STUDENT_MODES:
+            raise GraphParseError("mode", f"unknown mode {self.mode!r}")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.patience < 0:  # would stop after the first epoch
             raise GraphParseError("patience", f"expected an integer >= 0, got {self.patience}")
-        if self.mode not in ("teacher",) + STUDENT_MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
         for name in ("lr", "lr_mapper"):  # a negative rate would ascend the loss
             if not getattr(self, name) > 0:
                 raise GraphParseError(name, f"expected a number > 0, got {getattr(self, name)}")
+        # the one mode x kernel check: pgkd learns its kernel, gkd evaluates one
+        pgkd = self.mode == "pgkd"
+        if self.mode != "teacher" and pgkd != (self.kernel.kind == "parametric"):
+            need = "'parametric'" if pgkd else "'gauss', 'sigmoid' or 'randomized'"
+            raise GraphParseError("kernel.kind", f"mode {self.mode!r} aligns {need} "
+                                  f"kernels, got {self.kernel.kind!r}")
+        if pgkd and self.distill.batch_size is not None:
+            raise GraphParseError("distill.batch_size", "mode 'pgkd' aligns the whole graph, "
+                                  f"got {self.distill.batch_size}")
 
 
 @dataclass
@@ -235,40 +243,39 @@ def _kd_term(plan: TrainPlan, teacher_logits, logits, g: Graph):
 class _GkdTerms:
     """gkd and online terms: alpha-scaled per-layer alignment, soft labels.
 
-    Built once per run: a frozen teacher's randomized factors Phi_t, whose
-    rows each batch gathers, and the full-graph terms of gradient-free
-    student entries (input, sgc trace).
+    The teacher side is ``teacher_layer_rows``. A frozen teacher's rows are
+    built on the first call, kept, and gathered per batch; a full-graph run
+    also memoizes the terms of gradient-free student entries (input, sgc
+    trace). An online teacher's rows are built each call from the batch's
+    teacher features.
     """
 
-    def __init__(self, plan: TrainPlan, g: Graph, frozen_teacher_feats=None,
-                 student: GnnModel | None = None):
-        self.plan, self.g = plan, g
-        n, cfg = g.num_nodes, plan.distill
-        self.batched = cfg.batch_size is not None and cfg.batch_size < n
-        self.teacher_layers = self.fixed_terms = None
-        if cfg.alpha > 0 and frozen_teacher_feats is not None:
-            if plan.kernel.kind == "randomized":
-                dims = [trace_feature_dim(student, l) for l in range(student.num_layers + 1)]
-                self.teacher_layers = teacher_layer_factors(frozen_teacher_feats, dims,
-                                                            plan.kernel)
-            if not self.batched:
-                self.fixed_terms = {}
+    def __init__(self, plan: TrainPlan, g: Graph, frozen: bool):
+        self.plan, self.g, self.frozen = plan, g, frozen
+        cfg = plan.distill
+        self.batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
+        self.teacher_rows = None
+        self.fixed_terms = {} if frozen and not self.batched else None
 
     def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
         spec, cfg = self.plan.kernel, self.plan.distill
         extra, loss_dis = [], 0.0
         if cfg.alpha > 0:
+            ids = None
             if self.batched:
                 ids = sample_distill_batch(self.g.num_nodes, cfg.batch_size,
                                            self.plan.seed, epoch)
-                t_layers = None if self.teacher_layers is None else \
-                    [T.constant(f.values[ids]) for f in self.teacher_layers]
-                dis = layer_avg_distill([f[ids] for f in teacher_feats],
-                                        [T.take_rows(h, ids) for h in trace], spec, cfg,
-                                        self.g, ids, t_layers)
+                trace = [T.take_rows(h, ids) for h in trace]
+            dims = [h.shape[1] for h in trace]
+            if self.frozen:
+                if self.teacher_rows is None:
+                    self.teacher_rows = teacher_layer_rows(teacher_feats, dims, spec)
+                t_rows = self.teacher_rows if ids is None else \
+                    [T.constant(r.values[ids]) for r in self.teacher_rows]
             else:
-                dis = layer_avg_distill(teacher_feats, trace, spec, cfg, self.g, None,
-                                        self.teacher_layers, self.fixed_terms)
+                feats = teacher_feats if ids is None else [f[ids] for f in teacher_feats]
+                t_rows = teacher_layer_rows(feats, dims, spec)
+            dis = layer_avg_distill(t_rows, trace, spec, cfg, self.g, ids, self.fixed_terms)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:
@@ -287,7 +294,7 @@ def train_student_gkd(g: Graph, teacher: GnnModel, g_complete: Graph,
             f"teacher trace has {len(teacher_feats)} entries, student expects "
             f"{student.num_layers + 1}"
         )
-    gkd = _GkdTerms(plan, g, teacher_feats, student)
+    gkd = _GkdTerms(plan, g, frozen=True)
     return _fit(student, g, plan, lambda epoch, logits, trace: gkd(
         epoch, teacher_logits, teacher_feats, logits, trace))
 
@@ -349,7 +356,7 @@ def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
             phi_t = mapper_t.apply(t_late_sub)
             phi_s = mapper_s.apply(trace[late_s])
             dis = T.scale(T.kernel_alignment(phi_s, phi_t, adjacency(g), cfg.delta,
-                                             _INVERSE_KERNEL), cfg.alpha)
+                                             plan.kernel), cfg.alpha)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:
@@ -366,7 +373,7 @@ def train_online(g: Graph, g_complete: Graph, teacher: GnnModel,
     teacher.set_trainable(True)
     opt_t = Adam(teacher.parameters(), plan.lr, name="online teacher weight")
     tracker_t = _BestTracker(teacher)
-    gkd = _GkdTerms(plan, g)
+    gkd = _GkdTerms(plan, g, frozen=False)
     # as for the student, the teacher forward after each of its steps is
     # also the one its next step differentiates
     t_logits, t_trace = forward(teacher, g_complete)
@@ -442,7 +449,7 @@ def apply_grid_overrides(plan: TrainPlan, overrides: dict) -> TrainPlan:
 
 
 def grid_search(space: dict, plan: TrainPlan, g: Graph, g_complete: Graph = None,
-                teacher: GnnModel = None, model_builder=None):
+                teacher: GnnModel = None, *, model_builder):
     """Exhaustive search over the declared space, selected on validation accuracy.
 
     Ties keep the first combination in declared (lexicographic) order. Returns
@@ -450,8 +457,6 @@ def grid_search(space: dict, plan: TrainPlan, g: Graph, g_complete: Graph = None
     """
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("grid space must be nonempty")
-    if model_builder is None:
-        raise ValidationError("grid_search needs a model_builder")
     keys = list(space.keys())
     rows = []
     best_row = None

@@ -161,8 +161,9 @@ def test_criterion_4_reductions():
                                              seed=seed, lr=0.05))
         cfg = DistillConfig(alpha=0.0, alpha_kd=0.0)
         for mode in ("gkd_offline", "pgkd", "online"):
+            kernel = KernelSpec(kind="parametric") if mode == "pgkd" else KernelSpec()
             plan = TrainPlan(mode=mode, epochs=40, seed=seed, lr=0.05,
-                             lr_mapper=0.01, distill=cfg)
+                             lr_mapper=0.01, kernel=kernel, distill=cfg)
             student = build_model("gcn", 6, 8, 3, 2)
             if mode == "online":
                 train_online(g, g_c, build_model("gcn", 6, 8, 3, 2), student, plan)
@@ -258,7 +259,7 @@ def test_criterion_7b_pgkd_ordering(edge_protocol):
     tic = time.perf_counter()
     space = {"alpha": [1.0, 10.0], "delta": [0.0, 0.4]}
     best, pgkd_mean = _tuned_distill_means(
-        edge_protocol, "pgkd", space, lr_mapper=0.001
+        edge_protocol, "pgkd", space, lr_mapper=0.001, kernel=KernelSpec(kind="parametric")
     )
     oracle = float(np.mean([r["oracle_test"] for r in edge_protocol]))
     teacher = float(np.mean([r["teacher_partial_test"] for r in edge_protocol]))

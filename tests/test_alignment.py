@@ -24,6 +24,7 @@ from geokd.distill import (
     distill_loss,
     layer_avg_distill,
     teacher_layer_kernels,
+    teacher_layer_rows,
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
@@ -141,7 +142,8 @@ def test_every_batch_layer_runs_the_blocked_op(kind, monkeypatch):
 
     monkeypatch.setattr(T, "kernel_alignment", recording_op)
     spec = KernelSpec(kind=kind, m=2)
-    layer_avg_distill(t_feats, s_trace, spec, DistillConfig(delta=0.4), g, ids).backward()
+    t_rows = teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
+    layer_avg_distill(t_rows, s_trace, spec, DistillConfig(delta=0.4), g, ids).backward()
     # a randomized layer aligns factors of width (m + 1) * 2d, d the student's
     widths = [(24, 24), (18, 18)] if kind == "randomized" else [(4, 4), (3, 6)]
     assert calls == [((11, w_s), (11, w_t), (11, 11)) for w_s, w_t in widths]
@@ -172,8 +174,8 @@ def test_gradient_free_student_and_shape_checks():
     # gkd has no learned kernel to align
     trace = [T.constant(features(5, 2, 0)), T.constant(features(5, 2, 1))]
     with pytest.raises(ValidationError, match="parametric"):
-        layer_avg_distill([h.values for h in trace], trace, KernelSpec(kind="parametric"),
-                          DistillConfig(), random_graph(5, 0))
+        layer_avg_distill(trace[:1], trace, KernelSpec(kind="parametric"), DistillConfig(),
+                          random_graph(5, 0))
 
 
 @pytest.mark.parametrize("kind,n,r_s,r_t,grams", [
@@ -216,7 +218,8 @@ def test_layer_avg_full_graph_matches_dense(kind):
     t_feats = [rng.normal(size=(n, 4)), rng.normal(size=(n, 6)), rng.normal(size=(n, 2))]
     s_trace = [T.constant(rng.normal(size=(n, 4))), T.parameter(rng.normal(size=(n, 3))),
                T.parameter(rng.normal(size=(n, 2)))]
-    got = layer_avg_distill(t_feats, s_trace, spec, cfg, g)
+    t_rows = teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
+    got = layer_avg_distill(t_rows, s_trace, spec, cfg, g)
     got.backward()
     got_grad = s_trace[1].grad.copy()
     s_trace[1].zero_grad()

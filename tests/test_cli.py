@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from geokd import cli
 from geokd.cli import RunConfig, SweepSection, main
 from geokd.distill import DistillConfig
 from geokd.errors import GraphParseError
@@ -233,7 +234,7 @@ def test_distill_online_writes_both_checkpoints(tmp_path, graph_file):
 def test_distill_pgkd_runs(tmp_path, graph_file):
     ckpt = make_teacher(tmp_path, graph_file)
     cfg = write_config(
-        tmp_path, graph_file, mode="pgkd",
+        tmp_path, graph_file, mode="pgkd", kernel={"kind": "parametric"},
         teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
         optimizer={"lr": 0.05, "lr_mapper": 0.01, "epochs": 6},
     )
@@ -286,7 +287,7 @@ def test_non_finite_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
 def test_node_split_without_training_nodes_exit_1(tmp_path, graph_file, capsys):
     ckpt = make_teacher(tmp_path, graph_file)
     cfg = write_config(
-        tmp_path, graph_file, mode="pgkd",
+        tmp_path, graph_file, mode="pgkd", kernel={"kind": "parametric"},
         teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
         split={"kind": "nodes", "pir": 1.0},
     )
@@ -382,6 +383,17 @@ def test_sweep_config_errors_exit_1_naming_the_field(tmp_path, graph_file, capsy
     cfg = write_config(tmp_path, graph_file, sweep=sweep)
     assert run_cli("sweep-pir", "--config", cfg, *argv) == 1
     assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_checks_its_distillation_kernel_before_training(tmp_path, graph_file, capsys,
+                                                              monkeypatch):
+    # a teacher-mode config sweeps gkd_offline, which aligns no parametric kernel
+    monkeypatch.setattr(cli, "train_supervised", lambda *args: pytest.fail("trained first"))
+    cfg = write_config(tmp_path, graph_file, mode="teacher", kernel={"kind": "parametric"},
+                       sweep={"pirs": [0.5], "seeds": [0]})
+    assert run_cli("sweep-pir", "--config", cfg) == 1
+    assert "error: kernel.kind: mode 'gkd_offline'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -499,6 +511,24 @@ def test_kernel_width_below_one_exits_1_naming_it(tmp_path, graph_file, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode,kernel,distill,field", [
+    ("gkd_offline", {"kind": "parametric"}, {}, "kernel.kind"),
+    ("self_distill", {"kind": "parametric", "s": 4}, {}, "kernel.kind"),
+    ("pgkd", {"kind": "gauss", "t": 0.5}, {}, "kernel.kind"),
+    ("pgkd", {"kind": "sigmoid"}, {}, "kernel.kind"),
+    ("pgkd", {"kind": "parametric"}, {"batch_size": 8}, "distill.batch_size"),
+])
+def test_kernel_a_mode_does_not_align_exits_1_at_parse_time(tmp_path, graph_file, capsys,
+                                                            mode, kernel, distill, field):
+    # the checkpoint does not exist: the config is refused before it is read
+    cfg = write_config(tmp_path, graph_file, mode=mode, kernel=kernel, distill=distill,
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8,
+                                "checkpoint": str(tmp_path / "missing.json")})
+    assert run_cli("distill", "--config", cfg) == 1
+    assert f"error: {field}: mode '{mode}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section,key", [("kernel", "tt"), ("distill", "alhpa"),
                                          ("distill", "layer_span"),
                                          ("optimizer", "learning_rate")])
@@ -607,12 +637,12 @@ def test_negative_seed_exits_1_naming_it(tmp_path, graph_file, capsys, command, 
 
 def test_config_sections_fill_dataclass_defaults(tmp_path, graph_file):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"mode": "pgkd", "complete_graph": str(graph_file),
+    path.write_text(json.dumps({"mode": "online", "complete_graph": str(graph_file),
                                 "kernel": {"kind": "randomized", "s": None, "m": 2},
                                 "distill": {"alpha": 3, "batch_size": 8},
                                 "optimizer": {"epochs": 7}}))
     plan = RunConfig.from_file(path).plan
-    assert plan == TrainPlan(mode="pgkd", epochs=7,
+    assert plan == TrainPlan(mode="online", epochs=7,
                              kernel=KernelSpec(kind="randomized", m=2),
                              distill=DistillConfig(alpha=3.0, batch_size=8))
     assert isinstance(plan.distill.alpha, float)

@@ -13,6 +13,7 @@ from geokd.distill import (
     pgkd_span,
     reconstruction_loss,
     teacher_layer_kernels,
+    teacher_layer_rows,
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
@@ -20,6 +21,11 @@ from geokd.graphs import Graph, adjacency, sbm_generate
 from geokd.models import build_model, forward, init_xavier
 from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.training import sample_distill_batch
+
+
+def rows(t_feats, s_trace, spec):
+    """The teacher rows ``layer_avg_distill`` reads, at the student's widths."""
+    return teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
 
 
 def dense_adjacency(g):
@@ -168,12 +174,14 @@ def test_layer_avg_zero_for_equal_traces(small_setup):
     spec = KernelSpec(kind="gauss", t=1.0)
     cfg = DistillConfig(alpha=3.0)
     same = [T.Tensor(f) for f in t_feats]
-    assert layer_avg_distill(t_feats, same, spec, cfg, g).item() == pytest.approx(0.0, abs=1e-20)
+    loss = layer_avg_distill(rows(t_feats, same, spec), same, spec, cfg, g).item()
+    assert loss == pytest.approx(0.0, abs=1e-20)
 
 
 def test_layer_avg_zero_alpha(small_setup):
     g, t_feats, s_trace, w = small_setup
-    loss = layer_avg_distill(t_feats, s_trace, KernelSpec(kind="gauss"),
+    spec = KernelSpec(kind="gauss")
+    loss = layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec,
                              DistillConfig(alpha=0.0), g)
     assert loss.item() == 0.0
 
@@ -184,7 +192,7 @@ def test_layer_avg_matches_manual_loop(small_setup):
     g, t_feats, s_trace, w = small_setup
     spec = KernelSpec(kind="gauss", t=0.8)
     cfg = DistillConfig(alpha=2.5, delta=0.4)
-    loss = layer_avg_distill(t_feats, s_trace, spec, cfg, g).item()
+    loss = layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec, cfg, g).item()
     manual = 0.0
     for l in range(len(s_trace) - 1):
         k_t = nhk_gauss(T.Tensor(t_feats[l]), 0.8).values
@@ -197,7 +205,8 @@ def test_layer_avg_matches_manual_loop(small_setup):
 def test_layer_avg_trace_length_mismatch(small_setup):
     g, t_feats, s_trace, w = small_setup
     with pytest.raises(DimensionError):
-        layer_avg_distill(t_feats[:-1], s_trace, KernelSpec(), DistillConfig(), g)
+        layer_avg_distill(rows(t_feats[:-1], s_trace, KernelSpec()), s_trace, KernelSpec(),
+                          DistillConfig(), g)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +345,8 @@ def test_randomized_full_graph_alignment_matches_dense(case, delta):
             cfg.alpha / 2), params)
         for ids in (None, np.arange(n)):
             got, got_grads = loss_and_grads(
-                lambda: layer_avg_distill(t_feats, s_trace, spec, cfg, g, ids), params)
+                lambda: layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec, cfg, g,
+                                          ids), params)
             assert abs(got - want) <= 1e-12 * abs(want)
             for gg, wg in zip(got_grads, want_grads):
                 assert_close_rel(gg, wg)
@@ -351,10 +361,10 @@ def test_fixed_terms_memoize_gradient_free_layers():
     s_trace = [T.constant(rng.normal(size=(n, 3))), T.parameter(rng.normal(size=(n, 3))),
                T.parameter(rng.normal(size=(n, 3)))]
     fixed = {}
-    args = (t_feats, s_trace, spec, DistillConfig(alpha=2.0, delta=0.4), g)
+    args = (rows(t_feats, s_trace, spec), s_trace, spec, DistillConfig(alpha=2.0, delta=0.4), g)
     first = layer_avg_distill(*args, fixed_terms=fixed).item()
     assert list(fixed) == [0]  # only the gradient-free input layer is kept
-    assert fixed[0] == layer_avg_distill(t_feats[:2], s_trace[:2], spec,
+    assert fixed[0] == layer_avg_distill(rows(t_feats[:2], s_trace, spec), s_trace[:2], spec,
                                          DistillConfig(alpha=1.0, delta=0.4), g).item()
     assert layer_avg_distill(*args, fixed_terms=fixed).item() == first
     assert layer_avg_distill(*args).item() == first
@@ -462,7 +472,8 @@ def test_minibatch_loss_matches_full_in_expectation():
     def pair_loss(ids):
         t_feats = [h_t[ids], h_t[ids]]
         s_feats = [T.Tensor(h_s[ids]), T.Tensor(h_s[ids])]
-        return layer_avg_distill(t_feats, s_feats, spec, cfg, g, ids).item()
+        return layer_avg_distill(rows(t_feats, s_feats, spec), s_feats, spec, cfg, g,
+                                 ids).item()
 
     full = pair_loss(np.arange(n))
     # gauss kernels have unit diagonals on both sides, so only off-diagonal

@@ -11,6 +11,7 @@ from geokd.nhk import (
     exact_heat_kernel,
     heat_kernel_expansion,
     kernel_matrix,
+    kernel_rows,
     nhk_compose,
     nhk_gauss,
     nhk_randomized,
@@ -269,6 +270,19 @@ def test_kernel_matrix_dispatch():
     )
     with pytest.raises(ValidationError):
         kernel_matrix(KernelSpec(kind="parametric"), h)
+
+
+def test_kernel_rows_are_what_the_alignment_reads():
+    h = feats(6, 4, 9)
+    for spec in (KernelSpec(kind="gauss", t=0.5), KernelSpec(kind="sigmoid", a=0.3)):
+        assert kernel_rows(spec, h) is h
+    spec = KernelSpec(kind="randomized", m=3, t=0.7, seed=2)
+    for s in (None, 5):
+        np.testing.assert_array_equal(
+            kernel_rows(spec, h, s).values,
+            randomized_features(h, RandomProjections(2, 3, s or 8, 4), spec.weights()).values)
+    with pytest.raises(ValidationError, match="only pgkd aligns them"):
+        kernel_rows(KernelSpec(kind="parametric"), h)
 
 
 # --------------------------------------------------------------------------

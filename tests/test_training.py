@@ -6,7 +6,7 @@ import pytest
 from geokd import distill, nhk, training
 from geokd import tensor as T
 from geokd.distill import DistillConfig
-from geokd.errors import NumericError, ValidationError
+from geokd.errors import GraphParseError, NumericError, ValidationError
 from geokd.graphs import Graph, sbm_generate, split_edges, split_nodes
 from geokd.models import build_model, forward, init_xavier
 from geokd.nhk import KernelSpec
@@ -26,6 +26,8 @@ from geokd.training import (
 
 def quick_plan(**kw):
     base = dict(mode="teacher", epochs=30, seed=0, lr=0.05)
+    if kw.get("mode") == "pgkd":  # the one kernel pgkd aligns
+        base["kernel"] = KernelSpec(kind="parametric")
     base.update(kw)
     return TrainPlan(**base)
 
@@ -171,6 +173,27 @@ def test_online_teacher_non_finite_loss_named(graphs):
 def test_zero_epochs_rejected():
     with pytest.raises(ValidationError):
         quick_plan(epochs=0)
+
+
+@pytest.mark.parametrize("mode,kind,batch_size,field", [
+    ("gkd_offline", "parametric", None, "kernel.kind"),
+    ("online", "parametric", None, "kernel.kind"),
+    ("self_distill", "parametric", None, "kernel.kind"),
+    ("compression", "parametric", None, "kernel.kind"),
+    ("pgkd", "gauss", None, "kernel.kind"),
+    ("pgkd", "sigmoid", None, "kernel.kind"),
+    ("pgkd", "randomized", None, "kernel.kind"),
+    ("pgkd", "parametric", 8, "distill.batch_size"),
+])
+def test_plan_rejects_a_kernel_its_mode_does_not_align(mode, kind, batch_size, field):
+    with pytest.raises(GraphParseError, match=f"^{field}: mode '{mode}'"):
+        TrainPlan(mode=mode, kernel=KernelSpec(kind=kind),
+                  distill=DistillConfig(batch_size=batch_size))
+    if field == "distill.batch_size":  # a grid cell is checked as well
+        with pytest.raises(GraphParseError, match=f"^{field}: "):
+            apply_grid_overrides(quick_plan(mode="pgkd"), {"batch_size": batch_size})
+    else:  # the teacher trains no alignment and reads no kernel
+        TrainPlan(mode="teacher", kernel=KernelSpec(kind=kind))
 
 
 def test_empty_train_mask_rejected(graphs):
