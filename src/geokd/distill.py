@@ -5,33 +5,24 @@ connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
 
 Every alignment loss, gkd's per layer and pgkd's, is one call of
-``T.kernel_alignment``, which picks how to sum it from its input: gkd's
-reads the rows ``nhk.kernel_rows`` gives for its kernel, pgkd's the mapped
-features whose Gram is the parametric kernel. The gauss
-and sigmoid kernels are entrywise maps of the pairwise distances or inner
-products, so it computes them block by block (as KeOps and FlashAttention
-reduce kernels): for a block B of b rows it rebuilds K_s,B and K_t,B, W.*W on
-B from the CSR adjacency, and dL/dH_B from rows B alone, because dL/dD and
-dL/dG are symmetric. Time is O(n^2 d), memory O(b n + n d + |E|) with
-b = max(64, 65536 // n). ``distill_loss`` over ``kernel_matrix`` and
-``weight_matrix`` is its dense reference.
+``T.kernel_alignment``: gkd's reads the rows ``nhk.kernel_rows`` gives for
+its kernel, pgkd's the mapped features whose Gram is the parametric kernel.
+As ``Graph`` keeps the adjacency A binary with a zero diagonal,
+W .* W = delta^2 + (1 - delta^2) A, so the loss is
 
-The randomized kernel and the learned inverse (parametric) kernel are Grams,
-K = Phi Phi^T with Phi n x r, so their losses never need the n x n matrix.
-Reconstruction is K H = Phi (Phi^T H). For alignment, W .* W = delta^2 +
-(1 - delta^2) A whenever the adjacency A is binary with a zero diagonal,
-which ``Graph`` guarantees (no self-loops, no duplicate edges). Hence, with
-phi_u the row of node u,
+    (1 - delta^2) sum_{A_uv = 1} (K_s - K_t)_uv^2 + delta^2 sum_{u, v} (K_s - K_t)_uv^2.
 
-    ||W .* (K_s - K_t)||_F^2
-        = delta^2 (||Phi_s^T Phi_s||^2 - 2 ||Phi_t^T Phi_s||^2 + ||Phi_t^T Phi_t||^2)
-        + (1 - delta^2) sum_{A_uv = 1} (<phi_s,u, phi_s,v> - <phi_t,u, phi_t,v>)^2
-
-in O(n r^2 + |E| r) time and O(n r + |E|) memory. ``T.kernel_alignment``
-takes this form when n >= 2r, where it beats walking the row blocks of
-Phi Phi^T, and the blocks below. The dense ``distill_loss``,
-``inverse_nhk_gram`` and ``reconstruction_loss`` are the reference it and
-``factored_reconstruction_loss`` are tested against.
+The edge sum reads the kernels at the |E| entries alone, in O(|E| d) time.
+The all-pairs sum, for delta > 0 only, rebuilds the gauss and sigmoid
+kernels (entrywise maps of distances or inner products) block by block, as
+KeOps and FlashAttention reduce kernels, in O(n^2 d) time and O(b n + n d)
+memory, b = max(64, 65536 // n). For the randomized and parametric kernels,
+Grams K = Phi Phi^T with Phi n x r, it is ||Phi_s^T Phi_s||^2 -
+2 ||Phi_t^T Phi_s||^2 + ||Phi_t^T Phi_t||^2 in O(n r^2) when n >= 2r, where
+that beats the blocks; reconstruction is K H = Phi (Phi^T H). The dense
+``distill_loss`` over ``kernel_matrix`` and ``weight_matrix``,
+``inverse_nhk_gram`` and ``reconstruction_loss`` are the references the op
+and ``factored_reconstruction_loss`` are tested against.
 """
 
 from __future__ import annotations

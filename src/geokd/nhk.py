@@ -3,8 +3,8 @@
 Three differentiable kernels over layer features: Gauss-Weierstrass
 exp(-||h_i - h_j||^2 / 4T), sigmoid tanh(a <h_i, h_j> + b), and a randomized
 kernel averaging w_k sigma(W_k h_i)^T sigma(W_k h_j) over fixed Gaussian
-projections. Exact kernels e^{-tL} from a full eigendecomposition back the
-semigroup and expansion checks.
+projections. Exact kernels e^{-tL} and their spectral truncations, all from
+one eigendecomposition per graph, back the semigroup and expansion checks.
 
 The randomized kernel is a random-feature map (Rahimi & Recht, 2007): with
 the projections stacked as P = [W_0^T ... W_m^T], Phi = sigma(H P) with column
@@ -154,29 +154,23 @@ def nhk_compose(k_a: Tensor, k_b: Tensor, mu) -> Tensor:
 # Exact oracles
 
 
-def _dense_symmetric(mat: SparseMatrix) -> np.ndarray:
-    dense = mat.densify()
+def heat_spectrum(lap: SparseMatrix):
+    """The eigenpairs (ascending eigenvalues, eigenvectors) of the symmetric
+    operator lap, from one dense ``eigh``; ``heat_kernel`` reads them."""
+    dense = lap.densify()
     if np.max(np.abs(dense - dense.T)) > 1e-12:
         raise ValidationError("operator must be symmetric")
-    return 0.5 * (dense + dense.T)
+    return np.linalg.eigh(0.5 * (dense + dense.T))
 
 
-def exact_heat_kernel(lap: SparseMatrix, t: float) -> np.ndarray:
-    """e^{-tL} via full symmetric eigendecomposition."""
+def heat_kernel(spectrum, t: float, r: int | None = None) -> np.ndarray:
+    """e^{-tL} from the eigenpairs of L (``heat_spectrum``); with r, its rank-r
+    spectral truncation keeping the r slowest-decaying eigenpairs."""
+    lam, vecs = spectrum
     if t < 0:
         raise ValidationError("time must be >= 0")
-    dense = _dense_symmetric(lap)
-    lam, vecs = np.linalg.eigh(dense)
-    return (vecs * np.exp(-t * lam)) @ vecs.T
-
-
-def heat_kernel_expansion(lap: SparseMatrix, t: float, r: int) -> np.ndarray:
-    """Rank-r spectral truncation keeping the r slowest-decaying eigenpairs."""
-    dense = _dense_symmetric(lap)
-    n = dense.shape[0]
-    if not 1 <= r <= n:
-        raise ValidationError(f"truncation rank {r} out of [1, {n}]")
-    lam, vecs = np.linalg.eigh(dense)
+    r = len(lam) if r is None else r
+    if not 1 <= r <= len(lam):
+        raise ValidationError(f"truncation rank {r} out of [1, {len(lam)}]")
     keep = slice(0, r)  # ascending eigenvalues: largest e^{-lambda t} first
     return (vecs[:, keep] * np.exp(-t * lam[keep])) @ vecs[:, keep].T
-

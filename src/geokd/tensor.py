@@ -13,9 +13,11 @@ order, so results do not depend on how rows are grouped (see
 
 The fused op ``kernel_alignment`` gives the weighted distance between two
 kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
-matrix. It walks row blocks, except for a Gram of n >= 2r factor rows of
-width r, which it computes from r x r Grams. The chains over
-``pairwise_sqdist`` and ``gram`` are its reference.
+matrix. Its pair weight splits as W2 = delta^2 + (1 - delta^2) A: a sum over
+the adjacency entries, O(|E| d), plus for delta > 0 only a sum over all
+pairs, O(n^2 d) by row blocks, or O(n r^2) from r x r Grams for a Gram of
+n >= 2r factor rows of width r. The chains over ``pairwise_sqdist`` and
+``gram`` are its reference.
 """
 
 from __future__ import annotations
@@ -242,8 +244,8 @@ class SparseMatrix:
 def _bucket_product(x: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Rows of one degree bucket: sum over k of vals[k, r] * x[idx[k, r]]."""
     if len(idx) > 1:
-        return np.einsum("krd,kr->rd", x[idx], vals)
-    out = x[idx[0]]
+        return np.einsum("krd,kr->rd", np.take(x, idx, axis=0), vals)
+    out = np.take(x, idx[0], axis=0)
     with np.errstate(all="ignore"):  # as silent as einsum on non-finite input
         out *= vals[0][:, None]
     out += 0.0
@@ -448,131 +450,138 @@ def gram(h: Tensor) -> Tensor:
     return matmul(h, transpose(h))
 
 
-# a row block of kernel_alignment is b x n floats with b = max(64, 65536 // n):
-# 512 KiB up to n = 1024, and never so few rows that its gemms slow down
+# kernel_alignment's row blocks are b x n, b = max(64, 65536 // n): 512 KiB up to
+# n = 1024, never so few rows that gemms slow down; edge chunks, 65536 // (d + 2)
 _BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
 _GRAM_KINDS = ("randomized", "parametric")  # kernels K = Phi Phi^T of factor rows
 
 
-def _kernel_rows(h: np.ndarray, norms: np.ndarray, r0: int, spec, out: np.ndarray):
-    """Rows r0 .. r0 + len(out) of spec's kernel over h, in out: the gauss or
-    sigmoid kernel, or for a Gram kind the Gram h h^T of the factors h."""
-    b = out.shape[0]
-    np.matmul(h[r0:r0 + b], h.T, out=out)
-    if spec.kind in _GRAM_KINDS:
-        return out
-    if spec.kind == "sigmoid":
-        out *= spec.a
-        out += spec.b
-        return np.tanh(out, out=out)
-    out *= -2.0
-    out += norms[r0:r0 + b, None]
-    out += norms
-    np.maximum(out, 0.0, out=out)
-    out *= -1.0 / (4.0 * spec.t)
-    np.exp(out, out=out)
-    out[np.arange(b), np.arange(r0, r0 + b)] = 1.0  # exact zero self-distance
-    return out
-
-
-def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
-                     spec) -> Tensor:
+def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, spec) -> Tensor:
     """sum of W2_ij (K_s - K_t)_ij^2 over the rows of h_s and h_t, one tape node.
 
-    K is spec's gauss kernel exp(-D / 4t) or sigmoid kernel tanh(a G + b) of
-    each side's rows, or for a randomized or parametric spec the Gram
-    K = Phi Phi^T of rows that are the factors Phi (the widths r may differ);
-    W2 = delta^2 + (1 - delta^2) A for the binary CSR adjacency A. h_t gets
-    no gradient. A Gram kernel with n >= 2 max(r_s, r_t) rows takes
-    ``_gram_alignment``, O(n r^2 + |E| r); every other input walks row blocks,
-    O(n^2 d) (``_blocked_alignment``), which is the faster of the two for a
-    Gram kernel below that n.
+    K is spec's gauss exp(-D / 4t) or sigmoid tanh(a G + b) kernel of each
+    side's rows, or for a randomized or parametric spec the Gram Phi Phi^T of
+    rows that are the factors Phi; h_t gets no gradient. As W2 = delta^2 +
+    (1 - delta^2) A for a binary symmetric adjacency A with a zero diagonal,
+    the loss is (1 - delta^2) times the sum over the entries of A
+    (``_edge_alignment``) plus, for delta > 0 only, delta^2 times the sum over
+    all pairs: r x r Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows
+    (``_gram_alignment``), else row blocks (``_blocked_alignment``).
     """
     n = h_s.shape[0]
     if h_t.shape[0] != n or adj.shape != (n, n):
         raise DimensionError(
             f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
-    if spec.kind in _GRAM_KINDS and n >= 2 * max(h_s.shape[1], h_t.shape[1]):
-        return _gram_alignment(h_s, h_t, adj, delta)
-    return _blocked_alignment(h_s, h_t, adj, delta, spec)
-
-
-def _blocked_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float,
-                       spec) -> Tensor:
-    """kernel_alignment by blocks B of b = max(64, 65536 // n) rows: it rebuilds
-    K_s, K_t and W2 on B in b x n buffers and accumulates the loss and its
-    gradient wrt h_s. As G = dL/dD (gauss) and S = dL/dG (sigmoid, Gram) are
-    symmetric, its rows B are 4 (diag(G_B 1) H_B - G_B H), resp. 2 S_B H.
-    """
-    n = h_s.shape[0]
     hs, ht = np.ascontiguousarray(h_s.values), np.ascontiguousarray(h_t.values)
-    norms_s, norms_t = (np.einsum("ij,ij->i", h, h) for h in (hs, ht))
-    step, d2, rows = max(_BLOCK_ROWS, _BLOCK_FLOATS // n), float(delta) ** 2, adj.row_ids()
-    bufs = np.empty((3, min(step, n), n))
-    grad = np.empty_like(hs) if h_s.requires_grad else None
-    loss = 0.0
-    for r0 in range(0, n, step):
-        b, lo, hi = min(step, n - r0), adj.indptr[r0], adj.indptr[min(n, r0 + step)]
-        k_s = _kernel_rows(hs, norms_s, r0, spec, bufs[0, :b])
-        e = np.subtract(k_s, _kernel_rows(ht, norms_t, r0, spec, bufs[1, :b]), out=bufs[1, :b])
-        w = bufs[2, :b]
-        w.fill(d2)
-        w[rows[lo:hi] - r0, adj.indices[lo:hi]] += (1.0 - d2) * adj.data[lo:hi]
-        w *= e
-        loss += np.vdot(w, e)
-        if grad is None:
-            continue
-        if spec.kind == "gauss":  # G_B = -W2 E K_s / 2t
-            w *= k_s
-            g_b = np.matmul(w, hs, out=grad[r0:r0 + b])
-            g_b -= w.sum(axis=1)[:, None] * hs[r0:r0 + b]
-            g_b *= 2.0 / spec.t
-        else:  # S_B = 2 W2 E, times a (1 - K_s^2) for sigmoid
-            c = 4.0
-            if spec.kind == "sigmoid":
-                w *= np.subtract(1.0, np.multiply(k_s, k_s, out=k_s), out=k_s)
-                c *= spec.a
-            np.matmul(w, hs, out=grad[r0:r0 + b])
-            grad[r0:r0 + b] *= c
+    d2, want_grad = float(delta) ** 2, h_s.requires_grad
+    parts = [(1.0 - d2, _edge_alignment(hs, ht, adj, spec, want_grad))]
+    if d2:
+        grams = spec.kind in _GRAM_KINDS and n >= 2 * max(hs.shape[1], ht.shape[1])
+        parts.append((d2, _gram_alignment(hs, ht, want_grad) if grams
+                      else _blocked_alignment(hs, ht, spec, want_grad)))
+    grad = sum(w * g for w, (_, g) in parts) if want_grad else None
 
     def backward(g):
         h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
 
-    return _make(np.array([[loss]]), (h_s,), backward)
+    return _make(np.array([[sum(w * part for w, (part, _) in parts)]]), (h_s,), backward)
 
 
-def _gram_alignment(phi_s: Tensor, phi_t: Tensor, adj: SparseMatrix, delta: float) -> Tensor:
-    """kernel_alignment of a Gram kernel in O(n r + |E|) memory.
+def _kernel_operands(spec, h: np.ndarray):
+    """(u, v) with spec's kernel a map of <u_i, v_j>: for gauss of -D_ij / 2 =
+    <h_i, h_j> + c_i + c_j with u = [h, 1, c], v = [h, c, 1], c = -|h|^2 / 2;
+    else of <h_i, h_j>, u = v = h."""
+    if spec.kind != "gauss":
+        return h, h
+    c, ones = np.einsum("ij,ij->i", h, h) * -0.5, np.ones(len(h))
+    return np.column_stack([h, ones, c]), np.column_stack([h, c, ones])
 
-    The loss is delta^2 (||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2), G_ts = Phi_t^T
-    Phi_s the r x r Grams, plus (1 - delta^2) sum_e rho_e^2 over the entries
-    e = (i, j) of adj, rho_e = <phi_s,i, phi_s,j> - <phi_t,i, phi_t,j>, gathered
-    in blocks of entries. The node keeps rho and, for delta > 0, the Grams
-    (at delta = 0 neither the loss nor its gradient reads them): as adj is
-    symmetric, dL/dPhi_s = 4 delta^2 (Phi_s G_ss - Phi_t G_ts) + 4 (1 - delta^2)
-    A_rho Phi_s, A_rho being adj with the values rho.
-    """
-    hs, ht = phi_s.values, phi_t.values
-    rows, cols, d2 = adj.row_ids(), adj.indices, float(delta) ** 2
-    rho = np.empty(adj.nnz)
-    step = max(1, _BLOCK_FLOATS // max(hs.shape[1], ht.shape[1]))
+
+def _kernel_of_dots(spec, dots: np.ndarray) -> np.ndarray:
+    """spec's kernel, in place on dots = <u_i, v_j> (``_kernel_operands``):
+    gauss exp(min(dots, 0) / 2t), sigmoid tanh(a dots + b), a Gram kind dots."""
+    if spec.kind == "gauss":
+        np.minimum(dots, 0.0, out=dots)  # a distance is never negative
+        dots *= 0.5 / spec.t
+        return np.exp(dots, out=dots)
+    if spec.kind == "sigmoid":
+        dots *= spec.a
+        dots += spec.b
+        return np.tanh(dots, out=dots)
+    return dots
+
+
+def _gradient(spec, res: np.ndarray, k_s: np.ndarray, times_u, h: np.ndarray) -> np.ndarray:
+    """d(sum of res^2)/dH for residuals res = K_s - K_t over symmetric pairs,
+    given times_u(Q) = Q u (``_kernel_operands``): for gauss, with Q = res K_s
+    and dL/dD = -Q / 2t, (2 / t) (Q H - diag(Q 1) H); else c Q H as dL/dG =
+    c Q / 2, with Q = res (1 - K_s^2) and c = 4a for sigmoid, Q = res and c = 4
+    for a Gram. Overwrites res, and k_s for sigmoid."""
+    if spec.kind == "gauss":
+        res *= k_s
+        qu, d = times_u(res), h.shape[1]
+        return (qu[:, :d] - qu[:, d:d + 1] * h) * (2.0 / spec.t)
+    if spec.kind == "sigmoid":
+        res *= np.subtract(1.0, np.multiply(k_s, k_s, out=k_s), out=k_s)
+    qu = times_u(res)
+    qu *= 4.0 * spec.a if spec.kind == "sigmoid" else 4.0
+    return qu
+
+
+def _edge_alignment(hs: np.ndarray, ht: np.ndarray, adj: SparseMatrix, spec, want_grad):
+    """The sum of (K_s - K_t)^2 over the stored entries of the symmetric adj,
+    and its gradient wrt hs (None unless want_grad), in O(|E| d) time: chunks
+    of entries take their rows' inner products (a sampled dense-dense
+    product; np.take gathers rows faster than u[r]), and the gradient reads
+    ``adj.matmul_dense(u_s, Q)``."""
+    rows, cols = adj.row_ids(), adj.indices
+    operands = _kernel_operands(spec, hs), _kernel_operands(spec, ht)
+    k_s, res = np.empty(adj.nnz), np.empty(adj.nnz)
+    step = max(1, _BLOCK_FLOATS // (max(hs.shape[1], ht.shape[1]) + 2))
     for lo in range(0, adj.nnz, step):
-        r, c = rows[lo:lo + step], cols[lo:lo + step]
-        np.subtract(np.einsum("ij,ij->i", hs[r], hs[c]), np.einsum("ij,ij->i", ht[r], ht[c]),
-                    out=rho[lo:lo + step])
-    loss = (1.0 - d2) * np.dot(rho, rho)
-    if d2:
-        g_ss, g_ts, g_tt = hs.T @ hs, ht.T @ hs, ht.T @ ht
-        loss += d2 * (np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt))
+        r, c, e = rows[lo:lo + step], cols[lo:lo + step], slice(lo, lo + step)
+        for (u, v), out in zip(operands, (k_s[e], res[e])):
+            _kernel_of_dots(spec, np.einsum("ij,ij->i", np.take(u, r, axis=0),
+                                            np.take(v, c, axis=0), out=out))
+        np.subtract(k_s[e], res[e], out=res[e])
+    loss, u_s = float(np.dot(res, res)), operands[0][0]
+    if not want_grad:
+        return loss, None
+    return loss, _gradient(spec, res, k_s, lambda q: adj.matmul_dense(u_s, q), hs)
 
-    def backward(g):
-        grad = adj.matmul_dense(hs, rho)
-        grad *= 4.0 * (1.0 - d2) * g[0, 0]
-        if d2:
-            grad += 4.0 * d2 * g[0, 0] * (hs @ g_ss - ht @ g_ts)
-        phi_s._accumulate_owned(grad)
 
-    return _make(np.array([[loss]]), (phi_s,), backward)
+def _blocked_alignment(hs: np.ndarray, ht: np.ndarray, spec, want_grad: bool):
+    """The sum of (K_s - K_t)^2 over all pairs, and its gradient wrt hs (None
+    unless want_grad), by blocks B of b = max(64, 65536 // n) rows, O(n^2 d):
+    K_s and K_t on B fill two b x n buffers, and as Q (``_gradient``) is
+    symmetric the gradient's rows B read Q_B alone."""
+    n = len(hs)
+    operands = _kernel_operands(spec, hs), _kernel_operands(spec, ht)
+    u_s, step = operands[0][0], max(_BLOCK_ROWS, _BLOCK_FLOATS // n)
+    bufs = np.empty((2, min(step, n), n))
+    loss, grad = 0.0, (np.empty_like(hs) if want_grad else None)
+    for r0 in range(0, n, step):
+        b = min(step, n - r0)
+        for (u, v), out in zip(operands, bufs[:, :b]):
+            _kernel_of_dots(spec, np.matmul(u[r0:r0 + b], v.T, out=out))
+            if spec.kind == "gauss":
+                out[np.arange(b), np.arange(r0, r0 + b)] = 1.0  # exact zero self-distance
+        k_s, res = bufs[0, :b], np.subtract(bufs[0, :b], bufs[1, :b], out=bufs[1, :b])
+        loss += np.vdot(res, res)
+        if grad is not None:
+            grad[r0:r0 + b] = _gradient(spec, res, k_s, lambda q: q @ u_s, hs[r0:r0 + b])
+    return float(loss), grad
+
+
+def _gram_alignment(phi_s: np.ndarray, phi_t: np.ndarray, want_grad: bool):
+    """The sum of (K_s - K_t)^2 over all pairs of the Grams K = Phi Phi^T, and
+    its gradient wrt Phi_s (None unless want_grad), from the r x r Grams:
+    ||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2 with G_ts = Phi_t^T Phi_s, and
+    4 (Phi_s G_ss - Phi_t G_ts), in O(n r^2) time and O(n r) memory."""
+    g_ss, g_ts, g_tt = phi_s.T @ phi_s, phi_t.T @ phi_s, phi_t.T @ phi_t
+    loss = np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt)
+    grad = 4.0 * (phi_s @ g_ss - phi_t @ g_ts) if want_grad else None
+    return float(loss), grad
 
 
 def cross_entropy(logits: Tensor, labels, mask) -> Tensor:

@@ -39,8 +39,9 @@ from .nhk import KernelSpec
 
 STREAM_STUDENT = 201   # also the lone model of a supervised run
 STREAM_TEACHER_ONLINE = 202
-STREAM_MAPPER = 203
+STREAM_MAPPER = 203   # the teacher's, or the one shared, inverse-kernel mapper
 STREAM_BATCH = 204
+STREAM_MAPPER_STUDENT = 205  # the student's own mapper when late widths differ
 
 STUDENT_MODES = ("gkd_offline", "pgkd", "online", "self_distill", "compression")
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
@@ -313,7 +314,7 @@ def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
     mapper_t = InverseNhkMapper(d_t, s)
     mapper_t.init(plan.seed, STREAM_MAPPER)
     mapper_s = InverseNhkMapper(d_s, s)
-    mapper_s.init(plan.seed, STREAM_MAPPER + 1)
+    mapper_s.init(plan.seed, STREAM_MAPPER_STUDENT)
     return mapper_t, mapper_s
 
 

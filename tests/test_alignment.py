@@ -1,13 +1,14 @@
-"""The fused alignment op against its dense reference.
+"""The fused alignment op and each of its parts against the dense reference.
 
-``T.kernel_alignment`` sums the loss and its gradient over row blocks, so it
-adds in another order than the dense chain of ``kernel_matrix`` (for a
-randomized or parametric spec, whose rows are factors, ``gram``),
-``weight_matrix`` and ``distill_loss``; for such a spec with n >= 2r factor
-rows it takes its other branch, ``_gram_alignment``, which sums r x r Grams
-and per-edge residuals in a third order. Every test runs both branches
-whatever the shape. Values and gradients are compared to 1e-12 relative,
-never bit for bit.
+``T.kernel_alignment`` splits W2 = delta^2 + (1 - delta^2) A into a sum over
+the adjacency entries (``_edge_alignment``) and, for delta > 0, a sum over all
+pairs: row blocks (``_blocked_alignment``) or, for a randomized or parametric
+spec with n >= 2r factor rows, r x r Grams (``_gram_alignment``). Each adds in
+another order than the dense chain of ``kernel_matrix`` (for a Gram spec,
+``gram``), ``weight_matrix`` and ``distill_loss``. The op is checked against
+the chain at each delta, the edge sum against the chain at delta 0 (W = A),
+and both all-pairs sums against it at delta 1 (W = 1), whatever the shape.
+Values and gradients are compared to 1e-12 relative, never bit for bit.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from geokd.graphs import Graph, adjacency, sbm_generate, save_graph, split_edges
 from geokd.models import build_model, init_xavier
 from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.tensor import Tensor
-from geokd.training import TrainPlan, train_student_gkd
+from geokd.training import TrainPlan, train_student, train_student_gkd
 
 SPECS = [KernelSpec(kind="gauss", t=0.25), KernelSpec(kind="gauss", t=1.0),
          KernelSpec(kind="gauss", t=3.0), KernelSpec(kind="sigmoid", a=1.0, b=0.0),
@@ -40,6 +41,7 @@ SPECS = [KernelSpec(kind="gauss", t=0.25), KernelSpec(kind="gauss", t=1.0),
          KernelSpec(kind="parametric")]
 KINDS = ["gauss", "sigmoid", "randomized", "parametric"]
 GRAM_KINDS = ("randomized", "parametric")
+DELTAS = [0.0, 0.4, 1.0, 1.5]  # at 1.5 the edge weight 1 - delta^2 is negative
 
 
 def dense_alignment(h_s, h_t, adj, delta, spec):
@@ -58,18 +60,20 @@ def loss_and_grad(align, hv_s, hv_t, adj, delta, spec):
     return loss.item(), h_s.grad
 
 
-def gram_alignment(h_s, h_t, adj, delta, spec):
-    return T._gram_alignment(h_s, h_t, adj, delta)
-
-
 def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
-    """The op and its row blocks against the dense chain; for a Gram spec
-    its r x r Gram branch against all three, whatever n and r."""
-    ops = [dense_alignment, T.kernel_alignment, T._blocked_alignment]
+    """The op against the dense chain at delta, the edge sum against it at
+    delta 0, and the row blocks and, for a Gram spec, the r x r Grams against
+    it at delta 1, whatever n and r."""
+    def dense(d):
+        return loss_and_grad(dense_alignment, hv_s, hv_t, adj, d, spec)
+
+    all_pairs = dense(1.0)
+    pairs = [(loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec), dense(delta)),
+             (T._edge_alignment(hv_s, hv_t, adj, spec, True), dense(0.0)),
+             (T._blocked_alignment(hv_s, hv_t, spec, True), all_pairs)]
     if spec.kind in GRAM_KINDS:
-        ops.append(gram_alignment)
-    results = [loss_and_grad(op, hv_s, hv_t, adj, delta, spec) for op in ops]
-    for (want, want_grad), (got, got_grad) in itertools.combinations(results, 2):
+        pairs.append((T._gram_alignment(hv_s, hv_t, True), all_pairs))
+    for (got, got_grad), (want, want_grad) in pairs:
         assert abs(got - want) <= rtol * abs(want)
         assert np.max(np.abs(got_grad - want_grad)) <= rtol * np.max(np.abs(want_grad))
 
@@ -100,7 +104,7 @@ def test_matches_dense_over_sizes(n, spec):
     assert_matches_dense(features(n, 6, n), features(n, 3, n + 1), adj, 0.4, spec)
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("case", ["edges", "no_edges", "isolated", "coincident"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_matches_dense_on_graph_cases(kind, case, delta):
@@ -113,7 +117,7 @@ def test_matches_dense_on_graph_cases(kind, case, delta):
     assert_matches_dense(hv_s, hv_t, adjacency(g), delta, spec)
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_with_repeated_ids_matches_weight_matrix(kind, delta):
     g = sbm_generate([12, 12], 0.4, 0.1, 4, 0.5, 3)
@@ -161,10 +165,14 @@ def test_adjacency_expands_repeated_ids():
 
 def test_gradient_free_student_and_shape_checks():
     adj = adjacency(random_graph(5, 0))
-    for op in (T._blocked_alignment, gram_alignment):
-        loss = op(Tensor(features(5, 2, 0)), Tensor(features(5, 2, 1)), adj, 0.4,
-                  KernelSpec(kind="parametric"))
+    hv_s, hv_t, spec = features(5, 2, 0), features(5, 2, 1), KernelSpec(kind="parametric")
+    for delta in (0.0, 0.4):
+        loss = T.kernel_alignment(Tensor(hv_s), Tensor(hv_t), adj, delta, spec)
         assert loss._backward is None and loss.item() > 0.0
+    for loss, grad in (T._edge_alignment(hv_s, hv_t, adj, spec, False),
+                       T._blocked_alignment(hv_s, hv_t, spec, False),
+                       T._gram_alignment(hv_s, hv_t, False)):
+        assert grad is None and loss > 0.0
     with pytest.raises(DimensionError, match="rows 5 and 4"):
         T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
                            KernelSpec(kind="parametric"))
@@ -176,6 +184,22 @@ def test_gradient_free_student_and_shape_checks():
     with pytest.raises(ValidationError, match="parametric"):
         layer_avg_distill(trace[:1], trace, KernelSpec(kind="parametric"), DistillConfig(),
                           random_graph(5, 0))
+
+
+def spy_all_pairs(monkeypatch):
+    """The names of the all-pairs sums kernel_alignment runs, in call order."""
+    calls = []
+    for name in ("_blocked_alignment", "_gram_alignment"):
+        def spy(*args, name=name, branch=getattr(T, name)):
+            calls.append(name)
+            return branch(*args)
+
+        monkeypatch.setattr(T, name, spy)
+    return calls
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)), [0] * n, [0], [], [])
 
 
 @pytest.mark.parametrize("kind,n,r_s,r_t,grams", [
@@ -191,21 +215,36 @@ def test_gradient_free_student_and_shape_checks():
     ("sigmoid", 64, 2, 2, False),
 ])
 def test_gram_branch_from_the_shape(kind, n, r_s, r_t, grams, monkeypatch):
-    calls, branch = [], T._gram_alignment
-
-    def spy(phi_s, phi_t, adj, delta):
-        calls.append((phi_s.shape[1], phi_t.shape[1]))
-        return branch(phi_s, phi_t, adj, delta)
-
-    monkeypatch.setattr(T, "_gram_alignment", spy)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    adj = adjacency(Graph(n, edges, np.zeros((n, 1)), [0] * n, [0], [], []))
+    calls = spy_all_pairs(monkeypatch)
+    adj = adjacency(path_graph(n))
     rng = np.random.default_rng(n)
     phi_s = T.parameter(np.tanh(rng.normal(size=(n, r_s))))
     phi_t = T.constant(np.tanh(rng.normal(size=(n, r_t))))
     T.kernel_alignment(phi_s, phi_t, adj, 0.4, KernelSpec(kind=kind)).backward()
-    assert calls == ([(r_s, r_t)] if grams else [])
+    assert calls == ["_gram_alignment" if grams else "_blocked_alignment"]
     assert phi_s.grad is not None
+
+
+def test_no_all_pairs_sum_at_delta_zero(monkeypatch):
+    calls = spy_all_pairs(monkeypatch)
+    rng = np.random.default_rng(9)
+    for kind, n in itertools.product(KINDS, (39, 40)):  # both sides of n = 2r
+        phi_s = T.parameter(np.tanh(rng.normal(size=(n, 20))))
+        phi_t = T.constant(np.tanh(rng.normal(size=(n, 12))))
+        T.kernel_alignment(phi_s, phi_t, adjacency(path_graph(n)), 0.0,
+                           KernelSpec(kind=kind)).backward()
+        assert phi_s.grad is not None
+    # gkd full batch and batched, and pgkd, each at distill.delta's default 0
+    g_c = sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0)
+    g = split_edges(g_c, 0.5, 0)
+    teacher = build_model("gcn", 6, 8, 3, 2)
+    init_xavier(teacher, 1)
+    for mode, kind, batch in [("gkd_offline", "gauss", None), ("gkd_offline", "sigmoid", 8),
+                              ("pgkd", "parametric", None)]:
+        plan = TrainPlan(mode=mode, epochs=2, seed=2, lr=0.05, kernel=KernelSpec(kind=kind),
+                         distill=DistillConfig(batch_size=batch))
+        train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["gauss", "sigmoid"])
@@ -253,6 +292,40 @@ def test_gauss_gkd_full_batch_allocates_no_node_by_node_buffer():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_gauss_gkd_epoch_at_delta_zero_holds_no_row_block(monkeypatch):
+    # one full-batch gauss epoch on 8,000 nodes of width 4, each alignment op
+    # measured on its own: at delta = 0 it holds O(n d + |E|) floats and
+    # gathers of 65,536, never a b x n row block (b = 64 here); at delta > 0
+    # it holds two
+    g_c = sbm_generate([2000] * 4, 0.002, 0.0002, 4, 0.5, 29)
+    g = split_edges(g_c, 0.5, 29)
+    block = 64 * g.num_nodes * 8
+    peaks, op = {}, T.kernel_alignment
+
+    def measured(*args):
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = op(*args)
+        peaks.setdefault(args[3], []).append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr(T, "kernel_alignment", measured)
+    for delta in (0.0, 0.4):
+        teacher = build_model("gcn", 4, 4, 3, 4)
+        init_xavier(teacher, 30)
+        plan = TrainPlan(mode="gkd_offline", epochs=1, seed=31, lr=0.05,
+                         kernel=KernelSpec(kind="gauss", t=1.0),
+                         distill=DistillConfig(alpha=1.0, delta=delta))
+        tracemalloc.start()
+        try:
+            train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 4, 4, 3, 4))
+        finally:
+            tracemalloc.stop()
+    assert len(peaks[0.0]) == len(peaks[0.4]) == 3  # one op per layer
+    assert max(peaks[0.0]) < block
+    assert min(peaks[0.4]) >= 2 * block
 
 
 def test_factored_alignment_peaks_below_eight_factor_buffers():

@@ -278,12 +278,15 @@ def assert_close_rel(got, want, rtol=1e-12):
 PARAMETRIC = KernelSpec(kind="parametric")
 
 
-def inverse_kernel_alignments(g, phi_t, phi_s, delta):
-    """pgkd's alignment as the op computes it, and by each of its branches."""
-    adj = adjacency(g)
-    return [T.kernel_alignment(phi_s, phi_t, adj, delta, PARAMETRIC),
-            T._blocked_alignment(phi_s, phi_t, adj, delta, PARAMETRIC),
-            T._gram_alignment(phi_s, phi_t, adj, delta)]
+def inverse_kernel_alignments(phi_t, phi_s, adj, delta):
+    """pgkd's alignment loss and its gradient wrt Phi_s, from the op's edge sum
+    and each of its all-pairs sums (row blocks, r x r Grams), weighted as the
+    op weighs them."""
+    hs, ht, d2 = phi_s.values, phi_t.values, delta ** 2
+    edge, edge_grad = T._edge_alignment(hs, ht, adj, PARAMETRIC, True)
+    return [((1 - d2) * edge + d2 * loss, (1 - d2) * edge_grad + d2 * grad)
+            for loss, grad in (T._blocked_alignment(hs, ht, PARAMETRIC, True),
+                               T._gram_alignment(hs, ht, True))]
 
 
 def loss_and_grads(f, params):
@@ -313,13 +316,20 @@ def test_factored_distill_matches_dense(case, delta):
         return distill_loss(inverse_nhk_gram(mapper_t, h_t), inverse_nhk_gram(mapper_s, h_s), w)
 
     want, want_grads = loss_and_grads(dense, params)
-    for branch in range(3):
-        got, got_grads = loss_and_grads(lambda: inverse_kernel_alignments(
-            g, mapper_t.apply(h_t), mapper_s.apply(h_s), delta)[branch], params)
+    adj = adjacency(g)
+    got, got_grads = loss_and_grads(lambda: T.kernel_alignment(
+        mapper_s.apply(h_s), mapper_t.apply(h_t), adj, delta, PARAMETRIC), params)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for gg, wg in zip(got_grads, want_grads):
+        assert_close_rel(gg, wg)
+    assert not np.any(got_grads[2])  # the teacher factor is detached
+    # both all-pairs sums, whatever n and r
+    phi_s, phi_t = T.parameter(mapper_s.apply(h_s).values), mapper_t.apply(h_t)
+    want, (want_grad,) = loss_and_grads(lambda: distill_loss(
+        T.gram(phi_t), T.gram(phi_s), weight_matrix(g, delta, np.arange(n))), [phi_s])
+    for got, got_grad in inverse_kernel_alignments(phi_t, phi_s, adj, delta):
         assert abs(got - want) <= 1e-12 * abs(want)
-        for gg, wg in zip(got_grads, want_grads):
-            assert_close_rel(gg, wg)
-        assert not np.any(got_grads[2])  # the teacher factor is detached
+        assert_close_rel(got_grad, want_grad)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
@@ -392,11 +402,12 @@ def test_factored_reconstruction_matches_dense(case):
 def test_factored_distill_identical_factors_zero(delta):
     g = sbm_generate([6, 5], 0.6, 0.2, 3, 0.5, 23)
     phi = T.parameter(np.tanh(np.random.default_rng(24).normal(size=(g.num_nodes, 6))))
-    for loss in inverse_kernel_alignments(g, phi, phi, delta):
-        phi.zero_grad()
-        assert loss.item() == 0.0
-        loss.backward()
-        assert not np.any(phi.grad)
+    loss = T.kernel_alignment(phi, phi, adjacency(g), delta, PARAMETRIC)
+    assert loss.item() == 0.0
+    loss.backward()
+    assert not np.any(phi.grad)
+    for loss, grad in inverse_kernel_alignments(phi, phi, adjacency(g), delta):
+        assert loss == 0.0 and not np.any(grad)
 
 
 def test_factored_losses_check_shapes():

@@ -8,8 +8,8 @@ from geokd.nhk import (
     KernelSpec,
     RandomProjections,
     build_projections,
-    exact_heat_kernel,
-    heat_kernel_expansion,
+    heat_kernel,
+    heat_spectrum,
     kernel_matrix,
     kernel_rows,
     nhk_compose,
@@ -25,8 +25,8 @@ def feats(n=8, d=3, seed=0):
 
 
 @pytest.fixture
-def lap():
-    return laplacian_sym(sbm_generate([10, 10], 0.4, 0.15, 4, 0.5, 3))
+def spectrum():
+    return heat_spectrum(laplacian_sym(sbm_generate([10, 10], 0.4, 0.15, 4, 0.5, 3)))
 
 
 # --------------------------------------------------------------------------
@@ -295,14 +295,14 @@ def test_compose_identity():
     np.testing.assert_array_equal(out.values, np.eye(4))
 
 
-def test_compose_semigroup_oracle(lap):
-    k_half = T.Tensor(exact_heat_kernel(lap, 0.5))
+def test_compose_semigroup_oracle(spectrum):
+    k_half = T.Tensor(heat_kernel(spectrum, 0.5))
     composed = nhk_compose(k_half, k_half, np.ones(k_half.shape[0])).values
-    assert np.linalg.norm(composed - exact_heat_kernel(lap, 1.0)) < 1e-8
+    assert np.linalg.norm(composed - heat_kernel(spectrum, 1.0)) < 1e-8
 
 
-def test_compose_associative(lap):
-    n = lap.rows
+def test_compose_associative(spectrum):
+    n = len(spectrum[0])
     mu = np.ones(n)
     rng = np.random.default_rng(8)
     a, b, c = (T.Tensor(rng.normal(size=(n, n))) for _ in range(3))
@@ -320,17 +320,17 @@ def test_compose_shape_checks():
         nhk_compose(T.Tensor(np.eye(2)), T.Tensor(np.eye(2)), [0.0, 1.0])
 
 
-def test_exact_heat_kernel_time_zero(lap):
-    np.testing.assert_allclose(exact_heat_kernel(lap, 0.0), np.eye(lap.rows), atol=1e-12)
+def test_exact_heat_kernel_time_zero(spectrum):
+    np.testing.assert_allclose(heat_kernel(spectrum, 0.0), np.eye(len(spectrum[0])), atol=1e-12)
 
 
-def test_exact_heat_kernel_semigroup(lap):
-    k_half = exact_heat_kernel(lap, 0.5)
-    assert np.linalg.norm(k_half @ k_half - exact_heat_kernel(lap, 1.0)) < 1e-8
+def test_exact_heat_kernel_semigroup(spectrum):
+    k_half = heat_kernel(spectrum, 0.5)
+    assert np.linalg.norm(k_half @ k_half - heat_kernel(spectrum, 1.0)) < 1e-8
 
 
-def test_exact_heat_kernel_spectral_properties(lap):
-    k = exact_heat_kernel(lap, 0.7)
+def test_exact_heat_kernel_spectral_properties(spectrum):
+    k = heat_kernel(spectrum, 0.7)
     assert np.max(np.abs(k - k.T)) < 1e-10
     lam = np.linalg.eigvalsh(0.5 * (k + k.T))
     assert lam.min() >= -1e-10
@@ -341,34 +341,36 @@ def test_exact_heat_kernel_rejects_asymmetric():
     from geokd.tensor import SparseMatrix
 
     s = SparseMatrix.from_coo(2, 2, [0], [1], [1.0])
-    with pytest.raises(ValidationError):
-        exact_heat_kernel(s, 1.0)
+    with pytest.raises(ValidationError, match="symmetric"):
+        heat_spectrum(s)
 
 
-def test_expansion_full_rank_matches(lap):
-    full = heat_kernel_expansion(lap, 1.0, lap.rows)
-    assert np.max(np.abs(full - exact_heat_kernel(lap, 1.0))) < 1e-8
+def test_expansion_full_rank_matches(spectrum):
+    full = heat_kernel(spectrum, 1.0, len(spectrum[0]))
+    np.testing.assert_array_equal(full, heat_kernel(spectrum, 1.0))
 
 
-def test_expansion_error_monotone(lap):
-    k = exact_heat_kernel(lap, 1.0)
-    errs = [np.linalg.norm(heat_kernel_expansion(lap, 1.0, r) - k)
-            for r in range(1, lap.rows + 1)]
+def test_expansion_error_monotone(spectrum):
+    k = heat_kernel(spectrum, 1.0)
+    errs = [np.linalg.norm(heat_kernel(spectrum, 1.0, r) - k)
+            for r in range(1, len(spectrum[0]) + 1)]
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
 
-def test_expansion_rank_one_dominates_at_large_time(lap):
+def test_expansion_rank_one_dominates_at_large_time(spectrum):
     t = 100.0
-    k = exact_heat_kernel(lap, t)
-    k1 = heat_kernel_expansion(lap, t, 1)
+    k = heat_kernel(spectrum, t)
+    k1 = heat_kernel(spectrum, t, 1)
     assert np.linalg.norm(k - k1) < 1e-3 * np.linalg.norm(k1)
 
 
-def test_expansion_rank_bounds(lap):
+def test_expansion_rank_bounds(spectrum):
     with pytest.raises(ValidationError):
-        heat_kernel_expansion(lap, 1.0, 0)
+        heat_kernel(spectrum, 1.0, 0)
     with pytest.raises(ValidationError):
-        heat_kernel_expansion(lap, 1.0, lap.rows + 1)
+        heat_kernel(spectrum, 1.0, len(spectrum[0]) + 1)
+    with pytest.raises(ValidationError, match="time"):
+        heat_kernel(spectrum, -0.1, 1)
 
 
 # --------------------------------------------------------------------------

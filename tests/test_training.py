@@ -376,6 +376,22 @@ def test_gkd_sgc_student(graphs, teacher):
     assert res.best_val_acc > 0.0
 
 
+def test_stream_tags_differ():
+    # default_rng([seed, tag]) draws the stream of default_rng([seed, tag, 0]),
+    # a batch cycle's, so no two streams may share a tag
+    tags = {name: tag for name, tag in vars(training).items() if name.startswith("STREAM_")}
+    assert len(tags) == 5 and len(set(tags.values())) == len(tags)
+    # pgkd's two mappers, when the late widths differ, draw from their own streams
+    plan = quick_plan(mode="pgkd", kernel=KernelSpec(kind="parametric", s=3))
+    mapper_t, mapper_s = training._build_mappers(
+        plan, build_model("gcn", 6, 8, 3, 2), build_model("gcn", 6, 4, 3, 2))
+    assert mapper_s.weight.shape == (4, 3) and mapper_t.weight.shape == (8, 3)
+    a = np.sqrt(6.0 / (4 + 3))  # init_xavier's bound
+    want = np.random.default_rng([plan.seed, training.STREAM_MAPPER_STUDENT]).uniform(
+        -a, a, size=(4, 3))
+    np.testing.assert_array_equal(mapper_s.weight.values, want)
+
+
 def test_pgkd_sgc_student_spans_whole_stack(graphs, teacher):
     g_c, g = graphs
     plan = quick_plan(mode="pgkd", seed=20, epochs=4,
