@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import gradient_suite, kernel_checks, theorem_checks
 from .config import config_fields
-from .distill import DistillConfig
+from .distill import DistillConfig, require_hidden_layers
 from .errors import GeokdError, GraphParseError, NumericError, ValidationError
 from .graphs import (
     Graph,
@@ -198,15 +198,19 @@ class RunConfig:
                         seed=_get(doc, "seed", "int", 0),
                         kernel=_section(doc, "kernel", KernelSpec),
                         distill=_section(doc, "distill", DistillConfig))
+        models = {name: _section(doc, name, ModelSection) for name in ("teacher", "student")}
+        for name, model in models.items():  # pgkd's span reads a gcn's entries 1 and L-1
+            if mode == "pgkd" and model.kind == "gcn":
+                require_hidden_layers(model.kind, model.depth, f"{name}.depth")
+        plan.require_alignable(models["student"].kind, models["student"].depth)
         return cls(
             complete_graph=complete,
             plan=plan,
             partial_graph=partial,
             split=split,
-            teacher=_section(doc, "teacher", ModelSection),
-            student=_section(doc, "student", ModelSection),
             out_dir=_get(doc, "out_dir", "str", "runs/out"),
             sweep=_section(doc, "sweep", SweepSection),
+            **models,
         )
 
     @classmethod
@@ -230,10 +234,11 @@ def resolve_graphs(cfg: RunConfig):
     elif cfg.partial_graph is not None:
         g = load_graph(cfg.partial_graph)
         if g.num_nodes != g_complete.num_nodes:
-            raise ValidationError(
-                "partial_graph: node count differs from complete graph; "
-                "node-aware setups must use split.kind='nodes'"
-            )
+            raise ValidationError("partial_graph: node count differs from complete graph; "
+                                  "node-aware setups must use split.kind='nodes'")
+        if not np.array_equal(g.features.values, g_complete.features.values):
+            # trace entry 0 is X on both sides, which the alignment skips
+            raise ValidationError("partial_graph: features differ from complete_graph's")
     elif cfg.split is not None:
         split_seed = cfg.split.seed if cfg.split.seed is not None else cfg.plan.seed
         if cfg.split.kind == "edges":
@@ -345,13 +350,9 @@ def cmd_distill(args) -> int:
         teacher = _build_from_section(cfg.teacher, g_complete, num_classes)
     else:
         if cfg.teacher.checkpoint is None:
-            raise ValidationError(
-                f"teacher.checkpoint: required for offline mode {mode!r}"
-            )
+            raise ValidationError(f"teacher.checkpoint: required for offline mode {mode!r}")
         if not Path(cfg.teacher.checkpoint).exists():
-            raise ValidationError(
-                f"teacher.checkpoint: file not found: {cfg.teacher.checkpoint}"
-            )
+            raise ValidationError(f"teacher.checkpoint: file not found: {cfg.teacher.checkpoint}")
         teacher = GnnModel.load(cfg.teacher.checkpoint)
     result = train_student(cfg.plan, g, g_complete, teacher, student, node_map)
     checkpoints = {"student.json": result.model}
@@ -390,6 +391,7 @@ def cmd_sweep_pir(args) -> int:
     split_kind = cfg.sweep.split_kind or (cfg.split.kind if cfg.split else "edges")
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
     method_plan = replace(cfg.plan, mode=method)  # checks its kernel before any training
+    method_plan.require_alignable(cfg.student.kind, cfg.student.depth)
 
     g_complete = load_graph(cfg.complete_graph)
     num_classes = g_complete.num_classes

@@ -4,6 +4,11 @@ The alignment loss is ||(K_teacher_sub - K_student) .* W||_F^2 where W weights
 connected pairs 1 and everything else (including self-pairs) delta. Teacher
 inputs are detached here so no gradient ever reaches the frozen model.
 
+gkd's L bridging kernels read trace entries 0 .. L-1 under an alpha / L
+scale. Entry 0 is X on both sides, so its term is 0.0 and is skipped: the
+terms read entries 1 .. L-1, hidden features of a gcn of depth >= 2, the one
+student ``require_hidden_layers`` lets align. Each term moves a parameter.
+
 Every alignment loss, gkd's per layer and pgkd's, is one call of
 ``T.kernel_alignment``: gkd's reads the rows ``nhk.kernel_rows`` gives for
 its kernel, pgkd's the mapped features whose Gram is the parametric kernel.
@@ -28,6 +33,7 @@ and ``factored_reconstruction_loss`` are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,59 +97,55 @@ def weight_matrix(g: Graph, delta: float, node_subset) -> Tensor:
 def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
     """Weighted Frobenius alignment; gradient flows into the student kernel only."""
     if k_teacher_sub.shape != k_student.shape:
-        raise DimensionError(
-            f"kernel shapes differ: {k_teacher_sub.shape} vs {k_student.shape}"
-        )
+        raise DimensionError(f"kernel shapes differ: {k_teacher_sub.shape} vs {k_student.shape}")
     weighted = T.mul_elem(T.sub(k_student, T.constant(k_teacher_sub.values)), w)
     return T.sum_all(T.mul_elem(weighted, weighted))
 
 
 def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):
-    """The frozen teacher's kernel matrices, one per loss layer, detached: the
-    dense reference for the teacher side of ``layer_avg_distill``."""
+    """The frozen teacher's kernel matrices at trace entries 1 .. L-1, detached:
+    the dense reference for the teacher side of ``layer_avg_distill``."""
     return [kernel_matrix(spec, T.constant(h), spec.width(d)).detach()
-            for h, d in zip(traces_teacher[:-1], traces_student_dims)]
+            for h, d in zip(traces_teacher[1:-1], traces_student_dims[1:])]
 
 
 def teacher_layer_rows(traces_teacher, traces_student_dims, spec: KernelSpec):
-    """``kernel_rows`` of the teacher's feature arrays, one per loss layer; a
-    randomized kernel projects layer l to spec.s, else twice the student's
-    feature width at l."""
+    """``kernel_rows`` of the teacher's feature arrays at the trace entries
+    1 .. L-1 ``layer_avg_distill`` aligns; a randomized kernel projects entry
+    l to spec.s, else twice the student's width ``traces_student_dims[l]``."""
     return [kernel_rows(spec, T.constant(h), spec.width(d))
-            for h, d in zip(traces_teacher[:-1], traces_student_dims)]
+            for h, d in zip(traces_teacher[1:-1], traces_student_dims[1:])]
+
+
+def require_hidden_layers(kind: str, depth: int, field: str):
+    """ValidationError naming ``field`` unless the model is a gcn of depth >= 2,
+    the one kind whose trace entries 1 .. L-1 its weights produce (an sgc's
+    are propagated X): gkd aligns them, pgkd's span reads the first and last."""
+    if kind != "gcn" or depth < 2:
+        raise ValidationError(f"{field}: needs a gcn of depth >= 2, got {kind} of depth "
+                              f"{depth}; alignment reads a gcn's hidden trace entries 1..L-1")
 
 
 def layer_avg_distill(teacher_rows, traces_student, spec: KernelSpec, cfg: DistillConfig,
-                      g: Graph, ids=None, fixed_terms=None) -> Tensor:
-    """Mean per-layer kernel alignment scaled by alpha, over the pairs of the
-    nodes ``ids`` of g (every node when None).
+                      g: Graph, ids=None) -> Tensor:
+    """Kernel alignment of trace entries 1 .. L-1 scaled by alpha / L, over
+    the pairs of the nodes ``ids`` of g (every node when None).
 
-    The kernel bridging layer l-1 to l is evaluated on the source features,
-    so the L loss terms read trace entries 0 .. L-1. Layer l is one
+    The kernel bridging layer l-1 to l reads entry l-1; the bridge from entry
+    0, X on both sides, adds 0.0 and is skipped. Entry l is one
     ``T.kernel_alignment`` of the student's ``kernel_rows`` against
-    ``teacher_rows[l]`` (see ``teacher_layer_rows``); both sides must already
-    be restricted to the aligned rows. A frozen teacher may pass a dict
-    ``fixed_terms``, kept across calls, that memoizes the terms of
-    gradient-free student entries.
+    ``teacher_rows[l - 1]`` (``teacher_layer_rows``); both sides must already
+    be restricted to the aligned rows.
     """
     num_layers = len(traces_student) - 1
-    if num_layers < 1:
-        raise ValidationError("traces must cover at least one layer")
-    if len(teacher_rows) != num_layers:
-        raise DimensionError(
-            f"{len(teacher_rows)} teacher layers for {num_layers} student layers")
+    if num_layers < 2:
+        raise ValidationError("traces must cover at least two layers")
+    if len(teacher_rows) != num_layers - 1:
+        raise DimensionError(f"{len(teacher_rows)} teacher rows for {num_layers - 1} student entries")
     adj = adjacency(g, ids)
-    total = None
-    for l in range(num_layers):
-        if fixed_terms is not None and l in fixed_terms:
-            term = T.constant([[fixed_terms[l]]])
-        else:
-            term = T.kernel_alignment(kernel_rows(spec, traces_student[l]), teacher_rows[l],
-                                      adj, cfg.delta, spec)
-            if fixed_terms is not None and not traces_student[l].requires_grad:
-                fixed_terms[l] = term.item()
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, cfg.alpha / num_layers)
+    terms = (T.kernel_alignment(kernel_rows(spec, h), t_rows, adj, cfg.delta, spec)
+             for h, t_rows in zip(traces_student[1:-1], teacher_rows))
+    return T.scale(reduce(T.add, terms), cfg.alpha / num_layers)
 
 
 def inverse_nhk_gram(mapper: InverseNhkMapper, h_last: Tensor) -> Tensor:
@@ -154,9 +156,7 @@ def inverse_nhk_gram(mapper: InverseNhkMapper, h_last: Tensor) -> Tensor:
 def reconstruction_loss(k_dagger: Tensor, h_late: Tensor, h_early: Tensor) -> Tensor:
     """||K_dagger H_late - H_early||_F^2."""
     if k_dagger.shape[1] != h_late.shape[0]:
-        raise DimensionError(
-            f"k_dagger cols {k_dagger.shape[1]} != h_late rows {h_late.shape[0]}"
-        )
+        raise DimensionError(f"k_dagger cols {k_dagger.shape[1]} != h_late rows {h_late.shape[0]}")
     return _sq_residual(T.matmul(k_dagger, h_late), h_early)
 
 
@@ -170,9 +170,7 @@ def factored_reconstruction_loss(phi: Tensor, h_late: Tensor, h_early: Tensor) -
 def _sq_residual(recon: Tensor, h_early: Tensor) -> Tensor:
     """||recon - H_early||_F^2 as a scalar tensor."""
     if recon.shape != h_early.shape:
-        raise DimensionError(
-            f"reconstruction shape {recon.shape} != target {h_early.shape}"
-        )
+        raise DimensionError(f"reconstruction shape {recon.shape} != target {h_early.shape}")
     diff = T.sub(recon, h_early)
     return T.sum_all(T.mul_elem(diff, diff))
 
@@ -184,8 +182,7 @@ def kd_soft_label_loss(teacher_logits, student_logits: Tensor, tau: float, mask)
     mask = np.asarray(mask, dtype=np.int64)
     if len(mask) == 0:
         raise ValidationError("kd loss: empty mask")
-    t_vals = teacher_logits.values if isinstance(teacher_logits, Tensor) else \
-        np.asarray(teacher_logits, dtype=np.float64)
+    t_vals = np.asarray(teacher_logits, dtype=np.float64)
     if t_vals.shape != student_logits.shape:
         raise DimensionError(f"logit shapes differ: {t_vals.shape} vs {student_logits.shape}")
 
@@ -210,8 +207,7 @@ def pgkd_span(model: GnnModel) -> tuple[int, int]:
     """
     if model.kind == "sgc":
         return 0, model.num_layers
-    if model.num_layers < 2:
-        raise ValidationError("parametric distillation needs depth >= 2")
+    require_hidden_layers(model.kind, model.num_layers, "depth")
     early, late = 1, model.num_layers - 1
     if model.dims[early] != model.dims[late]:
         raise ValidationError("hidden sizes at span endpoints must match")

@@ -29,6 +29,7 @@ from .distill import (
     kd_soft_label_loss,
     layer_avg_distill,
     pgkd_span,
+    require_hidden_layers,
     teacher_layer_rows,
     trace_feature_dim,
 )
@@ -136,6 +137,11 @@ class TrainPlan:
             raise GraphParseError("distill.batch_size", "mode 'pgkd' aligns the whole graph, "
                                   f"got {self.distill.batch_size}")
 
+    def require_alignable(self, kind: str, depth: int):
+        """Alignment at alpha > 0 needs a gcn student of depth >= 2."""
+        if self.mode != "teacher" and self.distill.alpha > 0:
+            require_hidden_layers(kind, depth, "distill.alpha")
+
 
 @dataclass
 class TrainResult:
@@ -188,6 +194,7 @@ def _fit(model: GnnModel, g: Graph, plan: TrainPlan, terms) -> TrainResult:
     epoch's loss, since the weights do not change in between: a run of E
     epochs runs E + 1 forwards.
     """
+    plan.require_alignable(model.kind, model.num_layers)
     empty = g.empty_split()
     if empty is not None:
         raise ValidationError(f"graph has no {empty} nodes")
@@ -242,13 +249,12 @@ def _kd_term(plan: TrainPlan, teacher_logits, logits, g: Graph):
 
 
 class _GkdTerms:
-    """gkd and online terms: alpha-scaled per-layer alignment, soft labels.
+    """gkd and online terms: alignment of trace entries 1 .. L-1 under an
+    alpha / L scale (entry 0 is X on both sides, its term 0.0), soft labels.
 
     The teacher side is ``teacher_layer_rows``. A frozen teacher's rows are
-    built on the first call, kept, and gathered per batch; a full-graph run
-    also memoizes the terms of gradient-free student entries (input, sgc
-    trace). An online teacher's rows are built each call from the batch's
-    teacher features.
+    built on the first call, kept, and gathered per batch. An online
+    teacher's rows are built each call from the batch's teacher features.
     """
 
     def __init__(self, plan: TrainPlan, g: Graph, frozen: bool):
@@ -256,7 +262,6 @@ class _GkdTerms:
         cfg = plan.distill
         self.batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
         self.teacher_rows = None
-        self.fixed_terms = {} if frozen and not self.batched else None
 
     def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
         spec, cfg = self.plan.kernel, self.plan.distill
@@ -276,7 +281,7 @@ class _GkdTerms:
             else:
                 feats = teacher_feats if ids is None else [f[ids] for f in teacher_feats]
                 t_rows = teacher_layer_rows(feats, dims, spec)
-            dis = layer_avg_distill(t_rows, trace, spec, cfg, self.g, ids, self.fixed_terms)
+            dis = layer_avg_distill(t_rows, trace, spec, cfg, self.g, ids)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:
@@ -307,12 +312,10 @@ def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
     d_t = trace_feature_dim(teacher, late_t)
     d_s = trace_feature_dim(student, late_s)
     s = plan.kernel.width(d_s)
-    if d_t == d_s:
-        mapper = InverseNhkMapper(d_s, s)
-        mapper.init(plan.seed, STREAM_MAPPER)
-        return mapper, mapper
     mapper_t = InverseNhkMapper(d_t, s)
     mapper_t.init(plan.seed, STREAM_MAPPER)
+    if d_t == d_s:
+        return mapper_t, mapper_t
     mapper_s = InverseNhkMapper(d_s, s)
     mapper_s.init(plan.seed, STREAM_MAPPER_STUDENT)
     return mapper_t, mapper_s
@@ -460,8 +463,6 @@ def grid_search(space: dict, plan: TrainPlan, g: Graph, g_complete: Graph = None
         raise ValidationError("grid space must be nonempty")
     keys = list(space.keys())
     rows = []
-    best_row = None
-    best_overrides = None
     for combo in itertools.product(*(space[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         cell_plan = apply_grid_overrides(plan, overrides)
@@ -471,11 +472,7 @@ def grid_search(space: dict, plan: TrainPlan, g: Graph, g_complete: Graph = None
                                       model, cell_plan)
         else:
             result = train_student(cell_plan, g, g_complete, teacher, model)
-        row = dict(overrides)
-        row["val_acc"] = result.best_val_acc
-        row["test_acc"] = result.best_test_acc
-        rows.append(row)
-        if best_row is None or row["val_acc"] > best_row["val_acc"]:
-            best_row = row
-            best_overrides = overrides
-    return best_overrides, rows
+        rows.append({**overrides, "val_acc": result.best_val_acc,
+                     "test_acc": result.best_test_acc})
+    best = max(rows, key=lambda row: row["val_acc"])  # the first of equal rows
+    return {k: best[k] for k in keys}, rows

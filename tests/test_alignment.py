@@ -135,9 +135,8 @@ def test_every_batch_layer_runs_the_blocked_op(kind, monkeypatch):
     g = sbm_generate([12, 12], 0.4, 0.1, 4, 0.5, 3)
     ids = np.array([0, 5, 5, 13, 2, 23, 0, 7, 19, 19, 11])
     rng = np.random.default_rng(8)
-    t_feats = [rng.normal(size=(11, 4)), rng.normal(size=(11, 6)), rng.normal(size=(11, 2))]
-    s_trace = [T.parameter(rng.normal(size=(11, 4))), T.parameter(rng.normal(size=(11, 3))),
-               T.parameter(rng.normal(size=(11, 2)))]
+    t_feats = [rng.normal(size=(11, w)) for w in (4, 6, 3, 2)]
+    s_trace = [T.parameter(rng.normal(size=(11, w))) for w in (4, 3, 5, 2)]
     calls, op = [], T.kernel_alignment
 
     def recording_op(h_s, h_t, adj, delta, spec):
@@ -148,8 +147,9 @@ def test_every_batch_layer_runs_the_blocked_op(kind, monkeypatch):
     spec = KernelSpec(kind=kind, m=2)
     t_rows = teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
     layer_avg_distill(t_rows, s_trace, spec, DistillConfig(delta=0.4), g, ids).backward()
-    # a randomized layer aligns factors of width (m + 1) * 2d, d the student's
-    widths = [(24, 24), (18, 18)] if kind == "randomized" else [(4, 4), (3, 6)]
+    # entries 1 and 2 only; a randomized layer aligns factors of width
+    # (m + 1) * 2d, d the student's
+    widths = [(18, 18), (30, 30)] if kind == "randomized" else [(3, 6), (5, 3)]
     assert calls == [((11, w_s), (11, w_t), (11, 11)) for w_s, w_t in widths]
 
 
@@ -179,11 +179,13 @@ def test_gradient_free_student_and_shape_checks():
     with pytest.raises(DimensionError, match=r"adjacency \(5, 5\)"):
         T.kernel_alignment(Tensor(features(4, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
                            KernelSpec(kind="gauss"))
-    # gkd has no learned kernel to align
-    trace = [T.constant(features(5, 2, 0)), T.constant(features(5, 2, 1))]
+    # gkd has no learned kernel to align, and aligns entries 1 .. L-1 of L >= 2
+    trace = [T.constant(features(5, 2, seed)) for seed in range(3)]
     with pytest.raises(ValidationError, match="parametric"):
-        layer_avg_distill(trace[:1], trace, KernelSpec(kind="parametric"), DistillConfig(),
+        layer_avg_distill(trace[1:2], trace, KernelSpec(kind="parametric"), DistillConfig(),
                           random_graph(5, 0))
+    with pytest.raises(ValidationError, match="two layers"):
+        layer_avg_distill([], trace[:2], KernelSpec(), DistillConfig(), random_graph(5, 0))
 
 
 def spy_all_pairs(monkeypatch):
@@ -262,12 +264,12 @@ def test_layer_avg_full_graph_matches_dense(kind):
     got.backward()
     got_grad = s_trace[1].grad.copy()
     s_trace[1].zero_grad()
-    # the two loss terms read trace entries 0 and 1
+    # of the two bridges, the one term left reads trace entry 1 (entry 0,
+    # here unlike the teacher's, is skipped); the scale stays alpha / 2
     w = weight_matrix(g, cfg.delta, np.arange(n))
     k_t = teacher_layer_kernels(t_feats, [h.shape[1] for h in s_trace], spec)
-    assert len(k_t) == 2
-    want = T.scale(T.add(*(distill_loss(k_t[l], kernel_matrix(spec, s_trace[l]), w)
-                           for l in (0, 1))), cfg.alpha / 2)
+    assert len(k_t) == 1
+    want = T.scale(distill_loss(k_t[0], kernel_matrix(spec, s_trace[1]), w), cfg.alpha / 2)
     want.backward()
     assert abs(got.item() - want.item()) <= 1e-12 * want.item()
     want_grad = s_trace[1].grad
@@ -323,7 +325,7 @@ def test_gauss_gkd_epoch_at_delta_zero_holds_no_row_block(monkeypatch):
             train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 4, 4, 3, 4))
         finally:
             tracemalloc.stop()
-    assert len(peaks[0.0]) == len(peaks[0.4]) == 3  # one op per layer
+    assert len(peaks[0.0]) == len(peaks[0.4]) == 2  # one op per entry 1 and 2
     assert max(peaks[0.0]) < block
     assert min(peaks[0.4]) >= 2 * block
 

@@ -326,6 +326,72 @@ def test_node_split_without_validation_nodes_exit_1(tmp_path, graph_file, capsys
     assert not (tmp_path / "out" / "metrics.jsonl").exists()
 
 
+SGC = {"kind": "sgc", "depth": 2, "hidden": 8}
+NO_HIDDEN_ENTRY = [  # (command, mode, kernel kind, student): no aligned entry holds a weight
+    ("distill", "gkd_offline", "gauss", SGC),
+    ("distill", "online", "randomized", SGC),
+    ("distill", "compression", "sigmoid", SGC),
+    ("distill", "pgkd", "parametric", SGC),
+    ("distill", "gkd_offline", "gauss", {"kind": "gcn", "depth": 1, "hidden": 8}),
+    ("sweep-pir", "gkd_offline", "gauss", SGC),
+    ("sweep-pir", "teacher", "gauss", SGC),  # the sweep distills by gkd_offline
+]
+
+
+@pytest.mark.parametrize("command,mode,kernel,student", NO_HIDDEN_ENTRY,
+                         ids=[f"{c}-{m}-{s['kind']}{s['depth']}" for c, m, _, s in NO_HIDDEN_ENTRY])
+def test_alignment_of_a_student_without_hidden_entries_exits_1_before_any_read(
+        tmp_path, graph_file, capsys, monkeypatch, command, mode, kernel, student):
+    monkeypatch.setattr(cli, "load_graph", lambda path: pytest.fail(f"read {path}"))
+    cfg = write_config(tmp_path, graph_file, mode=mode, kernel={"kind": kernel},
+                       student=student, sweep={"pirs": [0.5], "seeds": [0]},
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8,
+                                "checkpoint": str(tmp_path / "unread.json")})
+    assert run_cli(command, "--config", cfg) == 1
+    assert "error: distill.alpha: needs a gcn of depth >= 2, got " \
+        f"{student['kind']} of depth {student['depth']}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sgc_student_trains_on_soft_labels_at_alpha_zero(tmp_path, graph_file):
+    ckpt = make_teacher(tmp_path, graph_file)
+    cfg = write_config(tmp_path, graph_file, student=SGC,
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
+                       distill={"alpha": 0.0, "alpha_kd": 0.5})
+    assert run_cli("distill", "--config", cfg) == 0
+    assert (tmp_path / "out" / "student.json").exists()
+
+
+@pytest.mark.parametrize("name", ["teacher", "student"])
+def test_pgkd_depth_one_gcn_exits_1_naming_its_depth(tmp_path, graph_file, capsys, name):
+    models = {"teacher": {"kind": "gcn", "depth": 2, "hidden": 8,
+                          "checkpoint": str(tmp_path / "unread.json")},
+              "student": {"kind": "gcn", "depth": 2, "hidden": 8}}
+    models[name]["depth"] = 1
+    cfg = write_config(tmp_path, graph_file, mode="pgkd", kernel={"kind": "parametric"},
+                       distill={"alpha": 0.0}, **models)
+    assert run_cli("distill", "--config", cfg) == 1
+    assert f"error: {name}.depth: needs a gcn of depth >= 2, got gcn of depth 1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_partial_graph_with_other_features_exits_1(tmp_path, graph_file, capsys):
+    ckpt = make_teacher(tmp_path, graph_file)
+    doc = json.loads(graph_file.read_text())
+    doc["features"][4][1] += 0.5
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, graph_file, split=None, partial_graph=str(partial),
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)})
+    assert run_cli("distill", "--config", cfg) == 1
+    assert "error: partial_graph: features differ from complete_graph's" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    partial.write_text(graph_file.read_text())  # the same features run
+    assert run_cli("distill", "--config", cfg) == 0
+
+
 # --------------------------------------------------------------------------
 # determinism (config -> bytes)
 

@@ -127,6 +127,66 @@ def test_adjacency_plus_laplacian_is_identity():
 
 
 # --------------------------------------------------------------------------
+# bucketed spmm on graph operators, property-checked over seeded graphs
+
+
+def seeded_graph(seed):
+    """A random graph of 1 to 40 nodes; edge density 0 to 0.5, so some draws
+    have no edges and many have isolated nodes."""
+    rng = np.random.default_rng([seed, 61])
+    n = int(rng.integers(1, 41))
+    upper = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.03, 0.1, 0.5]), 1)
+    return Graph(n, np.argwhere(upper), np.zeros((n, 1)), [0] * n, [0], [], [])
+
+
+def graph_operators(g, rng):
+    """Every operator spmm runs on g: the normalized adjacency, the Laplacian,
+    the binary adjacency and its restriction to a batch with repeated ids."""
+    ids = rng.integers(0, g.num_nodes, size=int(rng.integers(1, 2 * g.num_nodes + 2)))
+    return [normalize_adjacency(g), laplacian_sym(g), adjacency(g), adjacency(g, ids)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matmul_dense_matches_densify_on_seeded_graphs(seed):
+    g = seeded_graph(seed)
+    rng = np.random.default_rng([seed, 62])
+    for m in graph_operators(g, rng):
+        for d in (1, 3):
+            x = rng.uniform(-1, 1, size=(m.cols, d))
+            want = m.densify() @ x
+            assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
+            # values given per entry, on the same cached plan, then the stored ones again
+            data = rng.uniform(-1, 1, size=m.nnz)
+            other = np.zeros(m.shape)
+            other[m.row_ids(), m.indices] = data
+            assert np.max(np.abs(m.matmul_dense(x, data) - other @ x), initial=0.0) < 1e-12
+            assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
+
+
+def test_seeded_graphs_cover_the_edge_cases():
+    # the seeds above reach every case the bucket plan special-cases
+    graphs = [seeded_graph(seed) for seed in range(40)]
+    assert any(g.num_nodes == 1 for g in graphs)
+    assert any(g.num_edges == 0 and g.num_nodes > 1 for g in graphs)
+    assert any(0 < len(np.unique(g.edges)) < g.num_nodes for g in graphs)  # isolated nodes
+
+
+@pytest.mark.parametrize("ids", [[0, 0], [2, 2, 2, 0], [1, 3, 1, 3, 4, 4]])
+def test_matmul_dense_on_a_batch_with_repeated_ids(ids):
+    # copies of one node share its edges, and stay unlinked to each other
+    g = Graph(5, [(0, 2), (1, 3), (2, 3), (3, 4)], np.zeros((5, 1)), [0] * 5, [0], [], [])
+    a = adjacency(g, ids)
+    full = adjacency(g).densify()
+    np.testing.assert_array_equal(a.densify(), full[np.ix_(ids, ids)])
+    x = np.random.default_rng(63).uniform(-1, 1, size=(len(ids), 2))
+    assert np.max(np.abs(a.matmul_dense(x) - full[np.ix_(ids, ids)] @ x)) < 1e-12
+    data = np.arange(1.0, a.nnz + 1)
+    dense = np.zeros(a.shape)
+    dense[a.row_ids(), a.indices] = data
+    assert np.max(np.abs(a.matmul_dense(x, data) - dense @ x), initial=0.0) < 1e-12
+
+
+# --------------------------------------------------------------------------
 # privileged-information splits
 
 

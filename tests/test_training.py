@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,13 +366,16 @@ def test_gkd_compression_dims(graphs, teacher):
 
 
 def test_gkd_sgc_student(graphs, teacher):
-    # compression onto an SGC student: same depth, propagation-space features
+    # an sgc trace is propagated X, so no aligned entry holds a parameter:
+    # alignment is refused, soft labels still train it
     g_c, _ = graphs
     plan = quick_plan(mode="compression", seed=19, epochs=8,
                       kernel=KernelSpec(kind="gauss", t=1.0),
                       distill=DistillConfig(alpha=1.0, delta=0.4))
-    student = build_model("sgc", 6, 8, 3, 2)
-    res = train_student(plan, g_c, g_c, teacher, student)
+    with pytest.raises(ValidationError, match="distill.alpha: needs a gcn of depth >= 2"):
+        train_student(plan, g_c, g_c, teacher, build_model("sgc", 6, 8, 3, 2))
+    plan = replace(plan, distill=DistillConfig(alpha=0.0, alpha_kd=0.5))
+    res = train_student(plan, g_c, g_c, teacher, build_model("sgc", 6, 8, 3, 2))
     assert len(res.metrics) == 8
     assert res.best_val_acc > 0.0
 
@@ -396,9 +400,12 @@ def test_pgkd_sgc_student_spans_whole_stack(graphs, teacher):
     g_c, g = graphs
     plan = quick_plan(mode="pgkd", seed=20, epochs=4,
                       distill=DistillConfig(alpha=1.0))
-    student = build_model("sgc", 6, 8, 3, 2)
-    res = train_student_pgkd(g, teacher, g_c, plan, student)
+    with pytest.raises(ValidationError, match="distill.alpha"):
+        train_student_pgkd(g, teacher, g_c, plan, build_model("sgc", 6, 8, 3, 2))
+    plan = replace(plan, distill=DistillConfig(alpha=0.0))
+    res = train_student_pgkd(g, teacher, g_c, plan, build_model("sgc", 6, 8, 3, 2))
     assert len(res.metrics) == 4
+    assert all(rec.loss_rec > 0.0 for rec in res.metrics)  # its mapper spans 0 .. L
 
 
 # --------------------------------------------------------------------------
@@ -502,14 +509,35 @@ def test_frozen_teacher_projected_once_per_run(graphs, teacher, monkeypatch, bat
                       kernel=KernelSpec(kind="randomized", m=2),
                       distill=DistillConfig(alpha=1.0, delta=0.4, batch_size=batch_size))
     train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
+    # trace entries 1 .. L-1 alone: the teacher's once, the student's per epoch
+    aligned = layers - 1
     if batch_size is None:
-        # teacher once; the student's input layer is gradient-free and kept
-        # after the first epoch
-        assert rows == [n] * (2 * layers + (epochs - 1) * (layers - 1))
+        assert rows == [n] * (epochs + 1) * aligned
     else:
-        assert rows.count(n) == layers
-        assert rows.count(batch_size) == epochs * layers
-        assert len(rows) == (epochs + 1) * layers
+        assert rows.count(n) == aligned
+        assert rows.count(batch_size) == epochs * aligned
+        assert len(rows) == (epochs + 1) * aligned
+
+
+@pytest.mark.parametrize("mode", ["gkd_offline", "online"])
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_every_alignment_reads_a_trained_entry(graphs, teacher, monkeypatch, mode, batch_size):
+    # entries 1 and 2 (width 8) of a depth-3 student, never entry 0 (X, width 6)
+    g_c, g = graphs
+    calls, op = [], T.kernel_alignment
+
+    def spy(h_s, h_t, *args):
+        calls.append((h_s.requires_grad, h_s.shape, h_t.shape))
+        return op(h_s, h_t, *args)
+
+    monkeypatch.setattr(T, "kernel_alignment", spy)
+    plan = quick_plan(mode=mode, seed=16, epochs=3, kernel=KernelSpec(kind="gauss"),
+                      distill=DistillConfig(alpha=1.0, delta=0.4, batch_size=batch_size))
+    if mode == "online":  # trains its own teacher, so not the shared one
+        teacher = build_model("gcn", 6, 8, 3, 2)
+    train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
+    rows = batch_size or g.num_nodes
+    assert calls == [(True, (rows, 8), (rows, 8))] * 2 * 3
 
 
 @pytest.mark.parametrize("mode", ["teacher", "gkd_offline", "pgkd", "online"])
