@@ -202,7 +202,8 @@ class RunConfig:
         for name, model in models.items():  # pgkd's span reads a gcn's entries 1 and L-1
             if mode == "pgkd" and model.kind == "gcn":
                 require_hidden_layers(model.kind, model.depth, f"{name}.depth")
-        plan.require_alignable(models["student"].kind, models["student"].depth)
+        student = models["student"]
+        plan.require_alignable(student.kind, student.depth, models["teacher"].depth)
         return cls(
             complete_graph=complete,
             plan=plan,
@@ -353,7 +354,12 @@ def cmd_distill(args) -> int:
             raise ValidationError(f"teacher.checkpoint: required for offline mode {mode!r}")
         if not Path(cfg.teacher.checkpoint).exists():
             raise ValidationError(f"teacher.checkpoint: file not found: {cfg.teacher.checkpoint}")
-        teacher = GnnModel.load(cfg.teacher.checkpoint)
+        teacher, section = GnnModel.load(cfg.teacher.checkpoint), cfg.teacher
+        hidden = teacher.dims[1] if teacher.kind == "gcn" and teacher.num_layers > 1 else None
+        for key, got in (("kind", teacher.kind), ("depth", teacher.num_layers), ("hidden", hidden)):
+            if got not in (None, getattr(section, key)):  # the section describes its checkpoint
+                raise GraphParseError(f"teacher.{key}", f"the checkpoint's is {got!r}, "
+                                      f"the section's {getattr(section, key)!r}")
     result = train_student(cfg.plan, g, g_complete, teacher, student, node_map)
     checkpoints = {"student.json": result.model}
     if result.teacher_model is not None:
@@ -391,7 +397,7 @@ def cmd_sweep_pir(args) -> int:
     split_kind = cfg.sweep.split_kind or (cfg.split.kind if cfg.split else "edges")
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
     method_plan = replace(cfg.plan, mode=method)  # checks its kernel before any training
-    method_plan.require_alignable(cfg.student.kind, cfg.student.depth)
+    method_plan.require_alignable(cfg.student.kind, cfg.student.depth, cfg.teacher.depth)
 
     g_complete = load_graph(cfg.complete_graph)
     num_classes = g_complete.num_classes

@@ -19,10 +19,10 @@ W .* W = delta^2 + (1 - delta^2) A, so the loss is
 
 The edge sum reads the kernels at the |E| entries alone, in O(|E| d) time.
 The all-pairs sum, for delta > 0 only, rebuilds the gauss and sigmoid
-kernels (entrywise maps of distances or inner products) block by block, as
-KeOps and FlashAttention reduce kernels, in O(n^2 d) time and O(b n + n d)
-memory, b = max(64, 65536 // n). For the randomized and parametric kernels,
-Grams K = Phi Phi^T with Phi n x r, it is ||Phi_s^T Phi_s||^2 -
+kernels (entrywise maps of distances or inner products) in blocks of b =
+max(64, 65536 // n) rows over the upper triangle, as KeOps and FlashAttention
+reduce kernels, in O(n^2 d) time and O(b n + n d) memory. For the randomized
+and parametric Grams K = Phi Phi^T with Phi n x r, it is ||Phi_s^T Phi_s||^2 -
 2 ||Phi_t^T Phi_s||^2 + ||Phi_t^T Phi_t||^2 in O(n r^2) when n >= 2r, where
 that beats the blocks; reconstruction is K H = Phi (Phi^T H). The dense
 ``distill_loss`` over ``kernel_matrix`` and ``weight_matrix``,

@@ -15,9 +15,9 @@ The fused op ``kernel_alignment`` gives the weighted distance between two
 kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
 matrix. Its pair weight splits as W2 = delta^2 + (1 - delta^2) A: a sum over
 the adjacency entries, O(|E| d), plus for delta > 0 only a sum over all
-pairs, O(n^2 d) by row blocks, or O(n r^2) from r x r Grams for a Gram of
-n >= 2r factor rows of width r. The chains over ``pairwise_sqdist`` and
-``gram`` are its reference.
+pairs, O(n^2 d) by row blocks over K's upper triangle, or O(n r^2) from
+r x r Grams for a Gram of n >= 2r factor rows of width r. The chains over
+``pairwise_sqdist`` and ``gram`` are its reference.
 """
 
 from __future__ import annotations
@@ -144,6 +144,7 @@ class SparseMatrix:
         self.data = np.asarray(data, dtype=np.float64)
         self._transpose = None
         self._plan = None  # cached degree buckets for matmul_dense
+        self._positions = None  # each bucket's entry positions, for data=
         self._validate()
 
     def _validate(self):
@@ -230,9 +231,11 @@ class SparseMatrix:
                 rows = np.flatnonzero(counts == k)
                 pos = self.indptr[rows] + np.arange(k)[:, None]
                 self._plan.append((rows, self.indices[pos], self.data[pos]))
+        if data is not None and self._positions is None:  # built once, on the first data=
+            self._positions = [self.indptr[rows] + np.arange(len(idx))[:, None]
+                               for rows, idx, _ in self._plan]
         plan = self._plan if data is None else [
-            (rows, idx, data[self.indptr[rows] + np.arange(len(idx))[:, None]])
-            for rows, idx, _ in self._plan]
+            (rows, idx, data[pos]) for (rows, idx, _), pos in zip(self._plan, self._positions)]
         if len(plan) == 1 and len(plan[0][0]) == self.rows:
             return _bucket_product(x, *plan[0][1:])
         out = np.zeros((self.rows, x.shape[1]))
@@ -450,10 +453,20 @@ def gram(h: Tensor) -> Tensor:
     return matmul(h, transpose(h))
 
 
-# kernel_alignment's row blocks are b x n, b = max(64, 65536 // n): 512 KiB up to
-# n = 1024, never so few rows that gemms slow down; edge chunks, 65536 // (d + 2)
+# kernel_alignment's row blocks are at most b x n, b = max(64, 65536 // n): 512 KiB
+# up to n = 1024, never so few rows that gemms slow down; edge chunks, 65536 // w
 _BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
 _GRAM_KINDS = ("randomized", "parametric")  # kernels K = Phi Phi^T of factor rows
+
+
+class FrozenRows(Tensor):
+    """Constant rows for ``kernel_alignment``'s h_t holding spec's kernel at
+    the entries of adj, computed once: a frozen teacher's side of the edge sum."""
+
+    def __init__(self, values, spec, adj: SparseMatrix):
+        super().__init__(values)
+        self.adj = adj
+        self.edge_kernel = _edge_kernel(spec, np.ascontiguousarray(self.values), adj)
 
 
 def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, spec) -> Tensor:
@@ -464,9 +477,11 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, 
     rows that are the factors Phi; h_t gets no gradient. As W2 = delta^2 +
     (1 - delta^2) A for a binary symmetric adjacency A with a zero diagonal,
     the loss is (1 - delta^2) times the sum over the entries of A
-    (``_edge_alignment``) plus, for delta > 0 only, delta^2 times the sum over
-    all pairs: r x r Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows
-    (``_gram_alignment``), else row blocks (``_blocked_alignment``).
+    (``_edge_alignment``, reading K_t there from ``FrozenRows`` of this adj)
+    plus, for delta > 0 only, delta^2 times the sum over all pairs: r x r
+    Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows (``_gram_alignment``),
+    else row blocks over the upper triangle (``_blocked_alignment``). Each part
+    gives its loss and Q u; their weighted sum maps once to the gradient.
     """
     n = h_s.shape[0]
     if h_t.shape[0] != n or adj.shape != (n, n):
@@ -474,12 +489,14 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, 
             f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
     hs, ht = np.ascontiguousarray(h_s.values), np.ascontiguousarray(h_t.values)
     d2, want_grad = float(delta) ** 2, h_s.requires_grad
-    parts = [(1.0 - d2, _edge_alignment(hs, ht, adj, spec, want_grad))]
+    frozen = isinstance(h_t, FrozenRows) and h_t.adj is adj
+    k_t = h_t.edge_kernel if frozen else _edge_kernel(spec, ht, adj)
+    parts = [(1.0 - d2, _edge_alignment(hs, k_t, adj, spec, want_grad))]
     if d2:
         grams = spec.kind in _GRAM_KINDS and n >= 2 * max(hs.shape[1], ht.shape[1])
         parts.append((d2, _gram_alignment(hs, ht, want_grad) if grams
                       else _blocked_alignment(hs, ht, spec, want_grad)))
-    grad = sum(w * g for w, (_, g) in parts) if want_grad else None
+    grad = _gradient(spec, sum(w * qu for w, (_, qu) in parts), hs) if want_grad else None
 
     def backward(g):
         h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
@@ -511,77 +528,87 @@ def _kernel_of_dots(spec, dots: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _gradient(spec, res: np.ndarray, k_s: np.ndarray, times_u, h: np.ndarray) -> np.ndarray:
-    """d(sum of res^2)/dH for residuals res = K_s - K_t over symmetric pairs,
-    given times_u(Q) = Q u (``_kernel_operands``): for gauss, with Q = res K_s
-    and dL/dD = -Q / 2t, (2 / t) (Q H - diag(Q 1) H); else c Q H as dL/dG =
-    c Q / 2, with Q = res (1 - K_s^2) and c = 4a for sigmoid, Q = res and c = 4
-    for a Gram. Overwrites res, and k_s for sigmoid."""
+def _slope(spec, res: np.ndarray, k_s: np.ndarray) -> np.ndarray:
+    """Q, symmetric, in place on residuals res = K_s - K_t: res K_s for gauss,
+    res (1 - K_s^2) for sigmoid (overwriting k_s), res for a Gram."""
     if spec.kind == "gauss":
         res *= k_s
-        qu, d = times_u(res), h.shape[1]
-        return (qu[:, :d] - qu[:, d:d + 1] * h) * (2.0 / spec.t)
-    if spec.kind == "sigmoid":
+    elif spec.kind == "sigmoid":
         res *= np.subtract(1.0, np.multiply(k_s, k_s, out=k_s), out=k_s)
-    qu = times_u(res)
+    return res
+
+
+def _gradient(spec, qu: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d(sum of res^2)/dH over symmetric pairs from qu = Q u (``_slope``): for
+    gauss, as dL/dD = -Q / 2t, (2 / t) (Q H - diag(Q 1) H); else c Q H as dL/dG
+    = c Q / 2, c = 4a for sigmoid and 4 for a Gram, overwriting qu."""
+    if spec.kind == "gauss":
+        d = h.shape[1]
+        return (qu[:, :d] - qu[:, d:d + 1] * h) * (2.0 / spec.t)
     qu *= 4.0 * spec.a if spec.kind == "sigmoid" else 4.0
     return qu
 
 
-def _edge_alignment(hs: np.ndarray, ht: np.ndarray, adj: SparseMatrix, spec, want_grad):
-    """The sum of (K_s - K_t)^2 over the stored entries of the symmetric adj,
-    and its gradient wrt hs (None unless want_grad), in O(|E| d) time: chunks
-    of entries take their rows' inner products (a sampled dense-dense
-    product; np.take gathers rows faster than u[r]), and the gradient reads
-    ``adj.matmul_dense(u_s, Q)``."""
-    rows, cols = adj.row_ids(), adj.indices
-    operands = _kernel_operands(spec, hs), _kernel_operands(spec, ht)
-    k_s, res = np.empty(adj.nnz), np.empty(adj.nnz)
-    step = max(1, _BLOCK_FLOATS // (max(hs.shape[1], ht.shape[1]) + 2))
+def _edge_kernel(spec, h: np.ndarray, adj: SparseMatrix) -> np.ndarray:
+    """spec's kernel of h's rows at the stored entries of adj: chunks of entries
+    take their rows' inner products (a sampled dense-dense product; np.take
+    gathers rows faster than u[r])."""
+    (u, v), rows, cols = _kernel_operands(spec, h), adj.row_ids(), adj.indices
+    out, step = np.empty(adj.nnz), max(1, _BLOCK_FLOATS // u.shape[1])
     for lo in range(0, adj.nnz, step):
-        r, c, e = rows[lo:lo + step], cols[lo:lo + step], slice(lo, lo + step)
-        for (u, v), out in zip(operands, (k_s[e], res[e])):
-            _kernel_of_dots(spec, np.einsum("ij,ij->i", np.take(u, r, axis=0),
-                                            np.take(v, c, axis=0), out=out))
-        np.subtract(k_s[e], res[e], out=res[e])
-    loss, u_s = float(np.dot(res, res)), operands[0][0]
-    if not want_grad:
-        return loss, None
-    return loss, _gradient(spec, res, k_s, lambda q: adj.matmul_dense(u_s, q), hs)
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        _kernel_of_dots(spec, np.einsum("ij,ij->i", np.take(u, r, axis=0),
+                                        np.take(v, c, axis=0), out=out[lo:lo + step]))
+    return out
+
+
+def _edge_alignment(hs: np.ndarray, k_t: np.ndarray, adj: SparseMatrix, spec, want_grad):
+    """The sum of (K_s - K_t)^2 over the stored entries of the symmetric adj,
+    given K_t there (``_edge_kernel``), and Q u = ``adj.matmul_dense(u_s, Q)``
+    (None unless want_grad), in O(|E| d) time."""
+    k_s = _edge_kernel(spec, hs, adj)
+    res = k_s - k_t
+    loss, u_s = float(np.dot(res, res)), _kernel_operands(spec, hs)[0]
+    return loss, (adj.matmul_dense(u_s, _slope(spec, res, k_s)) if want_grad else None)
 
 
 def _blocked_alignment(hs: np.ndarray, ht: np.ndarray, spec, want_grad: bool):
-    """The sum of (K_s - K_t)^2 over all pairs, and its gradient wrt hs (None
-    unless want_grad), by blocks B of b = max(64, 65536 // n) rows, O(n^2 d):
-    K_s and K_t on B fill two b x n buffers, and as Q (``_gradient``) is
-    symmetric the gradient's rows B read Q_B alone."""
+    """The sum of (K_s - K_t)^2 over all pairs, and Q u (None unless
+    want_grad), over the upper triangle in O(n^2 d): a block B of b = max(64,
+    65536 // n) rows from r0 fills two b x (n - r0) buffers with K_s and K_t
+    on the columns from r0, n (n + b) / 2 entries in all. The b x b diagonal
+    block counts once and the rest twice, and as Q is symmetric, Q_B u adds
+    to the rows B of Q u and Q_B^T u_B to its later rows."""
     n = len(hs)
     operands = _kernel_operands(spec, hs), _kernel_operands(spec, ht)
     u_s, step = operands[0][0], max(_BLOCK_ROWS, _BLOCK_FLOATS // n)
-    bufs = np.empty((2, min(step, n), n))
-    loss, grad = 0.0, (np.empty_like(hs) if want_grad else None)
+    w, b0 = u_s.shape[1], min(step, n)  # K_s's spent buffer then holds Q_B^T u_B
+    bufs = np.empty((2, max(b0 * n, (n - b0) * w)))
+    loss, qu = 0.0, (np.zeros(u_s.shape) if want_grad else None)
     for r0 in range(0, n, step):
-        b = min(step, n - r0)
-        for (u, v), out in zip(operands, bufs[:, :b]):
-            _kernel_of_dots(spec, np.matmul(u[r0:r0 + b], v.T, out=out))
+        r1, b = min(r0 + step, n), min(step, n - r0)
+        k_s, k_t = (buf[:b * (n - r0)].reshape(b, -1) for buf in bufs)  # contiguous
+        for (u, v), out in zip(operands, (k_s, k_t)):
+            _kernel_of_dots(spec, np.matmul(u[r0:r1], v[r0:].T, out=out))
             if spec.kind == "gauss":
-                out[np.arange(b), np.arange(r0, r0 + b)] = 1.0  # exact zero self-distance
-        k_s, res = bufs[0, :b], np.subtract(bufs[0, :b], bufs[1, :b], out=bufs[1, :b])
-        loss += np.vdot(res, res)
-        if grad is not None:
-            grad[r0:r0 + b] = _gradient(spec, res, k_s, lambda q: q @ u_s, hs[r0:r0 + b])
-    return float(loss), grad
+                out[np.arange(b), np.arange(b)] = 1.0  # exact zero self-distance
+        res = np.subtract(k_s, k_t, out=k_t)
+        loss += 2.0 * np.vdot(res, res) - np.vdot(res[:, :b], res[:, :b])  # copies b x b
+        if qu is not None:
+            q = _slope(spec, res, k_s)
+            qu[r0:r1] += q @ u_s[r0:]
+            qu[r1:] += np.matmul(q[:, b:].T, u_s[r0:r1], out=bufs[0, :(n - r1) * w].reshape(-1, w))
+    return float(loss), qu
 
 
 def _gram_alignment(phi_s: np.ndarray, phi_t: np.ndarray, want_grad: bool):
     """The sum of (K_s - K_t)^2 over all pairs of the Grams K = Phi Phi^T, and
-    its gradient wrt Phi_s (None unless want_grad), from the r x r Grams:
-    ||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2 with G_ts = Phi_t^T Phi_s, and
-    4 (Phi_s G_ss - Phi_t G_ts), in O(n r^2) time and O(n r) memory."""
+    Q u = Phi_s G_ss - Phi_t G_ts (None unless want_grad), from the r x r
+    Grams: ||G_ss||^2 - 2 ||G_ts||^2 + ||G_tt||^2 with G_ts = Phi_t^T Phi_s,
+    in O(n r^2) time and O(n r) memory."""
     g_ss, g_ts, g_tt = phi_s.T @ phi_s, phi_t.T @ phi_s, phi_t.T @ phi_t
     loss = np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt)
-    grad = 4.0 * (phi_s @ g_ss - phi_t @ g_ts) if want_grad else None
-    return float(loss), grad
+    return float(loss), (phi_s @ g_ss - phi_t @ g_ts if want_grad else None)
 
 
 def cross_entropy(logits: Tensor, labels, mask) -> Tensor:

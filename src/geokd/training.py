@@ -137,10 +137,14 @@ class TrainPlan:
             raise GraphParseError("distill.batch_size", "mode 'pgkd' aligns the whole graph, "
                                   f"got {self.distill.batch_size}")
 
-    def require_alignable(self, kind: str, depth: int):
-        """Alignment at alpha > 0 needs a gcn student of depth >= 2."""
+    def require_alignable(self, kind: str, depth: int, teacher_depth: int | None = None):
+        """Alignment at alpha > 0 needs a gcn student of depth >= 2, and every
+        mode but pgkd aligns the teacher's trace entry l with the student's."""
         if self.mode != "teacher" and self.distill.alpha > 0:
             require_hidden_layers(kind, depth, "distill.alpha")
+        if self.mode not in ("teacher", "pgkd") and teacher_depth not in (None, depth):
+            raise GraphParseError("student.depth", f"mode {self.mode!r} aligns trace entries "
+                                  f"one to one: teacher.depth is {teacher_depth}, got {depth}")
 
 
 @dataclass
@@ -253,8 +257,9 @@ class _GkdTerms:
     alpha / L scale (entry 0 is X on both sides, its term 0.0), soft labels.
 
     The teacher side is ``teacher_layer_rows``. A frozen teacher's rows are
-    built on the first call, kept, and gathered per batch. An online
-    teacher's rows are built each call from the batch's teacher features.
+    built on the first call, kept, and gathered per batch; on the full graph
+    they are ``T.FrozenRows``, which also keep each layer's kernel on the
+    adjacency's entries. An online teacher's rows are built each call.
     """
 
     def __init__(self, plan: TrainPlan, g: Graph, frozen: bool):
@@ -275,7 +280,9 @@ class _GkdTerms:
             dims = [h.shape[1] for h in trace]
             if self.frozen:
                 if self.teacher_rows is None:
-                    self.teacher_rows = teacher_layer_rows(teacher_feats, dims, spec)
+                    self.teacher_rows = [
+                        r if self.batched else T.FrozenRows(r.values, spec, adjacency(self.g))
+                        for r in teacher_layer_rows(teacher_feats, dims, spec)]
                 t_rows = self.teacher_rows if ids is None else \
                     [T.constant(r.values[ids]) for r in self.teacher_rows]
             else:

@@ -67,12 +67,16 @@ def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
     def dense(d):
         return loss_and_grad(dense_alignment, hv_s, hv_t, adj, d, spec)
 
+    def part(loss, qu):  # a part's loss and Q u, mapped to its gradient
+        return loss, T._gradient(spec, qu, hv_s)
+
     all_pairs = dense(1.0)
     pairs = [(loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec), dense(delta)),
-             (T._edge_alignment(hv_s, hv_t, adj, spec, True), dense(0.0)),
-             (T._blocked_alignment(hv_s, hv_t, spec, True), all_pairs)]
+             (part(*T._edge_alignment(hv_s, T._edge_kernel(spec, hv_t, adj), adj, spec, True)),
+              dense(0.0)),
+             (part(*T._blocked_alignment(hv_s, hv_t, spec, True)), all_pairs)]
     if spec.kind in GRAM_KINDS:
-        pairs.append((T._gram_alignment(hv_s, hv_t, True), all_pairs))
+        pairs.append((part(*T._gram_alignment(hv_s, hv_t, True)), all_pairs))
     for (got, got_grad), (want, want_grad) in pairs:
         assert abs(got - want) <= rtol * abs(want)
         assert np.max(np.abs(got_grad - want_grad)) <= rtol * np.max(np.abs(want_grad))
@@ -102,6 +106,64 @@ def test_matches_dense_over_sizes(n, spec):
     g = random_graph(n, n, p=min(1.0, 4.0 / n))
     adj = adjacency(g)
     assert_matches_dense(features(n, 6, n), features(n, 3, n + 1), adj, 0.4, spec)
+
+
+# the upper-triangle walk: one block at n = 1 and n = 37 (< 64 rows); at
+# n = 700, seven blocks of 93 rows and one of 49, so no multiple of the rows
+@pytest.mark.parametrize("n", [1, 37, 700])
+@pytest.mark.parametrize("delta", [0.4, 1.0, 1.5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_upper_triangle_walk_matches_dense(kind, delta, n):
+    g = random_graph(n, n + 1, p=min(1.0, 4.0 / n))
+    spec = KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2)
+    assert_matches_dense(features(n, 5, n), features(n, 4, n + 2), adjacency(g), delta, spec)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_frozen_rows_give_the_same_bits(kind, delta):
+    g = random_graph(90, 4, p=0.1)
+    adj, spec = adjacency(g), KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2)
+    hv_s, hv_t = features(90, 5, 1), features(90, 4, 2)
+    frozen = T.FrozenRows(hv_t, spec, adj)
+
+    def with_frozen(h_s, _, *args):
+        return T.kernel_alignment(h_s, frozen, *args)
+
+    want = loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec)
+    got = loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    # kept values are read for their own adjacency only: another matrix with
+    # the same entries gets K_t computed anew
+    frozen.edge_kernel = frozen.edge_kernel + 1.0
+    assert loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)[0] != want[0]
+    other = adjacency(g, np.arange(90))
+    assert loss_and_grad(with_frozen, hv_s, hv_t, other, delta, spec)[0] == want[0]
+
+
+@pytest.mark.parametrize("mode,batch_size", [("gkd_offline", None), ("gkd_offline", 8),
+                                             ("online", None)])
+def test_frozen_full_graph_teacher_edge_values_once_per_run(mode, batch_size, monkeypatch):
+    # each epoch aligns entries 1 and 2: their student sides always, and the
+    # teacher's only for a batched or online teacher; a frozen full-graph
+    # teacher's two layers are computed once, when its rows are built
+    g_c = sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0)
+    g = split_edges(g_c, 0.5, 0)
+    teacher = build_model("gcn", 6, 8, 3, 2)
+    init_xavier(teacher, 1)
+    calls, edge_kernel = [], T._edge_kernel
+
+    def spy(*args):
+        calls.append(args)
+        return edge_kernel(*args)
+
+    monkeypatch.setattr(T, "_edge_kernel", spy)
+    epochs = 4
+    plan = TrainPlan(mode=mode, epochs=epochs, seed=2, lr=0.05, kernel=KernelSpec(kind="gauss"),
+                     distill=DistillConfig(alpha=1.0, delta=0.4, batch_size=batch_size))
+    train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
+    frozen = mode == "gkd_offline" and batch_size is None
+    assert len(calls) == 2 * epochs + (2 if frozen else 2 * epochs)
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -169,7 +231,7 @@ def test_gradient_free_student_and_shape_checks():
     for delta in (0.0, 0.4):
         loss = T.kernel_alignment(Tensor(hv_s), Tensor(hv_t), adj, delta, spec)
         assert loss._backward is None and loss.item() > 0.0
-    for loss, grad in (T._edge_alignment(hv_s, hv_t, adj, spec, False),
+    for loss, grad in (T._edge_alignment(hv_s, T._edge_kernel(spec, hv_t, adj), adj, spec, False),
                        T._blocked_alignment(hv_s, hv_t, spec, False),
                        T._gram_alignment(hv_s, hv_t, False)):
         assert grad is None and loss > 0.0

@@ -376,6 +376,45 @@ def test_pgkd_depth_one_gcn_exits_1_naming_its_depth(tmp_path, graph_file, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,mode,aligned", [
+    ("distill", "online", "online"), ("distill", "gkd_offline", "gkd_offline"),
+    ("distill", "self_distill", "self_distill"),
+    ("sweep-pir", "teacher", "gkd_offline"),  # the sweep distills by gkd_offline
+])
+def test_depths_that_differ_exit_1_naming_the_student_before_any_read(
+        tmp_path, graph_file, capsys, monkeypatch, command, mode, aligned):
+    # gkd aligns the teacher's trace entry l with the student's entry l
+    monkeypatch.setattr(cli, "load_graph", lambda path: pytest.fail(f"read {path}"))
+    cfg = write_config(tmp_path, graph_file, mode=mode, sweep={"pirs": [0.5], "seeds": [0]},
+                       teacher={"kind": "gcn", "depth": 3, "hidden": 8,
+                                "checkpoint": str(tmp_path / "unread.json")},
+                       student={"kind": "gcn", "depth": 2, "hidden": 8})
+    assert run_cli(command, "--config", cfg) == 1
+    assert f"error: student.depth: mode '{aligned}' aligns trace entries one to one: " \
+        "teacher.depth is 3, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["gkd_offline", "pgkd"])
+@pytest.mark.parametrize("field,teacher", [
+    ("kind", {"kind": "sgc", "depth": 2, "hidden": 8}),
+    ("depth", {"kind": "gcn", "depth": 3, "hidden": 8}),
+    ("hidden", {"kind": "gcn", "depth": 2, "hidden": 16}),
+])
+def test_teacher_section_unlike_its_checkpoint_exits_1_naming_the_field(
+        tmp_path, graph_file, capsys, mode, field, teacher):
+    ckpt = make_teacher(tmp_path, graph_file)  # a gcn of depth 2 and width 8
+    cfg = write_config(tmp_path, graph_file, mode=mode,
+                       kernel={"kind": "parametric" if mode == "pgkd" else "gauss"},
+                       teacher={**teacher, "checkpoint": str(ckpt)},
+                       student={"kind": "gcn", "depth": teacher["depth"], "hidden": 8})
+    assert run_cli("distill", "--config", cfg) == 1
+    want = {"kind": "'gcn', the section's 'sgc'", "depth": "2, the section's 3",
+            "hidden": "8, the section's 16"}[field]
+    assert f"error: teacher.{field}: the checkpoint's is {want}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_partial_graph_with_other_features_exits_1(tmp_path, graph_file, capsys):
     ckpt = make_teacher(tmp_path, graph_file)
     doc = json.loads(graph_file.read_text())

@@ -281,12 +281,13 @@ PARAMETRIC = KernelSpec(kind="parametric")
 def inverse_kernel_alignments(phi_t, phi_s, adj, delta):
     """pgkd's alignment loss and its gradient wrt Phi_s, from the op's edge sum
     and each of its all-pairs sums (row blocks, r x r Grams), weighted as the
-    op weighs them."""
+    op weighs them: each part gives its loss and Q u, mapped once."""
     hs, ht, d2 = phi_s.values, phi_t.values, delta ** 2
-    edge, edge_grad = T._edge_alignment(hs, ht, adj, PARAMETRIC, True)
-    return [((1 - d2) * edge + d2 * loss, (1 - d2) * edge_grad + d2 * grad)
-            for loss, grad in (T._blocked_alignment(hs, ht, PARAMETRIC, True),
-                               T._gram_alignment(hs, ht, True))]
+    edge, edge_qu = T._edge_alignment(hs, T._edge_kernel(PARAMETRIC, ht, adj), adj, PARAMETRIC,
+                                      True)
+    return [((1 - d2) * edge + d2 * loss, T._gradient(PARAMETRIC, (1 - d2) * edge_qu + d2 * qu, hs))
+            for loss, qu in (T._blocked_alignment(hs, ht, PARAMETRIC, True),
+                             T._gram_alignment(hs, ht, True))]
 
 
 def loss_and_grads(f, params):

@@ -128,6 +128,22 @@ def test_spmm_bucket_plan_matches_dense(rows, cols, degrees, d):
         SparseMatrix(rows, cols, s.indptr, s.indices, other).matmul_dense(x))
 
 
+def test_matmul_dense_builds_entry_positions_once():
+    s = random_csr(7, 16, 40, SKEWED)
+    x = np.random.default_rng(8).uniform(-1, 1, size=(40, 3))
+    assert s._positions is None
+    for seed in range(3):
+        other = np.random.default_rng(seed).uniform(-1, 1, size=s.nnz)
+        np.testing.assert_array_equal(
+            s.matmul_dense(x, other),
+            SparseMatrix(16, 40, s.indptr, s.indices, other).matmul_dense(x))
+        if seed == 0:
+            positions = s._positions
+        assert s._positions is positions  # built on the first call, then kept
+    # the stored values are kept beside the positions, not replaced by them
+    np.testing.assert_array_equal(s.matmul_dense(x), row_sequential(s, x))
+
+
 def test_spmm_single_entry_rows_round_like_einsum():
     # rows storing one entry skip einsum; the result must keep einsum's bits,
     # which turn a -0.0 product into +0.0
