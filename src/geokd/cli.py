@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import gradient_suite, kernel_checks, theorem_checks
+from .checks import ORACLE_BUDGET, gradient_suite, kernel_checks, theorem_bytes, theorem_checks
 from .config import config_fields
 from .distill import DistillConfig, require_hidden_layers
 from .errors import GeokdError, GraphParseError, NumericError, ValidationError
@@ -470,6 +470,10 @@ def cmd_validate_kernels(args) -> int:
     for flag, value, least in (("--seeds", args.seeds, 1), ("--nodes", args.nodes, 2)):
         if value < least:
             raise GraphParseError(flag, f"expected an integer >= {least}, got {value}")
+    need = theorem_bytes(args.nodes)
+    if need > ORACLE_BUDGET:
+        raise GraphParseError("--nodes", f"the exact oracles would need about {need:,} bytes "
+                              f"at {args.nodes} nodes, over the {ORACLE_BUDGET:,}-byte budget")
     results = []
     for seed in range(args.seeds):
         results.extend(theorem_checks(seed, args.nodes))

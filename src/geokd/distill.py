@@ -25,9 +25,10 @@ reduce kernels, in O(n^2 d) time and O(b n + n d) memory. For the randomized
 and parametric Grams K = Phi Phi^T with Phi n x r, it is ||Phi_s^T Phi_s||^2 -
 2 ||Phi_t^T Phi_s||^2 + ||Phi_t^T Phi_t||^2 in O(n r^2) when n >= 2r, where
 that beats the blocks; reconstruction is K H = Phi (Phi^T H). The dense
-``distill_loss`` over ``kernel_matrix`` and ``weight_matrix``,
-``inverse_nhk_gram`` and ``reconstruction_loss`` are the references the op
-and ``factored_reconstruction_loss`` are tested against.
+references the op and ``factored_reconstruction_loss`` are tested against
+are ``distill_loss`` over ``weight_matrix`` and ``nhk.kernel_matrix`` (the
+one dense kernel constructor, which ``teacher_layer_kernels`` applies per
+teacher layer), ``inverse_nhk_gram`` and ``reconstruction_loss``.
 """
 
 from __future__ import annotations

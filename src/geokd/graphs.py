@@ -311,6 +311,14 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _int_array(value, field: str) -> np.ndarray:
+    """value as an int64 array, naming field if an entry is not an integer."""
+    arr = np.asarray(value)
+    if arr.size and arr.dtype.kind != "i":
+        raise GraphParseError(field, "expected integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def load_graph(path) -> Graph:
     with open(path) as f:
         try:
@@ -320,6 +328,8 @@ def load_graph(path) -> Graph:
     if not isinstance(doc, dict):
         raise GraphParseError("<document>", "expected a JSON object")
     num_nodes = _require(doc, "num_nodes")
+    if not isinstance(num_nodes, int) or isinstance(num_nodes, bool):
+        raise GraphParseError("num_nodes", f"expected an integer, got {num_nodes!r}")
     features = _require(doc, "features")
     labels = _require(doc, "labels")
     edges = _require(doc, "edges")
@@ -328,9 +338,7 @@ def load_graph(path) -> Graph:
         if key not in masks:
             raise GraphParseError(f"masks.{key}", "missing required field")
     try:
-        return Graph(num_nodes, edges, features, labels,
-                     masks["train"], masks["val"], masks["test"])
-    except ValidationError:
-        raise
+        return Graph(num_nodes, _int_array(edges, "edges"), features, _int_array(labels, "labels"),
+                     *(_int_array(masks[key], f"masks.{key}") for key in ("train", "val", "test")))
     except (TypeError, ValueError) as e:
         raise GraphParseError("<document>", f"malformed value: {e}") from e

@@ -85,10 +85,11 @@ class GnnModel:
         for key in ("kind", "dims", "weights"):
             if key not in doc:
                 raise ValidationError(f"{key}: missing required field")
-        try:
-            model = cls(doc["kind"], doc["dims"])
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"dims: not a list of integers: {doc['dims']!r}") from e
+        dims = doc["dims"]
+        if not isinstance(dims, list) or not all(
+                isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims):
+            raise ValidationError(f"dims: expected a list of integers >= 1, got {dims!r}")
+        model = cls(doc["kind"], dims)
         shapes = model.weight_shapes()
         if len(doc["weights"]) != len(shapes):
             raise ValidationError(

@@ -264,6 +264,49 @@ def test_wrongly_sized_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
         assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [[6, 0, 2], [6, 2.5, 2], [6, True, 2], [6, -3, 2], "6,8,2"])
+def test_checkpoint_dims_not_positive_integers_exit_1_naming_dims(tmp_path, graph_file, capsys,
+                                                                  dims):
+    ckpt = make_teacher(tmp_path, graph_file)
+    doc = json.loads(ckpt.read_text())
+    doc["dims"] = dims
+    bad = tmp_path / "dims.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("eval", "--checkpoint", bad, "--graph", graph_file) == 1
+    assert capsys.readouterr().err.startswith("error: dims: ")
+    cfg = write_config(
+        tmp_path, graph_file,
+        teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(bad)},
+    )
+    assert run_cli("distill", "--config", cfg) == 1
+    assert capsys.readouterr().err.startswith("error: dims: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("edges", [[0.7, 1], [2, 3.9]]),
+    ("edges", [[0, 1], [2, "3"]]),
+    ("masks.train", [0, 1.5]),
+    ("masks.test", [2.0]),
+    ("labels", [0, 1.6] + [0] * 28),
+    ("num_nodes", 29.9),
+    ("num_nodes", True),
+])
+def test_graph_with_non_integer_ids_exits_1_naming_the_field(tmp_path, graph_file, capsys,
+                                                             field, value):
+    doc = json.loads(graph_file.read_text())
+    if field.startswith("masks."):
+        doc["masks"][field.split(".")[1]] = value
+    else:
+        doc[field] = value
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, bad, mode="teacher")
+    assert run_cli("train-teacher", "--config", cfg) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
     ckpt = make_teacher(tmp_path, graph_file)
     doc = json.loads(ckpt.read_text())
@@ -537,6 +580,39 @@ def test_validate_kernels_bad_counts_exit_1_naming_the_flag(capsys, argv, flag):
 def test_validate_kernels_smallest_graph_passes(capsys):
     assert run_cli("validate-kernels", "--seeds", "1", "--nodes", "2") == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_validate_kernels_refuses_nodes_over_the_budget_before_allocating(
+        capsys, monkeypatch):
+    from geokd import checks
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the graph was built before the budget check")
+
+    monkeypatch.setattr(checks, "sbm_generate", unreachable)
+    n = 10_000
+    assert checks.theorem_bytes(n) > checks.ORACLE_BUDGET
+    assert run_cli("validate-kernels", "--seeds", "1", "--nodes", n) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --nodes: ")
+    assert f"{checks.theorem_bytes(n):,} bytes" in captured.err
+    assert captured.out == ""
+
+
+def test_oracle_prediction_bounds_the_measured_peak():
+    import tracemalloc
+
+    from geokd import checks
+
+    # the default --nodes 20 and the 800 that ROADMAP times fit the budget
+    assert checks.theorem_bytes(800) <= checks.ORACLE_BUDGET
+    tracemalloc.start()
+    try:
+        checks.theorem_checks(0, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= checks.theorem_bytes(200)
 
 
 def test_sweep_pir_has_no_seed_flag(tmp_path, graph_file, capsys):

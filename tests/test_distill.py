@@ -187,16 +187,14 @@ def test_layer_avg_zero_alpha(small_setup):
 
 
 def test_layer_avg_matches_manual_loop(small_setup):
-    from geokd.nhk import nhk_gauss
-
     g, t_feats, s_trace, w = small_setup
     spec = KernelSpec(kind="gauss", t=0.8)
     cfg = DistillConfig(alpha=2.5, delta=0.4)
     loss = layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec, cfg, g).item()
     manual = 0.0
     for l in range(1, len(s_trace) - 1):  # entry 0 is X on both sides and skipped
-        k_t = nhk_gauss(T.Tensor(t_feats[l]), 0.8).values
-        k_s = nhk_gauss(T.Tensor(s_trace[l].values), 0.8).values
+        k_t = kernel_matrix(spec, T.Tensor(t_feats[l])).values
+        k_s = kernel_matrix(spec, T.Tensor(s_trace[l].values)).values
         manual += np.sum((w.values * (k_t - k_s)) ** 2)
     manual *= 2.5 / (len(s_trace) - 1)
     assert abs(loss - manual) < 1e-10

@@ -1,11 +1,11 @@
 """The dense reference chains, bit for bit, and the fused alignment op in training.
 
-``nhk_gauss``, ``pairwise_sqdist`` and ``distill_loss`` are primitive tape
-chains: the dense reference that ``T.kernel_alignment`` is tested against in
-test_alignment.py. Here their values and gradients are pinned to numpy
-statements of the same operations with ``assert_array_equal``, never a
-tolerance, so the reference cannot drift. The last tests run the fused op
-itself in training and bound its memory.
+``kernel_matrix``'s gauss chain, ``pairwise_sqdist`` and ``distill_loss`` are
+primitive tape chains: the dense reference that ``T.kernel_alignment`` is
+tested against in test_alignment.py. Here their values and gradients are
+pinned to numpy statements of the same operations with ``assert_array_equal``,
+never a tolerance, so the reference cannot drift. The last tests run the fused
+op itself in training and bound its memory.
 """
 
 import json
@@ -18,7 +18,7 @@ from geokd import tensor as T
 from geokd.cli import main
 from geokd.distill import distill_loss, weight_matrix
 from geokd.graphs import adjacency, sbm_generate, save_graph
-from geokd.nhk import KernelSpec, nhk_gauss
+from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.tensor import Tensor
 
 
@@ -41,7 +41,7 @@ def old_sqdist(hv):
 
 
 def np_gauss(hv, t, upstream):
-    """nhk_gauss in numpy: the kernel and the gradient of sum(upstream * K)."""
+    """The gauss kernel_matrix in numpy: the kernel and the gradient of sum(upstream * K)."""
     c = -1.0 / (4.0 * t)
     k = np.exp(old_sqdist(hv) * c)
     s = upstream * k * c
@@ -52,7 +52,7 @@ def np_gauss(hv, t, upstream):
 def gauss_pass(hv, t, upstream):
     """Kernel values and the gradient of sum(upstream * K) wrt h, on the tape."""
     h = Tensor(hv.copy(), requires_grad=True)
-    k = nhk_gauss(h, t)
+    k = kernel_matrix(KernelSpec(kind="gauss", t=t), h)
     T.sum_all(T.mul_elem(k, T.constant(upstream))).backward()
     return k.values, h.grad
 
@@ -102,7 +102,8 @@ def test_gauss_alignment_bits_match_tape_chain(delta, t):
     w = weight_matrix(g, delta, ids)
     hv_s, hv_t = features(24, 6, 1)[ids], features(24, 6, 2)[ids]
     h_s = Tensor(hv_s.copy(), requires_grad=True)
-    loss = distill_loss(nhk_gauss(Tensor(hv_t), t), nhk_gauss(h_s, t), w)
+    spec = KernelSpec(kind="gauss", t=t)
+    loss = distill_loss(kernel_matrix(spec, Tensor(hv_t)), kernel_matrix(spec, h_s), w)
     loss.backward()
 
     k_t = np_gauss(hv_t, t, np.zeros((11, 11)))[0]
