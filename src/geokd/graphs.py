@@ -312,8 +312,12 @@ def _require(doc: dict, field: str):
 
 
 def _int_array(value, field: str) -> np.ndarray:
-    """value as an int64 array, naming field if an entry is not an integer."""
-    arr = np.asarray(value)
+    """value as an int64 array, naming field if it is ragged or an entry is
+    not an integer."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as e:  # numpy refuses rows of unequal lengths
+        raise GraphParseError(field, f"malformed value: {e}") from e
     if arr.size and arr.dtype.kind != "i":
         raise GraphParseError(field, "expected integers")
     return arr.astype(np.int64, copy=False)
@@ -332,13 +336,16 @@ def load_graph(path) -> Graph:
         raise GraphParseError("num_nodes", f"expected an integer, got {num_nodes!r}")
     features = _require(doc, "features")
     labels = _require(doc, "labels")
-    edges = _require(doc, "edges")
+    edges = _int_array(_require(doc, "edges"), "edges")
+    if edges.shape != (0,) and (edges.ndim != 2 or edges.shape[1] != 2):
+        raise GraphParseError("edges", "expected an empty list or [u, v] pairs, got an array "
+                              f"of shape {edges.shape}")
     masks = _require(doc, "masks")
     for key in ("train", "val", "test"):
         if key not in masks:
             raise GraphParseError(f"masks.{key}", "missing required field")
     try:
-        return Graph(num_nodes, _int_array(edges, "edges"), features, _int_array(labels, "labels"),
+        return Graph(num_nodes, edges, features, _int_array(labels, "labels"),
                      *(_int_array(masks[key], f"masks.{key}") for key in ("train", "val", "test")))
     except (TypeError, ValueError) as e:
         raise GraphParseError("<document>", f"malformed value: {e}") from e

@@ -22,6 +22,8 @@ r x r Grams for a Gram of n >= 2r factor rows of width r. The chains over
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
@@ -465,8 +467,16 @@ class FrozenRows(Tensor):
 
     def __init__(self, values, spec, adj: SparseMatrix):
         super().__init__(values)
-        self.adj = adj
-        self.edge_kernel = _edge_kernel(spec, np.ascontiguousarray(self.values), adj)
+        self.adj, self.spec = adj, spec
+        self.edge_kernel = _edge_kernel(
+            spec, _kernel_operands(spec, np.ascontiguousarray(self.values)), adj)
+
+    @cached_property
+    def operands(self):
+        """spec's ``_kernel_operands`` of the rows, built by the first all-pairs
+        sum and kept: the edge sum reads edge_kernel alone, so at delta 0 they
+        cost nothing (2 n (d + 2) floats a gauss layer)."""
+        return _kernel_operands(self.spec, np.ascontiguousarray(self.values))
 
 
 def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, spec) -> Tensor:
@@ -477,31 +487,47 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, 
     rows that are the factors Phi; h_t gets no gradient. As W2 = delta^2 +
     (1 - delta^2) A for a binary symmetric adjacency A with a zero diagonal,
     the loss is (1 - delta^2) times the sum over the entries of A
-    (``_edge_alignment``, reading K_t there from ``FrozenRows`` of this adj)
-    plus, for delta > 0 only, delta^2 times the sum over all pairs: r x r
-    Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows (``_gram_alignment``),
-    else row blocks over the upper triangle (``_blocked_alignment``). Each part
-    gives its loss and Q u; their weighted sum maps once to the gradient.
+    (``_edge_alignment``) plus, for delta > 0 only, delta^2 times the sum over
+    all pairs: r x r Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows
+    (``_gram_alignment``), else row blocks over the upper triangle
+    (``_blocked_alignment``), from ``_alignment_parts``. A ``FrozenRows`` h_t
+    of this adj holds K_t on the entries and its operands for the whole run.
+    Each part gives its loss and Q u; their weighted sum maps once to the
+    gradient.
     """
     n = h_s.shape[0]
     if h_t.shape[0] != n or adj.shape != (n, n):
         raise DimensionError(
             f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
-    hs, ht = np.ascontiguousarray(h_s.values), np.ascontiguousarray(h_t.values)
-    d2, want_grad = float(delta) ** 2, h_s.requires_grad
-    frozen = isinstance(h_t, FrozenRows) and h_t.adj is adj
-    k_t = h_t.edge_kernel if frozen else _edge_kernel(spec, ht, adj)
-    parts = [(1.0 - d2, _edge_alignment(hs, k_t, adj, spec, want_grad))]
-    if d2:
-        grams = spec.kind in _GRAM_KINDS and n >= 2 * max(hs.shape[1], ht.shape[1])
-        parts.append((d2, _gram_alignment(hs, ht, want_grad) if grams
-                      else _blocked_alignment(hs, ht, spec, want_grad)))
+    hs, d2, want_grad = np.ascontiguousarray(h_s.values), float(delta) ** 2, h_s.requires_grad
+    parts = _alignment_parts(spec, hs, h_t, adj, d2, want_grad)
     grad = _gradient(spec, sum(w * qu for w, (_, qu) in parts), hs) if want_grad else None
 
     def backward(g):
         h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
 
     return _make(np.array([[sum(w * part for w, (part, _) in parts)]]), (h_s,), backward)
+
+
+def _alignment_parts(spec, hs: np.ndarray, h_t: Tensor, adj: SparseMatrix, d2: float,
+                     want_grad: bool):
+    """kernel_alignment's [(weight, (loss, Q u))]: the edge sum, then for d2 > 0
+    the all-pairs sum. Each side's ``_kernel_operands`` are built once; the
+    all-pairs sum runs first, so that the edge sum's Q u holds only u_s, and
+    u_s goes on return, before the gradient is mapped: the peak stays one
+    n x (d + 2) operand above the rows."""
+    n, ht = len(hs), np.ascontiguousarray(h_t.values)
+    frozen = isinstance(h_t, FrozenRows) and h_t.adj is adj
+    ops_s, ops_t = _kernel_operands(spec, hs), None if frozen else _kernel_operands(spec, ht)
+    k_s = _edge_kernel(spec, ops_s, adj)
+    k_t = h_t.edge_kernel if frozen else _edge_kernel(spec, ops_t, adj)
+    all_pairs = []
+    if d2:
+        grams = spec.kind in _GRAM_KINDS and n >= 2 * max(hs.shape[1], ht.shape[1])
+        all_pairs.append((d2, _gram_alignment(hs, ht, want_grad) if grams else _blocked_alignment(
+            ops_s, h_t.operands if frozen else ops_t, spec, want_grad)))
+    u_s, ops_s, ops_t = ops_s[0], None, None
+    return [(1.0 - d2, _edge_alignment(u_s, k_s, k_t, adj, spec, want_grad))] + all_pairs
 
 
 def _kernel_operands(spec, h: np.ndarray):
@@ -549,11 +575,12 @@ def _gradient(spec, qu: np.ndarray, h: np.ndarray) -> np.ndarray:
     return qu
 
 
-def _edge_kernel(spec, h: np.ndarray, adj: SparseMatrix) -> np.ndarray:
-    """spec's kernel of h's rows at the stored entries of adj: chunks of entries
-    take their rows' inner products (a sampled dense-dense product; np.take
-    gathers rows faster than u[r])."""
-    (u, v), rows, cols = _kernel_operands(spec, h), adj.row_ids(), adj.indices
+def _edge_kernel(spec, operands, adj: SparseMatrix) -> np.ndarray:
+    """spec's kernel at the stored entries of adj from one side's
+    ``_kernel_operands`` (u, v): chunks of entries take their rows' inner
+    products (a sampled dense-dense product; np.take gathers rows faster than
+    u[r])."""
+    (u, v), rows, cols = operands, adj.row_ids(), adj.indices
     out, step = np.empty(adj.nnz), max(1, _BLOCK_FLOATS // u.shape[1])
     for lo in range(0, adj.nnz, step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
@@ -562,36 +589,38 @@ def _edge_kernel(spec, h: np.ndarray, adj: SparseMatrix) -> np.ndarray:
     return out
 
 
-def _edge_alignment(hs: np.ndarray, k_t: np.ndarray, adj: SparseMatrix, spec, want_grad):
+def _edge_alignment(u_s: np.ndarray, k_s: np.ndarray, k_t: np.ndarray, adj: SparseMatrix,
+                    spec, want_grad):
     """The sum of (K_s - K_t)^2 over the stored entries of the symmetric adj,
-    given K_t there (``_edge_kernel``), and Q u = ``adj.matmul_dense(u_s, Q)``
-    (None unless want_grad), in O(|E| d) time."""
-    k_s = _edge_kernel(spec, hs, adj)
+    given both kernels there (``_edge_kernel``), and Q u =
+    ``adj.matmul_dense(u_s, Q)`` for the student's first ``_kernel_operands``
+    u_s (None unless want_grad), in O(|E| d) time."""
     res = k_s - k_t
-    loss, u_s = float(np.dot(res, res)), _kernel_operands(spec, hs)[0]
-    return loss, (adj.matmul_dense(u_s, _slope(spec, res, k_s)) if want_grad else None)
+    return float(np.dot(res, res)), (
+        adj.matmul_dense(u_s, _slope(spec, res, k_s)) if want_grad else None)
 
 
-def _blocked_alignment(hs: np.ndarray, ht: np.ndarray, spec, want_grad: bool):
-    """The sum of (K_s - K_t)^2 over all pairs, and Q u (None unless
-    want_grad), over the upper triangle in O(n^2 d): a block B of b = max(64,
-    65536 // n) rows from r0 fills two b x (n - r0) buffers with K_s and K_t
-    on the columns from r0, n (n + b) / 2 entries in all. The b x b diagonal
-    block counts once and the rest twice, and as Q is symmetric, Q_B u adds
-    to the rows B of Q u and Q_B^T u_B to its later rows."""
-    n = len(hs)
-    operands = _kernel_operands(spec, hs), _kernel_operands(spec, ht)
-    u_s, step = operands[0][0], max(_BLOCK_ROWS, _BLOCK_FLOATS // n)
+def _blocked_alignment(ops_s, ops_t, spec, want_grad: bool):
+    """The sum of (K_s - K_t)^2 over all pairs, from each side's
+    ``_kernel_operands`` (u, v), and Q u (None unless want_grad), over the
+    upper triangle in O(n^2 d): a block B of b = max(64, 65536 // n) rows from
+    r0 fills two b x (n - r0) buffers with K_s and K_t on the columns from r0,
+    n (n + b) / 2 entries in all. The b x b diagonal block counts once and the
+    rest twice, and as Q is symmetric, Q_B u adds to the rows B of Q u and
+    Q_B^T u_B to its later rows."""
+    u_s = ops_s[0]
+    n = len(u_s)
+    step = max(_BLOCK_ROWS, _BLOCK_FLOATS // n)
     w, b0 = u_s.shape[1], min(step, n)  # K_s's spent buffer then holds Q_B^T u_B
     bufs = np.empty((2, max(b0 * n, (n - b0) * w)))
     loss, qu = 0.0, (np.zeros(u_s.shape) if want_grad else None)
     for r0 in range(0, n, step):
         r1, b = min(r0 + step, n), min(step, n - r0)
         k_s, k_t = (buf[:b * (n - r0)].reshape(b, -1) for buf in bufs)  # contiguous
-        for (u, v), out in zip(operands, (k_s, k_t)):
+        for (u, v), out in zip((ops_s, ops_t), (k_s, k_t)):
             _kernel_of_dots(spec, np.matmul(u[r0:r1], v[r0:].T, out=out))
             if spec.kind == "gauss":
-                out[np.arange(b), np.arange(b)] = 1.0  # exact zero self-distance
+                np.fill_diagonal(out, 1.0)  # exact zero self-distance
         res = np.subtract(k_s, k_t, out=k_t)
         loss += 2.0 * np.vdot(res, res) - np.vdot(res[:, :b], res[:, :b])  # copies b x b
         if qu is not None:

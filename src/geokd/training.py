@@ -256,16 +256,19 @@ class _GkdTerms:
     """gkd and online terms: alignment of trace entries 1 .. L-1 under an
     alpha / L scale (entry 0 is X on both sides, its term 0.0), soft labels.
 
-    The teacher side is ``teacher_layer_rows``. A frozen teacher's rows are
-    built on the first call, kept, and gathered per batch; on the full graph
-    they are ``T.FrozenRows``, which also keep each layer's kernel on the
-    adjacency's entries. An online teacher's rows are built each call.
+    The teacher side is ``teacher_layer_rows``. A frozen full-graph teacher's
+    rows are built on the first call and kept as ``T.FrozenRows``, which also
+    keep each layer's kernel on the adjacency's entries (and, once the row
+    blocks read them, its kernel operands). Every other teacher, online or batched, has its rows built each
+    call from the aligned rows' features alone, so a batch of b nodes holds
+    O(b r) teacher floats whatever n is.
     """
 
     def __init__(self, plan: TrainPlan, g: Graph, frozen: bool):
-        self.plan, self.g, self.frozen = plan, g, frozen
+        self.plan, self.g = plan, g
         cfg = plan.distill
         self.batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
+        self.keep_rows = frozen and not self.batched
         self.teacher_rows = None
 
     def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
@@ -278,13 +281,11 @@ class _GkdTerms:
                                            self.plan.seed, epoch)
                 trace = [T.take_rows(h, ids) for h in trace]
             dims = [h.shape[1] for h in trace]
-            if self.frozen:
+            if self.keep_rows:
                 if self.teacher_rows is None:
-                    self.teacher_rows = [
-                        r if self.batched else T.FrozenRows(r.values, spec, adjacency(self.g))
-                        for r in teacher_layer_rows(teacher_feats, dims, spec)]
-                t_rows = self.teacher_rows if ids is None else \
-                    [T.constant(r.values[ids]) for r in self.teacher_rows]
+                    self.teacher_rows = [T.FrozenRows(r.values, spec, adjacency(self.g))
+                                         for r in teacher_layer_rows(teacher_feats, dims, spec)]
+                t_rows = self.teacher_rows
             else:
                 feats = teacher_feats if ids is None else [f[ids] for f in teacher_feats]
                 t_rows = teacher_layer_rows(feats, dims, spec)

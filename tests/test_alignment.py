@@ -71,10 +71,11 @@ def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
         return loss, T._gradient(spec, qu, hv_s)
 
     all_pairs = dense(1.0)
+    ops_s, ops_t = T._kernel_operands(spec, hv_s), T._kernel_operands(spec, hv_t)
+    k_s, k_t = T._edge_kernel(spec, ops_s, adj), T._edge_kernel(spec, ops_t, adj)
     pairs = [(loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec), dense(delta)),
-             (part(*T._edge_alignment(hv_s, T._edge_kernel(spec, hv_t, adj), adj, spec, True)),
-              dense(0.0)),
-             (part(*T._blocked_alignment(hv_s, hv_t, spec, True)), all_pairs)]
+             (part(*T._edge_alignment(ops_s[0], k_s, k_t, adj, spec, True)), dense(0.0)),
+             (part(*T._blocked_alignment(ops_s, ops_t, spec, True)), all_pairs)]
     if spec.kind in GRAM_KINDS:
         pairs.append((part(*T._gram_alignment(hv_s, hv_t, True)), all_pairs))
     for (got, got_grad), (want, want_grad) in pairs:
@@ -133,6 +134,9 @@ def test_frozen_rows_give_the_same_bits(kind, delta):
     want = loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec)
     got = loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    # the teacher's operands are kept only once the row blocks read them
+    # (n = 90 >= 2r sends a Gram kind to the r x r Grams)
+    assert ("operands" in vars(frozen)) == (delta > 0 and kind not in GRAM_KINDS)
     # kept values are read for their own adjacency only: another matrix with
     # the same entries gets K_t computed anew
     frozen.edge_kernel = frozen.edge_kernel + 1.0
@@ -231,8 +235,10 @@ def test_gradient_free_student_and_shape_checks():
     for delta in (0.0, 0.4):
         loss = T.kernel_alignment(Tensor(hv_s), Tensor(hv_t), adj, delta, spec)
         assert loss._backward is None and loss.item() > 0.0
-    for loss, grad in (T._edge_alignment(hv_s, T._edge_kernel(spec, hv_t, adj), adj, spec, False),
-                       T._blocked_alignment(hv_s, hv_t, spec, False),
+    ops_s, ops_t = T._kernel_operands(spec, hv_s), T._kernel_operands(spec, hv_t)
+    k_s, k_t = T._edge_kernel(spec, ops_s, adj), T._edge_kernel(spec, ops_t, adj)
+    for loss, grad in (T._edge_alignment(ops_s[0], k_s, k_t, adj, spec, False),
+                       T._blocked_alignment(ops_s, ops_t, spec, False),
                        T._gram_alignment(hv_s, hv_t, False)):
         assert grad is None and loss > 0.0
     with pytest.raises(DimensionError, match="rows 5 and 4"):

@@ -1,5 +1,10 @@
 import csv
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +299,21 @@ def test_checkpoint_dims_not_positive_integers_exit_1_naming_dims(tmp_path, grap
 ])
 def test_graph_with_non_integer_ids_exits_1_naming_the_field(tmp_path, graph_file, capsys,
                                                              field, value):
+    assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, value)
+
+
+@pytest.mark.parametrize("edges", [
+    [[0, 1, 2], [3, 4, 5]],  # numpy would regroup these ids as three pairs
+    [0, 1, 2, 3],            # and these as two
+    [[0, 1], [2]],           # ragged rows
+    [[[0, 1]]],
+])
+def test_graph_whose_edges_are_not_pairs_exits_1_naming_edges(tmp_path, graph_file, capsys,
+                                                              edges):
+    assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, "edges", edges)
+
+
+def assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, value):
     doc = json.loads(graph_file.read_text())
     if field.startswith("masks."):
         doc["masks"][field.split(".")[1]] = value
@@ -834,3 +854,48 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     path.write_text("{not json")
     assert run_cli("train-teacher", "--config", path) == 1
     assert "error" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# the allocator step main takes before parsing
+
+
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from geokd import cli
+if sys.argv[1] == "step":
+    cli._retain_freed_buffers()
+
+def churn():  # eight fresh 1 MiB buffers, freed again on return
+    bufs = [np.ones(1 << 17) for _ in range(8)]
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+def test_allocator_step_reuses_freed_buffers_without_page_faults():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def faults(arg):  # a fresh interpreter, so no earlier step is in force
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE, arg], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        return int(run.stdout)
+
+    # 5 x 8 MiB re-faulted is about 10,000 faults of 4 KiB pages
+    assert faults("step") < 256
+    assert faults("none") >= 2000  # the probe sees the faults the step removes

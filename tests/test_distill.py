@@ -281,10 +281,11 @@ def inverse_kernel_alignments(phi_t, phi_s, adj, delta):
     and each of its all-pairs sums (row blocks, r x r Grams), weighted as the
     op weighs them: each part gives its loss and Q u, mapped once."""
     hs, ht, d2 = phi_s.values, phi_t.values, delta ** 2
-    edge, edge_qu = T._edge_alignment(hs, T._edge_kernel(PARAMETRIC, ht, adj), adj, PARAMETRIC,
-                                      True)
+    ops_s, ops_t = T._kernel_operands(PARAMETRIC, hs), T._kernel_operands(PARAMETRIC, ht)
+    edge, edge_qu = T._edge_alignment(hs, T._edge_kernel(PARAMETRIC, ops_s, adj),
+                                      T._edge_kernel(PARAMETRIC, ops_t, adj), adj, PARAMETRIC, True)
     return [((1 - d2) * edge + d2 * loss, T._gradient(PARAMETRIC, (1 - d2) * edge_qu + d2 * qu, hs))
-            for loss, qu in (T._blocked_alignment(hs, ht, PARAMETRIC, True),
+            for loss, qu in (T._blocked_alignment(ops_s, ops_t, PARAMETRIC, True),
                              T._gram_alignment(hs, ht, True))]
 
 
