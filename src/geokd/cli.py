@@ -203,8 +203,11 @@ class RunConfig:
         for name, model in models.items():  # pgkd's span reads a gcn's entries 1 and L-1
             if mode == "pgkd" and model.kind == "gcn":
                 require_hidden_layers(model.kind, model.depth, f"{name}.depth")
-        student = models["student"]
-        plan.require_alignable(student.kind, student.depth, models["teacher"].depth)
+        student, teacher = models["student"], models["teacher"]
+        plan.require_alignable(student.kind, student.depth, teacher.depth)
+        if mode == "online" and teacher.checkpoint is not None:
+            raise GraphParseError("teacher.checkpoint", "mode 'online' trains its teacher "
+                                  "from scratch and reads no checkpoint")
         return cls(
             complete_graph=complete,
             plan=plan,
@@ -243,21 +246,23 @@ def resolve_graphs(cfg: RunConfig):
             raise ValidationError("partial_graph: features differ from complete_graph's")
     elif cfg.split is not None:
         split_seed = cfg.split.seed if cfg.split.seed is not None else cfg.plan.seed
-        if cfg.split.kind == "edges":
-            g = split_edges(g_complete, cfg.split.pir, split_seed)
-        else:
-            g, node_map = split_nodes(g_complete, cfg.split.pir, split_seed)
-            _require_split_nodes(g, "split.pir", cfg.split.pir)
+        g, node_map = _split(g_complete, cfg.split.kind, cfg.split.pir, split_seed, "split.pir")
     else:
         g = g_complete
     return g_complete, g, node_map
 
 
-def _require_split_nodes(g: Graph, field: str, pir: float):
-    """A node split must leave the student training, validation and test nodes."""
+def _split(g_complete: Graph, kind: str, pir: float, seed: int, field: str):
+    """The student's graph and node map (None for an edge split) at ``pir``;
+    a node split that leaves the student no training, validation or test
+    nodes is an error naming ``field``."""
+    if kind == "edges":
+        return split_edges(g_complete, pir, seed), None
+    g, node_map = split_nodes(g_complete, pir, seed)
     empty = g.empty_split()
     if empty is not None:
         raise ValidationError(f"{field}: {pir} leaves the student no {empty} nodes")
+    return g, node_map
 
 
 def _build_from_section(section: ModelSection, g: Graph, num_classes: int) -> GnnModel:
@@ -412,11 +417,7 @@ def cmd_sweep_pir(args) -> int:
     for pir in pirs:
         for seed in seeds:
             teacher, oracle_val, oracle_test = trained[seed]
-            if split_kind == "edges":
-                g, node_map = split_edges(g_complete, pir, seed), None
-            else:
-                g, node_map = split_nodes(g_complete, pir, seed)
-                _require_split_nodes(g, "sweep.pirs", pir)
+            g, node_map = _split(g_complete, split_kind, pir, seed, "sweep.pirs")
             rows.append((pir, "oracle", seed, oracle_val, oracle_test))
             _, t_val, t_test = accuracies(forward(teacher, g)[0].values, g)
             rows.append((pir, "teacher", seed, t_val, t_test))
@@ -428,6 +429,8 @@ def cmd_sweep_pir(args) -> int:
                          res_plain.best_test_acc))
 
             student = _build_from_section(cfg.student, g, num_classes)
+            if method == "online":  # trains a teacher of its own, not the shared one
+                teacher = _build_from_section(cfg.teacher, g_complete, num_classes)
             res_gkd = train_student(replace(method_plan, seed=seed),
                                     g, g_complete, teacher, student, node_map)
             rows.append((pir, method, seed, res_gkd.best_val_acc,

@@ -311,6 +311,10 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _int_array(value, field: str) -> np.ndarray:
     """value as an int64 array, naming field if it is ragged or an entry is
     not an integer."""
@@ -323,27 +327,39 @@ def _int_array(value, field: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def load_graph(path) -> Graph:
+def _read_json(path):
+    """The document at path, and whether its text holds a true or false
+    literal: only then are its fields scanned for booleans."""
     with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise GraphParseError("<document>", f"invalid JSON: {e}") from e
+        text = f.read()
+    try:
+        return json.loads(text), "true" in text or "false" in text
+    except json.JSONDecodeError as e:
+        raise GraphParseError("<document>", f"invalid JSON: {e}") from e
+
+
+def load_graph(path) -> Graph:
+    doc, bools = _read_json(path)
     if not isinstance(doc, dict):
         raise GraphParseError("<document>", "expected a JSON object")
     num_nodes = _require(doc, "num_nodes")
     if not isinstance(num_nodes, int) or isinstance(num_nodes, bool):
         raise GraphParseError("num_nodes", f"expected an integer, got {num_nodes!r}")
-    features = _require(doc, "features")
-    labels = _require(doc, "labels")
-    edges = _int_array(_require(doc, "edges"), "edges")
-    if edges.shape != (0,) and (edges.ndim != 2 or edges.shape[1] != 2):
-        raise GraphParseError("edges", "expected an empty list or [u, v] pairs, got an array "
-                              f"of shape {edges.shape}")
-    masks = _require(doc, "masks")
+    features, labels, edges, masks = (_require(doc, key)
+                                      for key in ("features", "labels", "edges", "masks"))
     for key in ("train", "val", "test"):
         if key not in masks:
             raise GraphParseError(f"masks.{key}", "missing required field")
+    if bools:  # numpy would read a true or false among the numbers as 1 or 0
+        fields = {"features": features, "labels": labels, "edges": edges,
+                  **{f"masks.{key}": masks[key] for key in ("train", "val", "test")}}
+        for field, value in fields.items():
+            if _holds_bool(value):
+                raise GraphParseError(field, "expected numbers, got a JSON true or false")
+    edges = _int_array(edges, "edges")
+    if edges.shape != (0,) and (edges.ndim != 2 or edges.shape[1] != 2):
+        raise GraphParseError("edges", "expected an empty list or [u, v] pairs, got an array "
+                              f"of shape {edges.shape}")
     try:
         return Graph(num_nodes, edges, features, _int_array(labels, "labels"),
                      *(_int_array(masks[key], f"masks.{key}") for key in ("train", "val", "test")))

@@ -1,10 +1,13 @@
-"""Training drivers: supervised pretraining, offline/online distillation,
-EM-style parametric distillation, mini-batch sampling and grid search.
+"""Training: supervised pretraining (``train_supervised``), every student
+mode (``train_student``), mini-batch sampling and grid search.
 
 Every mode runs the one epoch loop in ``_fit`` and supplies only the loss
-terms it adds to the cross-entropy. ``TrainPlan`` checks each mode's kernel
-once: pgkd aligns the learned parametric kernel, and every other student
-mode aligns the ``nhk.kernel_rows`` of a gauss, sigmoid or randomized one.
+terms it adds to the cross-entropy. The student modes differ only in where
+the teacher's features come from (a frozen checkpoint, or a teacher trained
+alongside in online mode) and which terms they add. ``TrainPlan`` checks
+each mode's kernel once: pgkd aligns the learned parametric kernel, and
+every other student mode aligns the ``nhk.kernel_rows`` of a gauss, sigmoid
+or randomized one.
 
 Every run is a pure function of (graphs, plan, seed). Random streams are
 namespaced so that a distilled student with all distillation weights at zero
@@ -247,72 +250,6 @@ def _restrict(logits, trace, node_map):
     return logits.values[node_map], [h.values[node_map] for h in trace]
 
 
-def _kd_term(plan: TrainPlan, teacher_logits, logits, g: Graph):
-    return T.scale(kd_soft_label_loss(teacher_logits, logits, plan.distill.tau_kd,
-                                      g.train_mask), plan.distill.alpha_kd)
-
-
-class _GkdTerms:
-    """gkd and online terms: alignment of trace entries 1 .. L-1 under an
-    alpha / L scale (entry 0 is X on both sides, its term 0.0), soft labels.
-
-    The teacher side is ``teacher_layer_rows``. A frozen full-graph teacher's
-    rows are built on the first call and kept as ``T.FrozenRows``, which also
-    keep each layer's kernel on the adjacency's entries (and, once the row
-    blocks read them, its kernel operands). Every other teacher, online or batched, has its rows built each
-    call from the aligned rows' features alone, so a batch of b nodes holds
-    O(b r) teacher floats whatever n is.
-    """
-
-    def __init__(self, plan: TrainPlan, g: Graph, frozen: bool):
-        self.plan, self.g = plan, g
-        cfg = plan.distill
-        self.batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
-        self.keep_rows = frozen and not self.batched
-        self.teacher_rows = None
-
-    def __call__(self, epoch: int, teacher_logits, teacher_feats, logits, trace):
-        spec, cfg = self.plan.kernel, self.plan.distill
-        extra, loss_dis = [], 0.0
-        if cfg.alpha > 0:
-            ids = None
-            if self.batched:
-                ids = sample_distill_batch(self.g.num_nodes, cfg.batch_size,
-                                           self.plan.seed, epoch)
-                trace = [T.take_rows(h, ids) for h in trace]
-            dims = [h.shape[1] for h in trace]
-            if self.keep_rows:
-                if self.teacher_rows is None:
-                    self.teacher_rows = [T.FrozenRows(r.values, spec, adjacency(self.g))
-                                         for r in teacher_layer_rows(teacher_feats, dims, spec)]
-                t_rows = self.teacher_rows
-            else:
-                feats = teacher_feats if ids is None else [f[ids] for f in teacher_feats]
-                t_rows = teacher_layer_rows(feats, dims, spec)
-            dis = layer_avg_distill(t_rows, trace, spec, cfg, self.g, ids)
-            loss_dis = dis.item()
-            extra.append(dis)
-        if cfg.alpha_kd > 0:
-            extra.append(_kd_term(self.plan, teacher_logits, logits, self.g))
-        return extra, loss_dis, None
-
-
-def train_student_gkd(g: Graph, teacher: GnnModel, g_complete: Graph,
-                      plan: TrainPlan, student: GnnModel,
-                      node_map=None) -> TrainResult:
-    """Offline distillation: frozen teacher, per-layer kernel alignment."""
-    teacher.set_trainable(False)
-    teacher_logits, teacher_feats = _restrict(*forward(teacher, g_complete), node_map)
-    if len(teacher_feats) != student.num_layers + 1:
-        raise ValidationError(
-            f"teacher trace has {len(teacher_feats)} entries, student expects "
-            f"{student.num_layers + 1}"
-        )
-    gkd = _GkdTerms(plan, g, frozen=True)
-    return _fit(student, g, plan, lambda epoch, logits, trace: gkd(
-        epoch, teacher_logits, teacher_feats, logits, trace))
-
-
 def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
     """Shared mapper when late-layer dims agree, else one per model, common s."""
     _, late_t = pgkd_span(teacher)
@@ -329,96 +266,112 @@ def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
     return mapper_t, mapper_s
 
 
-def train_student_pgkd(g: Graph, teacher: GnnModel, g_complete: Graph,
-                       plan: TrainPlan, student: GnnModel,
-                       node_map=None) -> TrainResult:
-    """EM alternation: fit the inverse kernel (phi), then align and fit (theta)."""
-    cfg = plan.distill
-    teacher.set_trainable(False)
-    t_logits, t_trace = forward(teacher, g_complete)
-    early_t, late_t = pgkd_span(teacher)
-    early_s, late_s = pgkd_span(student)
-    t_late_full = T.constant(t_trace[late_t].values)
-    t_early_full = T.constant(t_trace[early_t].values)
-    teacher_logits_sub, t_feats_sub = _restrict(t_logits, t_trace, node_map)
-    t_late_sub = T.constant(t_feats_sub[late_t])
+def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
+                  teacher: GnnModel, student: GnnModel, node_map=None) -> TrainResult:
+    """Distill the teacher, run on g_complete, into the student, trained on g.
 
-    mapper_t, mapper_s = _build_mappers(plan, teacher, student)
-    phi_params = mapper_t.parameters()
-    if mapper_s is not mapper_t:
-        phi_params = phi_params + mapper_s.parameters()
-    opt_phi = Adam(phi_params, plan.lr_mapper, name="mapper weight")
+    ``node_map[i]`` is the g_complete node of g's node i (None: the same
+    nodes). online trains the teacher from scratch, one step ahead of the
+    student each epoch; every other mode freezes it. Each epoch then adds to
+    the student's cross-entropy, in order: pgkd's E-step, which refits the
+    inverse-kernel mappers with the GNN weights frozen; the alignment at
+    alpha > 0; the soft labels at alpha_kd > 0.
+
+    pgkd aligns the mapped late span entries. Every other mode aligns trace
+    entries 1 .. L-1 under an alpha / L scale (entry 0 is X on both sides)
+    against ``teacher_layer_rows``. A frozen full-graph teacher's rows are
+    built on the first epoch and kept as ``T.FrozenRows``, which also keep
+    each layer's kernel on the adjacency's entries (and, once the row blocks
+    read them, its kernel operands). An online or batched teacher's are
+    rebuilt each epoch from the aligned rows' features alone, so a batch of b
+    nodes holds O(b r) teacher floats whatever n is.
+    """
+    if plan.mode not in STUDENT_MODES:
+        raise ValidationError(f"mode {plan.mode!r} is not a student mode")
+    cfg, spec = plan.distill, plan.kernel
+    online, pgkd = plan.mode == "online", plan.mode == "pgkd"
+    if online:
+        init_xavier(teacher, plan.seed, STREAM_TEACHER_ONLINE)
+        opt_t = Adam(teacher.parameters(), plan.lr, name="online teacher weight")
+        tracker_t = _BestTracker(teacher)
+    teacher.set_trainable(online)
+    # as for the student, an online teacher's forward after each of its steps
+    # is also the one its next step differentiates
+    t_logits, t_trace = forward(teacher, g_complete)
+    if not pgkd and len(t_trace) != student.num_layers + 1:
+        raise ValidationError(f"teacher trace has {len(t_trace)} entries, student expects "
+                              f"{student.num_layers + 1}")
+    t_view = _restrict(t_logits, t_trace, node_map)
+    if pgkd:
+        (early_t, late_t), (early_s, late_s) = pgkd_span(teacher), pgkd_span(student)
+        t_late, t_early = (T.constant(t_trace[i].values) for i in (late_t, early_t))
+        mapper_t, mapper_s = _build_mappers(plan, teacher, student)
+        phi_params = mapper_t.parameters()
+        if mapper_s is not mapper_t:
+            phi_params = phi_params + mapper_s.parameters()
+        opt_phi = Adam(phi_params, plan.lr_mapper, name="mapper weight")
+    if not online:  # frees the forward's tensors; a frozen teacher's epochs read arrays alone
+        t_logits = t_trace = None
+    batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
+    frozen_rows = []
 
     def terms(epoch, logits, trace):
-        # E-step: refit the inverse kernel with the GNN weights frozen; it
-        # reads the trace values as constants.
-        s_late = T.constant(trace[late_s].values)
-        s_early = T.constant(trace[early_s].values)
-        rec = T.add(
-            factored_reconstruction_loss(mapper_t.apply(t_late_full), t_late_full, t_early_full),
-            factored_reconstruction_loss(mapper_s.apply(s_late), s_late, s_early),
-        )
-        opt_phi.zero_grad()
-        rec.backward()
-        opt_phi.step()
-
-        # M-step terms: inverse-kernel alignment, mapper frozen.
-        extra, loss_dis = [], 0.0
+        nonlocal t_logits, t_trace, t_view
+        extra, loss_dis, loss_rec = [], 0.0, None
+        if online:
+            t_loss = T.cross_entropy(t_logits, g_complete.labels, g_complete.train_mask)
+            _require_finite(epoch, teacher_loss_pre=t_loss.item())
+            opt_t.zero_grad()
+            t_loss.backward()
+            opt_t.step()
+            t_logits, t_trace = forward(teacher, g_complete)
+            _, t_val, t_test = accuracies(t_logits.values, g_complete)
+            tracker_t.update(epoch, t_val, t_test)
+            t_view = _restrict(t_logits, t_trace, node_map)
+        teacher_logits, teacher_feats = t_view
+        if pgkd:  # the E-step reads the student's trace values as constants
+            s_late, s_early = (T.constant(trace[i].values) for i in (late_s, early_s))
+            rec = T.add(
+                factored_reconstruction_loss(mapper_t.apply(t_late), t_late, t_early),
+                factored_reconstruction_loss(mapper_s.apply(s_late), s_late, s_early),
+            )
+            opt_phi.zero_grad()
+            rec.backward()
+            opt_phi.step()
+            loss_rec = rec.item()
         if cfg.alpha > 0:
-            phi_t = mapper_t.apply(t_late_sub)
-            phi_s = mapper_s.apply(trace[late_s])
-            dis = T.scale(T.kernel_alignment(phi_s, phi_t, adjacency(g), cfg.delta,
-                                             plan.kernel), cfg.alpha)
+            if pgkd:  # the mappers stay frozen from here on
+                phi_t = mapper_t.apply(T.constant(teacher_feats[late_t]))
+                dis = T.scale(T.kernel_alignment(mapper_s.apply(trace[late_s]), phi_t,
+                                                 adjacency(g), cfg.delta, spec), cfg.alpha)
+            else:
+                ids = None
+                if batched:
+                    ids = sample_distill_batch(g.num_nodes, cfg.batch_size, plan.seed, epoch)
+                    trace = [T.take_rows(h, ids) for h in trace]
+                    teacher_feats = [f[ids] for f in teacher_feats]
+                dims = [h.shape[1] for h in trace]
+                if online or batched:
+                    t_rows = teacher_layer_rows(teacher_feats, dims, spec)
+                else:
+                    if not frozen_rows:
+                        frozen_rows.extend(T.FrozenRows(r.values, spec, adjacency(g))
+                                           for r in teacher_layer_rows(teacher_feats, dims, spec))
+                    t_rows = frozen_rows
+                dis = layer_avg_distill(t_rows, trace, spec, cfg, g, ids)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:
-            extra.append(_kd_term(plan, teacher_logits_sub, logits, g))
-        return extra, loss_dis, rec.item()
-
-    return _fit(student, g, plan, terms)
-
-
-def train_online(g: Graph, g_complete: Graph, teacher: GnnModel,
-                 student: GnnModel, plan: TrainPlan, node_map=None) -> TrainResult:
-    """Teacher and student trained jointly; one step each per epoch."""
-    init_xavier(teacher, plan.seed, STREAM_TEACHER_ONLINE)
-    teacher.set_trainable(True)
-    opt_t = Adam(teacher.parameters(), plan.lr, name="online teacher weight")
-    tracker_t = _BestTracker(teacher)
-    gkd = _GkdTerms(plan, g, frozen=False)
-    # as for the student, the teacher forward after each of its steps is
-    # also the one its next step differentiates
-    t_logits, t_trace = forward(teacher, g_complete)
-
-    def terms(epoch, logits, trace):
-        nonlocal t_logits, t_trace
-        t_loss = T.cross_entropy(t_logits, g_complete.labels, g_complete.train_mask)
-        _require_finite(epoch, teacher_loss_pre=t_loss.item())
-        opt_t.zero_grad()
-        t_loss.backward()
-        opt_t.step()
-        t_logits, t_trace = forward(teacher, g_complete)
-        _, t_val, t_test = accuracies(t_logits.values, g_complete)
-        tracker_t.update(epoch, t_val, t_test)
-        return gkd(epoch, *_restrict(t_logits, t_trace, node_map), logits, trace)
+            extra.append(T.scale(kd_soft_label_loss(teacher_logits, logits, cfg.tau_kd,
+                                                    g.train_mask), cfg.alpha_kd))
+        return extra, loss_dis, loss_rec
 
     result = _fit(student, g, plan, terms)
-    tracker_t.restore()
-    teacher.set_trainable(False)
-    result.teacher_model = teacher
+    if online:
+        tracker_t.restore()
+        teacher.set_trainable(False)
+        result.teacher_model = teacher
     return result
-
-
-def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
-                  teacher: GnnModel, student: GnnModel, node_map=None) -> TrainResult:
-    """Dispatch on plan.mode; self-distillation and compression run offline."""
-    if plan.mode in ("gkd_offline", "self_distill", "compression"):
-        return train_student_gkd(g, teacher, g_complete, plan, student, node_map)
-    if plan.mode == "pgkd":
-        return train_student_pgkd(g, teacher, g_complete, plan, student, node_map)
-    if plan.mode == "online":
-        return train_online(g, g_complete, teacher, student, plan, node_map)
-    raise ValidationError(f"mode {plan.mode!r} is not a student mode")
 
 
 def sample_distill_batch(n: int, batch_size: int, seed: int, epoch: int) -> np.ndarray:

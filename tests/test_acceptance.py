@@ -30,9 +30,7 @@ from geokd.training import (
     Adam,
     TrainPlan,
     grid_search,
-    train_online,
     train_student,
-    train_student_gkd,
     train_supervised,
 )
 
@@ -166,7 +164,7 @@ def test_criterion_4_reductions():
                              lr_mapper=0.01, kernel=kernel, distill=cfg)
             student = build_model("gcn", 6, 8, 3, 2)
             if mode == "online":
-                train_online(g, g_c, build_model("gcn", 6, 8, 3, 2), student, plan)
+                train_student(plan, g, g_c, build_model("gcn", 6, 8, 3, 2), student)
             else:
                 train_student(plan, g, g_c, teacher, student)
             for wp, ws in zip(plain.weights, student.weights):
@@ -217,7 +215,7 @@ def test_criterion_6_node_aware():
         plan = protocol_plan("gkd_offline", seed,
                              kernel=KernelSpec(kind="gauss", t=1.0),
                              distill=DistillConfig(alpha=10.0, delta=0.4))
-        res_g = train_student_gkd(g, teacher, g_c, plan, new_gcn(), node_map)
+        res_g = train_student(plan, g, g_c, teacher, new_gcn(), node_map)
         gkd_accs.append(res_g.best_test_acc)
     student_mean = float(np.mean(student_accs))
     gkd_mean = float(np.mean(gkd_accs))

@@ -33,7 +33,7 @@ from geokd.graphs import Graph, adjacency, sbm_generate, save_graph, split_edges
 from geokd.models import build_model, init_xavier
 from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.tensor import Tensor
-from geokd.training import TrainPlan, train_student, train_student_gkd
+from geokd.training import TrainPlan, train_student
 
 SPECS = [KernelSpec(kind="gauss", t=0.25), KernelSpec(kind="gauss", t=1.0),
          KernelSpec(kind="gauss", t=3.0), KernelSpec(kind="sigmoid", a=1.0, b=0.0),
@@ -357,7 +357,7 @@ def test_gauss_gkd_full_batch_allocates_no_node_by_node_buffer():
     n = g.num_nodes
     tracemalloc.start()
     try:
-        train_student_gkd(g, teacher, g_c, plan, student)
+        train_student(plan, g, g_c, teacher, student)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -390,7 +390,7 @@ def test_gauss_gkd_epoch_at_delta_zero_holds_no_row_block(monkeypatch):
                          distill=DistillConfig(alpha=1.0, delta=delta))
         tracemalloc.start()
         try:
-            train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 4, 4, 3, 4))
+            train_student(plan, g, g_c, teacher, build_model("gcn", 4, 4, 3, 4))
         finally:
             tracemalloc.stop()
     assert len(peaks[0.0]) == len(peaks[0.4]) == 2  # one op per entry 1 and 2

@@ -313,6 +313,18 @@ def test_graph_whose_edges_are_not_pairs_exits_1_naming_edges(tmp_path, graph_fi
     assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, "edges", edges)
 
 
+@pytest.mark.parametrize("field", ["edges", "labels", "masks.train", "masks.val", "masks.test",
+                                   "features"])
+def test_graph_with_a_json_boolean_exits_1_naming_the_field(tmp_path, graph_file, capsys,
+                                                            field):
+    # numpy reads true as 1, which would pass for an id or a feature
+    doc = json.loads(graph_file.read_text())
+    value = doc["masks"][field[6:]] if field.startswith("masks.") else doc[field]
+    row = value[0] if isinstance(value[0], list) else value
+    row[0] = True
+    assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, value)
+
+
 def assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, value):
     doc = json.loads(graph_file.read_text())
     if field.startswith("masks."):
@@ -458,6 +470,20 @@ def test_depths_that_differ_exit_1_naming_the_student_before_any_read(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["distill", "sweep-pir"])
+def test_online_teacher_checkpoint_exits_1_before_any_read(tmp_path, graph_file, capsys,
+                                                           monkeypatch, command):
+    # online trains its teacher from scratch: a checkpoint would go unread
+    monkeypatch.setattr(cli, "load_graph", lambda path: pytest.fail(f"read {path}"))
+    cfg = write_config(tmp_path, graph_file, mode="online", sweep={"pirs": [0.5], "seeds": [0]},
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8,
+                                "checkpoint": str(tmp_path / "missing.json")})
+    assert run_cli(command, "--config", cfg) == 1
+    assert "error: teacher.checkpoint: mode 'online' trains its teacher from scratch" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["gkd_offline", "pgkd"])
 @pytest.mark.parametrize("field,teacher", [
     ("kind", {"kind": "sgc", "depth": 2, "hidden": 8}),
@@ -535,6 +561,21 @@ def test_sweep_pir_tables(tmp_path, graph_file):
     # oracle metrics identical across pir values
     oracle = [r for r in agg if r["method"] == "oracle"]
     assert oracle[0]["mean_test_acc"] == oracle[1]["mean_test_acc"]
+
+
+def test_sweep_teacher_rows_do_not_depend_on_the_method(tmp_path, graph_file):
+    # online trains a teacher of its own, so every pir's teacher row still
+    # scores the supervised teacher the other methods distill
+    rows = {}
+    for mode in ("gkd_offline", "online"):
+        cfg = write_config(tmp_path, graph_file, mode=mode, out_dir=str(tmp_path / mode),
+                           sweep={"pirs": [0.0, 0.5, 0.9], "seeds": [0]},
+                           optimizer={"lr": 0.05, "epochs": 6})
+        assert run_cli("sweep-pir", "--config", cfg) == 0
+        with open(tmp_path / mode / "results.csv") as f:
+            rows[mode] = [r for r in csv.DictReader(f) if r["method"] in ("oracle", "teacher")]
+    assert len(rows["online"]) == 3 * 2
+    assert rows["online"] == rows["gkd_offline"]
 
 
 @pytest.mark.parametrize("sweep,argv,field", [

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geokd import graphs
 from geokd.errors import GraphParseError, ValidationError
 from geokd.graphs import (
     Graph,
@@ -392,6 +393,14 @@ def test_failed_write_keeps_previous_file(tmp_path):
         write_json(path, {"best_epoch": 4, "model": object()}, indent=2)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+def test_load_scans_for_booleans_only_when_the_text_holds_one(tmp_path, complete,
+                                                             monkeypatch):
+    path = tmp_path / "g.json"
+    save_graph(complete, path)
+    monkeypatch.setattr(graphs, "_holds_bool", lambda value: pytest.fail("scanned"))
+    assert load_graph(path).num_nodes == complete.num_nodes
 
 
 def test_load_rejects_out_of_range_edge(tmp_path, complete):

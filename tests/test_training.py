@@ -17,10 +17,7 @@ from geokd.training import (
     apply_grid_overrides,
     grid_search,
     sample_distill_batch,
-    train_online,
     train_student,
-    train_student_gkd,
-    train_student_pgkd,
     train_supervised,
 )
 
@@ -128,7 +125,7 @@ def test_non_finite_gradient_with_finite_loss_raises(graphs, teacher, monkeypatc
         if mode == "teacher":
             train_supervised(g, student, plan)
         elif mode == "online":
-            train_online(g, g_c, build_model("gcn", 6, 8, 3, 2), student, plan)
+            train_student(plan, g, g_c, build_model("gcn", 6, 8, 3, 2), student)
         else:
             train_student(plan, g, g_c, teacher, student)
 
@@ -167,8 +164,8 @@ def test_online_teacher_non_finite_loss_named(graphs):
     g_c, g = graphs
     plan = quick_plan(mode="online", epochs=6, lr=1e150, distill=DistillConfig(alpha=0.0))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="teacher_loss_pre"):
-        train_online(g, g_c, build_model("gcn", 6, 8, 3, 2), build_model("gcn", 6, 8, 3, 2),
-                     plan)
+        train_student(plan, g, g_c, build_model("gcn", 6, 8, 3, 2),
+                      build_model("gcn", 6, 8, 3, 2))
 
 
 def test_zero_epochs_rejected():
@@ -253,7 +250,7 @@ def test_zero_alpha_reduces_to_plain_training(graphs, teacher, mode):
     student = build_model("gcn", 6, 8, 3, 2)
     online_teacher = build_model("gcn", 6, 8, 3, 2)
     if mode == "online":
-        train_online(g, g_c, online_teacher, student, plan)
+        train_student(plan, g, g_c, online_teacher, student)
     else:
         train_student(plan, g, g_c, teacher, student)
     assert weights_equal(plain, student)
@@ -283,7 +280,7 @@ def test_gkd_teacher_stays_frozen(graphs, teacher):
                       kernel=KernelSpec(kind="gauss", t=1.0),
                       distill=DistillConfig(alpha=5.0, delta=0.4))
     student = build_model("gcn", 6, 8, 3, 2)
-    train_student_gkd(g, teacher, g_c, plan, student)
+    train_student(plan, g, g_c, teacher, student)
     for w, orig in zip(teacher.weights, before):
         np.testing.assert_array_equal(w.values, orig)
 
@@ -295,7 +292,7 @@ def test_gkd_deterministic(graphs, teacher):
 
     def run():
         student = build_model("gcn", 6, 8, 3, 2)
-        res = train_student_gkd(g, teacher, g_c, plan, student)
+        res = train_student(plan, g, g_c, teacher, student)
         return student, [m.public_dict() for m in res.metrics]
 
     s1, m1 = run()
@@ -311,7 +308,7 @@ def test_gkd_minibatch_runs_and_is_deterministic(graphs, teacher):
 
     def run():
         student = build_model("gcn", 6, 8, 3, 2)
-        res = train_student_gkd(g, teacher, g_c, plan, student)
+        res = train_student(plan, g, g_c, teacher, student)
         return [m.loss_dis for m in res.metrics]
 
     assert run() == run()
@@ -332,7 +329,7 @@ def test_gkd_minibatch_builds_no_full_weight_matrix(graphs, teacher, monkeypatch
         plan = quick_plan(mode="gkd_offline", seed=6, epochs=3,
                           kernel=KernelSpec(kind=kind, m=2),
                           distill=DistillConfig(alpha=2.0, delta=0.2, batch_size=15))
-        train_student_gkd(g, teacher, g_c, plan, build_model("gcn", 6, 8, 3, 2))
+        train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
         assert sizes == []
 
 
@@ -341,7 +338,7 @@ def test_gkd_trace_length_mismatch_raises(graphs, teacher):
     plan = quick_plan(mode="gkd_offline", seed=7)
     student = build_model("gcn", 6, 8, 2, 2)  # depth 2 vs teacher depth 3
     with pytest.raises(ValidationError):
-        train_student_gkd(g, teacher, g_c, plan, student)
+        train_student(plan, g, g_c, teacher, student)
 
 
 def test_gkd_node_aware_alignment(graphs, teacher):
@@ -350,7 +347,7 @@ def test_gkd_node_aware_alignment(graphs, teacher):
     plan = quick_plan(mode="gkd_offline", seed=8, epochs=10,
                       distill=DistillConfig(alpha=2.0, delta=0.2))
     student = build_model("gcn", 6, 8, 3, 2)
-    res = train_student_gkd(g, teacher, g_c, plan, student, node_map)
+    res = train_student(plan, g, g_c, teacher, student, node_map)
     assert len(res.metrics) == 10
 
 
@@ -401,9 +398,9 @@ def test_pgkd_sgc_student_spans_whole_stack(graphs, teacher):
     plan = quick_plan(mode="pgkd", seed=20, epochs=4,
                       distill=DistillConfig(alpha=1.0))
     with pytest.raises(ValidationError, match="distill.alpha"):
-        train_student_pgkd(g, teacher, g_c, plan, build_model("sgc", 6, 8, 3, 2))
+        train_student(plan, g, g_c, teacher, build_model("sgc", 6, 8, 3, 2))
     plan = replace(plan, distill=DistillConfig(alpha=0.0))
-    res = train_student_pgkd(g, teacher, g_c, plan, build_model("sgc", 6, 8, 3, 2))
+    res = train_student(plan, g, g_c, teacher, build_model("sgc", 6, 8, 3, 2))
     assert len(res.metrics) == 4
     assert all(rec.loss_rec > 0.0 for rec in res.metrics)  # its mapper spans 0 .. L
 
@@ -421,7 +418,7 @@ def test_pgkd_estep_only_changes_mapper(graphs, teacher):
     # one supervised epoch to confirm theta follows the supervised path only
     plain = build_model("gcn", 6, 8, 3, 2)
     train_supervised(g, plain, quick_plan(seed=10, epochs=1))
-    train_student_pgkd(g, teacher, g_c, plan, student)
+    train_student(plan, g, g_c, teacher, student)
     assert weights_equal(plain, student)
 
 
@@ -430,7 +427,7 @@ def test_pgkd_reconstruction_descends(graphs, teacher):
     plan = quick_plan(mode="pgkd", seed=11, epochs=25, lr_mapper=0.01,
                       distill=DistillConfig(alpha=1.0, delta=0.4))
     student = build_model("gcn", 6, 8, 3, 2)
-    res = train_student_pgkd(g, teacher, g_c, plan, student)
+    res = train_student(plan, g, g_c, teacher, student)
     recs = [m.loss_rec for m in res.metrics]
     assert recs[-1] < recs[0]
 
@@ -439,7 +436,7 @@ def test_pgkd_records_reconstruction_loss(graphs, teacher):
     g_c, g = graphs
     plan = quick_plan(mode="pgkd", seed=12, epochs=3)
     student = build_model("gcn", 6, 8, 3, 2)
-    res = train_student_pgkd(g, teacher, g_c, plan, student)
+    res = train_student(plan, g, g_c, teacher, student)
     assert all(m.loss_rec is not None for m in res.metrics)
 
 
@@ -448,7 +445,7 @@ def test_pgkd_separate_mappers_for_mismatched_dims(graphs, teacher):
     plan = quick_plan(mode="pgkd", seed=13, epochs=4,
                       distill=DistillConfig(alpha=1.0))
     student = build_model("gcn", 6, 4, 3, 2)  # hidden 4 vs teacher hidden 8
-    res = train_student_pgkd(g, teacher, g_c, plan, student)
+    res = train_student(plan, g, g_c, teacher, student)
     assert len(res.metrics) == 4
 
 
@@ -464,7 +461,7 @@ def test_pgkd_allocates_no_node_by_node_buffer():
     n_s = g.num_nodes
     tracemalloc.start()
     try:
-        train_student_pgkd(g, teacher, g_c, plan, student, node_map)
+        train_student(plan, g, g_c, teacher, student, node_map)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -486,7 +483,7 @@ def test_randomized_gkd_full_batch_allocates_no_node_by_node_buffer():
     n = g.num_nodes
     tracemalloc.start()
     try:
-        train_student_gkd(g, teacher, g_c, plan, student)
+        train_student(plan, g, g_c, teacher, student)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -561,7 +558,7 @@ def test_forwards_per_run(graphs, teacher, monkeypatch, mode):
         return
     if mode == "online":
         live_teacher = build_model("gcn", 6, 8, 3, 2)
-        train_online(g, g_c, live_teacher, student, plan)
+        train_student(plan, g, g_c, live_teacher, student)
         assert sum(m is live_teacher for m in calls) == epochs + 1
     else:
         train_student(plan, g, g_c, teacher, student)
@@ -580,7 +577,7 @@ def test_online_returns_both_models(graphs):
                       distill=DistillConfig(alpha=1.0, delta=0.4))
     t = build_model("gcn", 6, 8, 3, 2)
     s = build_model("gcn", 6, 8, 3, 2)
-    res = train_online(g, g_c, t, s, plan)
+    res = train_student(plan, g, g_c, t, s)
     assert res.teacher_model is t
     assert res.model is s
 
@@ -593,7 +590,7 @@ def test_online_deterministic(graphs):
     def run():
         t = build_model("gcn", 6, 8, 3, 2)
         s = build_model("gcn", 6, 8, 3, 2)
-        res = train_online(g, g_c, t, s, plan)
+        res = train_student(plan, g, g_c, t, s)
         return [m.public_dict() for m in res.metrics]
 
     assert run() == run()
@@ -677,7 +674,7 @@ def test_gkd_with_soft_label_term(graphs, teacher):
 
     def run():
         student = build_model("gcn", 6, 8, 3, 2)
-        res = train_student_gkd(g, teacher, g_c, plan, student)
+        res = train_student(plan, g, g_c, teacher, student)
         return [m.loss_pre for m in res.metrics]
 
     first = run()
