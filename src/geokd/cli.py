@@ -15,7 +15,6 @@ import argparse
 import csv
 import ctypes
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import ORACLE_BUDGET, gradient_suite, kernel_checks, theorem_bytes, theorem_checks
-from .config import config_fields
+from .config import REQUIRED, config_fields, read_document, read_field, reject_unknown, typed
 from .distill import DistillConfig, require_hidden_layers
 from .errors import GeokdError, GraphParseError, NumericError, ValidationError
 from .graphs import (
@@ -40,50 +39,8 @@ from .models import GnnModel, accuracies, build_model, forward
 from .nhk import KernelSpec
 from .training import TrainPlan, TrainResult, train_student, train_supervised
 
-_MISSING = object()
-
-# (accepted JSON types, conversion) per scalar field type; a JSON boolean is
-# not a number, although bool subclasses int
-_SCALARS = {"float": ((int, float), float), "int": (int, int), "str": (str, str)}
 _TOP_KEYS = ("mode", "seed", "complete_graph", "partial_graph", "split", "teacher",
              "student", "kernel", "distill", "optimizer", "out_dir", "sweep")
-
-
-def _scalar(value, kind: str, name: str):
-    """value as the scalar field type ``kind``; a mistyped value, a float that
-    is not finite (json reads NaN and Infinity) or a negative seed is named."""
-    expect, convert = _SCALARS[kind]
-    if not isinstance(value, expect) or isinstance(value, bool):
-        raise GraphParseError(name, f"expected {kind}, got {type(value).__name__}")
-    try:
-        converted = convert(value)
-    except OverflowError:  # an integer beyond the float range
-        converted = math.inf
-    if kind == "float" and not math.isfinite(converted):
-        raise GraphParseError(name, f"expected a finite number, got {converted}")
-    if name.rsplit(".", 1)[-1].startswith("seed"):  # seed, <section>.seed, sweep.seeds[i]
-        _require_seed(converted, name)
-    return converted
-
-
-def _require_seed(seed: int, name: str):
-    if seed < 0:  # numpy random streams take only seeds >= 0
-        raise GraphParseError(name, f"expected an integer >= 0, got {seed}")
-
-
-def _get(doc: dict, key: str, kind: str, default=_MISSING):
-    """Top-level scalar ``key``; absent or null gives default, else it is required."""
-    if doc.get(key) is None:
-        if default is _MISSING:
-            raise GraphParseError(key, "missing required field")
-        return default
-    return _scalar(doc[key], kind, key)
-
-
-def _reject_unknown(doc: dict, keys, prefix: str = ""):
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise GraphParseError(prefix + unknown[0], "unknown key")
 
 
 def _section(doc: dict, name: str, cls, **given):
@@ -93,41 +50,25 @@ def _section(doc: dict, name: str, cls, **given):
     that are not given. An absent or null key keeps the dataclass default,
     and is an error for a field without one. An unknown key, a mistyped value
     or a value cls rejects is an error naming its field: cls raises
-    GraphParseError naming a field of the section or a given field, or
-    ValidationError.
+    GraphParseError naming a field of the section or a given field.
     """
     kinds = {k: t for k, t in config_fields(cls).items() if k not in given}
-    sub = doc.get(name) or {}
-    if not isinstance(sub, dict):
-        raise GraphParseError(name, "expected a JSON object")
-    _reject_unknown(sub, kinds, name + ".")
+    sub = read_field(doc, name, "object", {})
+    reject_unknown(sub, kinds, name + ".")
     required = {f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING}
     kwargs = dict(given)
     for key, kind in kinds.items():
-        field_name = f"{name}.{key}"
-        if sub.get(key) is None:
-            if key in required:
-                raise GraphParseError(field_name, "missing required field")
-        elif kind in _SCALARS:
-            kwargs[key] = _scalar(sub[key], kind, field_name)
-        else:  # list[<scalar>]
-            kwargs[key] = _scalar_list(sub[key], kind[5:-1], field_name)
+        default = REQUIRED if key in required else None
+        value = read_field(sub, key, kind, default, f"{name}.{key}")
+        if value is not None:
+            kwargs[key] = value
     try:
         return cls(**kwargs)
     except GraphParseError as e:
         if e.field.split(".")[0] in given:
             raise
         raise GraphParseError(f"{name}.{e.field}", e.message) from e
-    except ValidationError as e:
-        raise GraphParseError(name, str(e)) from e
-
-
-def _scalar_list(items, kind: str, name: str) -> list:
-    """A nonempty JSON list of one scalar kind; a bad entry is named by index."""
-    if not isinstance(items, list) or not items:
-        raise GraphParseError(name, f"expected a nonempty list of {kind}")
-    return [_scalar(item, kind, f"{name}[{i}]") for i, item in enumerate(items)]
 
 
 @dataclass
@@ -186,17 +127,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse a config document; every section rejects keys it does not know."""
-        _reject_unknown(doc, _TOP_KEYS)
-        mode = _get(doc, "mode", "str", "gkd_offline")
-        complete = _get(doc, "complete_graph", "str")
+        reject_unknown(doc, _TOP_KEYS)
+        mode = read_field(doc, "mode", "str", "gkd_offline")
+        complete = read_field(doc, "complete_graph", "str")
         if not Path(complete).exists():
             raise GraphParseError("complete_graph", f"file not found: {complete}")
-        partial = _get(doc, "partial_graph", "str", None)
+        partial = read_field(doc, "partial_graph", "str", None)
         if partial is not None and not Path(partial).exists():
             raise GraphParseError("partial_graph", f"file not found: {partial}")
         split = None if doc.get("split") is None else _section(doc, "split", SplitSection)
         plan = _section(doc, "optimizer", TrainPlan, mode=mode,
-                        seed=_get(doc, "seed", "int", 0),
+                        seed=read_field(doc, "seed", "int", 0),
                         kernel=_section(doc, "kernel", KernelSpec),
                         distill=_section(doc, "distill", DistillConfig))
         models = {name: _section(doc, name, ModelSection) for name in ("teacher", "student")}
@@ -208,26 +149,21 @@ class RunConfig:
         if mode == "online" and teacher.checkpoint is not None:
             raise GraphParseError("teacher.checkpoint", "mode 'online' trains its teacher "
                                   "from scratch and reads no checkpoint")
+        if student.checkpoint is not None:
+            raise GraphParseError("student.checkpoint", "no command reads a student checkpoint")
         return cls(
             complete_graph=complete,
             plan=plan,
             partial_graph=partial,
             split=split,
-            out_dir=_get(doc, "out_dir", "str", "runs/out"),
+            out_dir=read_field(doc, "out_dir", "str", "runs/out"),
             sweep=_section(doc, "sweep", SweepSection),
             **models,
         )
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise GraphParseError("<config>", f"invalid JSON: {e}") from e
-        if not isinstance(doc, dict):
-            raise GraphParseError("<config>", "expected a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_document(path, "<config>")[0])
 
 
 def resolve_graphs(cfg: RunConfig):
@@ -404,6 +340,11 @@ def cmd_sweep_pir(args) -> int:
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
     method_plan = replace(cfg.plan, mode=method)  # checks its kernel before any training
     method_plan.require_alignable(cfg.student.kind, cfg.student.depth, cfg.teacher.depth)
+    for name, value in (("teacher.checkpoint", cfg.teacher.checkpoint),
+                        ("partial_graph", cfg.partial_graph)):
+        if value is not None:  # the sweep trains its teachers and splits complete_graph
+            raise GraphParseError(name, "sweep-pir trains its own teachers and splits "
+                                  "complete_graph itself, so it reads no such file")
 
     g_complete = load_graph(cfg.complete_graph)
     num_classes = g_complete.num_classes
@@ -561,7 +502,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:
-            _require_seed(args.seed, "--seed")
+            typed(args.seed, "int", "--seed")
         return args.func(args)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -39,7 +39,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, GraphParseError, ValidationError
 from .graphs import Graph, adjacency
 from .models import GnnModel, init_xavier
 from .nhk import KernelSpec, kernel_matrix, kernel_rows
@@ -57,16 +57,14 @@ class DistillConfig:
     batch_size: int | None = None  # nodes per distillation mini-batch
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.delta < 0:
-            raise ValidationError("delta must be >= 0")
-        if not 0.0 <= self.alpha_kd < 1.0:
-            raise ValidationError("alpha_kd must lie in [0, 1)")
-        if self.tau_kd <= 0:
-            raise ValidationError("tau_kd must be > 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+        for name, bad, want in (("alpha", self.alpha < 0, "a number >= 0"),
+                                ("delta", self.delta < 0, "a number >= 0"),
+                                ("alpha_kd", not 0.0 <= self.alpha_kd < 1.0, "a number in [0, 1)"),
+                                ("tau_kd", self.tau_kd <= 0, "a number > 0"),
+                                ("batch_size", self.batch_size is not None
+                                 and self.batch_size < 1, "an integer >= 1")):
+            if bad:
+                raise GraphParseError(name, f"expected {want}, got {getattr(self, name)}")
 
 
 class InverseNhkMapper:

@@ -13,8 +13,9 @@ class ValidationError(GeokdError):
     """An input value violates a documented precondition."""
 
 
-class GraphParseError(GeokdError):
-    """A graph or config file does not match its schema."""
+class GraphParseError(ValidationError):
+    """An input value, such as a field of a config, graph or checkpoint file,
+    violates its schema; ``field`` names it."""
 
     def __init__(self, field: str, message: str):
         self.field, self.message = field, message

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import array, read_document, read_field, required
 from .errors import GraphParseError, ValidationError
 from .tensor import SparseMatrix, Tensor, spmm
 
@@ -305,63 +306,16 @@ def save_graph(g: Graph, path):
     write_json(path, graph_to_dict(g))
 
 
-def _require(doc: dict, field: str):
-    if field not in doc:
-        raise GraphParseError(field, "missing required field")
-    return doc[field]
-
-
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
-
-
-def _int_array(value, field: str) -> np.ndarray:
-    """value as an int64 array, naming field if it is ragged or an entry is
-    not an integer."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as e:  # numpy refuses rows of unequal lengths
-        raise GraphParseError(field, f"malformed value: {e}") from e
-    if arr.size and arr.dtype.kind != "i":
-        raise GraphParseError(field, "expected integers")
-    return arr.astype(np.int64, copy=False)
-
-
-def _read_json(path):
-    """The document at path, and whether its text holds a true or false
-    literal: only then are its fields scanned for booleans."""
-    with open(path) as f:
-        text = f.read()
-    try:
-        return json.loads(text), "true" in text or "false" in text
-    except json.JSONDecodeError as e:
-        raise GraphParseError("<document>", f"invalid JSON: {e}") from e
-
-
 def load_graph(path) -> Graph:
-    doc, bools = _read_json(path)
-    if not isinstance(doc, dict):
-        raise GraphParseError("<document>", "expected a JSON object")
-    num_nodes = _require(doc, "num_nodes")
-    if not isinstance(num_nodes, int) or isinstance(num_nodes, bool):
-        raise GraphParseError("num_nodes", f"expected an integer, got {num_nodes!r}")
-    features, labels, edges, masks = (_require(doc, key)
-                                      for key in ("features", "labels", "edges", "masks"))
-    for key in ("train", "val", "test"):
-        if key not in masks:
-            raise GraphParseError(f"masks.{key}", "missing required field")
-    if bools:  # numpy would read a true or false among the numbers as 1 or 0
-        fields = {"features": features, "labels": labels, "edges": edges,
-                  **{f"masks.{key}": masks[key] for key in ("train", "val", "test")}}
-        for field, value in fields.items():
-            if _holds_bool(value):
-                raise GraphParseError(field, "expected numbers, got a JSON true or false")
-    edges = _int_array(edges, "edges")
+    doc, bools = read_document(path, "<document>")
+    num_nodes = read_field(doc, "num_nodes", "int")
+    edges = array(required(doc, "edges"), "int", "edges", bools)
     if edges.shape != (0,) and (edges.ndim != 2 or edges.shape[1] != 2):
         raise GraphParseError("edges", "expected an empty list or [u, v] pairs, got an array "
                               f"of shape {edges.shape}")
-    try:
-        return Graph(num_nodes, edges, features, _int_array(labels, "labels"),
-                     *(_int_array(masks[key], f"masks.{key}") for key in ("train", "val", "test")))
-    except (TypeError, ValueError) as e:
-        raise GraphParseError("<document>", f"malformed value: {e}") from e
+    masks = read_field(doc, "masks", "object")
+    return Graph(num_nodes, edges,
+                 array(required(doc, "features"), "float", "features", bools, ndim=2),
+                 array(required(doc, "labels"), "int", "labels", bools, ndim=1),
+                 *(array(required(masks, key, f"masks.{key}"), "int", f"masks.{key}", bools,
+                         ndim=1) for key in ("train", "val", "test")))

@@ -13,12 +13,11 @@ up to rounding (Kipf & Welling, 2017).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, ValidationError
+from .config import array, read_document, read_field, required
+from .errors import DimensionError, GraphParseError, ValidationError
 from .graphs import (
     Graph,
     laplacian_sym,
@@ -33,13 +32,14 @@ class GnnModel:
 
     def __init__(self, kind: str, dims, weights=None):
         if kind not in ("gcn", "sgc"):
-            raise ValidationError(f"unknown model kind {kind!r}")
+            raise GraphParseError("kind", f"unknown model kind {kind!r}")
         self.kind = kind
         self.dims = [int(d) for d in dims]
         if len(self.dims) < 2:
-            raise ValidationError("dims needs at least input and output sizes")
+            raise GraphParseError("dims", "expected at least input and output sizes")
         if kind == "sgc" and len(set(self.dims[:-1])) != 1:
-            raise ValidationError("sgc propagates in the input space: dims[:-1] must be equal")
+            raise GraphParseError("dims", "sgc propagates in the input space: dims[:-1] "
+                                  "must be equal")
         if weights is None:
             weights = [T.Tensor(np.zeros(s)) for s in self.weight_shapes()]
         self.weights = list(weights)
@@ -78,36 +78,23 @@ class GnnModel:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GnnModel":
-        """Model from a checkpoint document; a malformed one names its field."""
-        if not isinstance(doc, dict):
-            raise ValidationError("checkpoint: expected a JSON object")
-        for key in ("kind", "dims", "weights"):
-            if key not in doc:
-                raise ValidationError(f"{key}: missing required field")
-        dims = doc["dims"]
-        if not isinstance(dims, list) or not all(
-                isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims):
-            raise ValidationError(f"dims: expected a list of integers >= 1, got {dims!r}")
-        model = cls(doc["kind"], dims)
-        shapes = model.weight_shapes()
-        if len(doc["weights"]) != len(shapes):
-            raise ValidationError(
-                f"weights: {len(doc['weights'])} arrays, expected {len(shapes)}"
-            )
+    def from_dict(cls, doc: dict, bools: bool = True) -> "GnnModel":
+        """Model from a checkpoint document; a malformed one names its field.
+        ``bools`` is False when the document's text holds no true or false."""
+        dims = array(required(doc, "dims"), "int", "dims", bools, ndim=1)
+        if (dims < 1).any():
+            raise GraphParseError("dims", f"expected integers >= 1, got {dims.tolist()}")
+        model = cls(read_field(doc, "kind", "str"), dims.tolist())
+        weights, shapes = read_field(doc, "weights", "list"), model.weight_shapes()
+        if len(weights) != len(shapes):
+            raise GraphParseError("weights", f"{len(weights)} arrays, expected {len(shapes)}")
         arrays = []
-        for i, (w, (rows, cols)) in enumerate(zip(doc["weights"], shapes)):
-            try:
-                arr = np.asarray(w, dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise ValidationError(f"weights[{i}]: not a list of numbers") from e
+        for i, (w, (rows, cols)) in enumerate(zip(weights, shapes)):
+            arr = array(w, "float", f"weights[{i}]", bools, ndim=1)
             if arr.size != rows * cols:
-                raise ValidationError(
-                    f"weights[{i}]: {arr.size} values, expected {rows}x{cols} = {rows * cols}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"weights[{i}]: not finite (NaN or infinity)")
-            arrays.append(arr.reshape(rows, cols))
+                raise GraphParseError(f"weights[{i}]", f"{arr.size} values, expected "
+                                      f"{rows}x{cols} = {rows * cols}")
+            arrays.append(arr)
         model.load_weights(arrays)
         return model
 
@@ -116,12 +103,7 @@ class GnnModel:
 
     @classmethod
     def load(cls, path) -> "GnnModel":
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"checkpoint: invalid JSON: {e}") from e
-        return cls.from_dict(doc)
+        return cls.from_dict(*read_document(path, "checkpoint"))
 
 
 def build_model(kind: str, in_dim: int, hidden: int, depth: int, num_classes: int) -> GnnModel:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .errors import ValidationError
+from .errors import GraphParseError, ValidationError
 from .tensor import SparseMatrix, Tensor
 
 
@@ -40,13 +40,12 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in ("gauss", "sigmoid", "randomized", "parametric"):
-            raise ValidationError(f"unknown kernel kind {self.kind!r}")
+            raise GraphParseError("kind", f"unknown kernel kind {self.kind!r}")
         if self.kind in ("gauss", "randomized") and self.t <= 0:
-            raise ValidationError("kernel time must be > 0")
-        if self.m < 1:
-            raise ValidationError("projection count m must be >= 1")
-        if self.s is not None and self.s < 1:
-            raise ValidationError("s must be >= 1")
+            raise GraphParseError("t", f"expected a number > 0, got {self.t}")
+        for name, value in (("m", self.m), ("s", self.s)):  # projection count and width
+            if value is not None and value < 1:
+                raise GraphParseError(name, f"expected an integer >= 1, got {value}")
 
     def width(self, dim: int) -> int:
         """Randomized projection or parametric mapper output width for inputs

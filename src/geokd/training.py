@@ -124,7 +124,7 @@ class TrainPlan:
         if self.mode not in ("teacher",) + STUDENT_MODES:
             raise GraphParseError("mode", f"unknown mode {self.mode!r}")
         if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
+            raise GraphParseError("epochs", f"expected an integer >= 1, got {self.epochs}")
         if self.patience < 0:  # would stop after the first epoch
             raise GraphParseError("patience", f"expected an integer >= 0, got {self.patience}")
         for name in ("lr", "lr_mapper"):  # a negative rate would ascend the loss

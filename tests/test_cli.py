@@ -262,11 +262,15 @@ def test_wrongly_sized_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
     )
     assert run_cli("distill", "--config", cfg) == 1
     assert "weights[1]" in capsys.readouterr().err
+    doc["weights"][1] = [True] + doc["weights"][1][1:]  # numpy would read true as 1.0
     for text, field in (('{"kind": "gcn", "dims": [6, "x"], "weights": []}', "dims"),
+                        ('{"kind": "gcn", "dims": [6, 8, 2], "weights": 5}', "weights"),
+                        ('{"kind": ["gcn"], "dims": [6, 8, 2], "weights": []}', "kind"),
+                        (json.dumps(doc), "weights[1]"),
                         ("not json", "checkpoint")):
         bad.write_text(text)
         assert run_cli("eval", "--checkpoint", bad, "--graph", graph_file) == 1
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 @pytest.mark.parametrize("dims", [[6, 0, 2], [6, 2.5, 2], [6, True, 2], [6, -3, 2], "6,8,2"])
@@ -296,6 +300,10 @@ def test_checkpoint_dims_not_positive_integers_exit_1_naming_dims(tmp_path, grap
     ("labels", [0, 1.6] + [0] * 28),
     ("num_nodes", 29.9),
     ("num_nodes", True),
+    ("masks.train", 3),  # numpy would read it as the one-node mask [3]
+    ("features", [[0.5] * 6] * 29 + [[0.5] * 5]),  # ragged rows
+    ("features", [[0.5] * 6] * 29 + [["x"] + [0.5] * 5]),
+    ("features", [[0.5] * 6] * 29 + [["0.5"] + [0.5] * 5]),  # numpy would convert it
 ])
 def test_graph_with_non_integer_ids_exits_1_naming_the_field(tmp_path, graph_file, capsys,
                                                              field, value):
@@ -481,6 +489,22 @@ def test_online_teacher_checkpoint_exits_1_before_any_read(tmp_path, graph_file,
     assert run_cli(command, "--config", cfg) == 1
     assert "error: teacher.checkpoint: mode 'online' trains its teacher from scratch" in \
         capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["gkd_offline", "teacher"])
+@pytest.mark.parametrize("key", ["teacher.checkpoint", "partial_graph"])
+def test_sweep_pir_file_it_does_not_read_exits_1_before_any_read(tmp_path, graph_file, capsys,
+                                                                 monkeypatch, mode, key):
+    # the sweep trains a teacher per seed and splits complete_graph itself
+    monkeypatch.setattr(cli, "load_graph", lambda path: pytest.fail(f"read {path}"))
+    overrides = ({"partial_graph": str(graph_file)} if key == "partial_graph" else
+                 {"teacher": {"kind": "gcn", "depth": 2, "hidden": 8,
+                              "checkpoint": str(tmp_path / "unread.json")}})
+    cfg = write_config(tmp_path, graph_file, mode=mode, sweep={"pirs": [0.5], "seeds": [0]},
+                       **overrides)
+    assert run_cli("sweep-pir", "--config", cfg) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -749,7 +773,7 @@ def test_kernel_width_below_one_exits_1_naming_it(tmp_path, graph_file, capsys, 
     cfg = write_config(tmp_path, graph_file, mode=mode, kernel={"kind": kind, "s": s},
                        teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)})
     assert run_cli("distill", "--config", cfg) == 1
-    assert "error: kernel: s must be >= 1" in capsys.readouterr().err
+    assert f"error: kernel.s: expected an integer >= 1, got {s}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -812,6 +836,9 @@ BAD_VALUES = [
     ({"student": {"kind": "gcn", "hidden": -3}}, "student.hidden: expected an integer >= 1"),
     ({"student": {"depth": 0}}, "student.depth: expected an integer >= 1, got 0"),
     ({"split": {"pir": 0.5}}, "split.kind: missing required field"),
+    ({"student": {"kind": "gcn", "depth": 2, "hidden": 8,
+                  "checkpoint": "student.json"}},  # no command reads it
+     "student.checkpoint: no command reads a student checkpoint"),
 ]
 
 

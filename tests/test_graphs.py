@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geokd import graphs
+from geokd import config
 from geokd.errors import GraphParseError, ValidationError
 from geokd.graphs import (
     Graph,
@@ -20,6 +20,7 @@ from geokd.graphs import (
     split_nodes,
     write_json,
 )
+from geokd.models import GnnModel, build_model
 
 
 def tiny_graph(num_nodes=2, edges=((0, 1),)):
@@ -397,10 +398,12 @@ def test_failed_write_keeps_previous_file(tmp_path):
 
 def test_load_scans_for_booleans_only_when_the_text_holds_one(tmp_path, complete,
                                                              monkeypatch):
-    path = tmp_path / "g.json"
+    path, ckpt = tmp_path / "g.json", tmp_path / "model.json"
     save_graph(complete, path)
-    monkeypatch.setattr(graphs, "_holds_bool", lambda value: pytest.fail("scanned"))
+    build_model("gcn", complete.features.shape[1], 8, 2, 3).save(ckpt)
+    monkeypatch.setattr(config, "_holds_bool", lambda value: pytest.fail("scanned"))
     assert load_graph(path).num_nodes == complete.num_nodes
+    assert GnnModel.load(ckpt).dims == [complete.features.shape[1], 8, 3]
 
 
 def test_load_rejects_out_of_range_edge(tmp_path, complete):
