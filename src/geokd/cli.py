@@ -263,7 +263,13 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _require_file(path, flag: str):
+    if not Path(path).exists():
+        raise GraphParseError(flag, f"file not found: {path}")
+
+
 def _load_cfg(args) -> RunConfig:
+    _require_file(args.config, "--config")
     cfg = RunConfig.from_file(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.plan.seed = args.seed
@@ -311,8 +317,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not Path(args.checkpoint).exists():
-        raise ValidationError(f"checkpoint: file not found: {args.checkpoint}")
+    _require_file(args.checkpoint, "checkpoint")
+    _require_file(args.graph, "--graph")
     model = GnnModel.load(args.checkpoint)
     g = load_graph(args.graph)
     logits, _ = forward(model, g)

@@ -82,7 +82,7 @@ class InverseNhkMapper:
     def apply(self, h: Tensor) -> Tensor:
         if h.shape[1] != self.in_dim:
             raise DimensionError(f"mapper expects dim {self.in_dim}, got {h.shape[1]}")
-        return T.tanh(T.matmul(h, self.weight))
+        return T.tanh(T.matmul(h, self.weight), inplace=True)
 
     def parameters(self):
         return [self.weight]

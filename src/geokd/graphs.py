@@ -9,6 +9,7 @@ adjacency.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -30,14 +31,17 @@ def _rng(seed, *tags):
 def _canonical_edges(edges, num_nodes: int) -> np.ndarray:
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(arr):
-        if arr.min() < 0 or arr.max() >= num_nodes:
-            raise ValidationError("edge endpoint out of range")
-        if np.any(arr[:, 0] == arr[:, 1]):
-            raise ValidationError("self-loops are not stored")
+        outside = ((arr < 0) | (arr >= num_nodes)).any(axis=1)
+        for bad, what in ((outside, f"has an endpoint outside [0, {num_nodes})"),
+                          (arr[:, 0] == arr[:, 1], "is a self-loop, which is not stored")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise GraphParseError("edges", f"pair {i} {arr[i].tolist()} {what}")
         arr = np.sort(arr, axis=1)
         arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-        if len(arr) > 1 and np.any((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0)):
-            raise ValidationError("duplicate edge")
+        dup = np.flatnonzero((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0))
+        if len(dup):
+            raise GraphParseError("edges", f"duplicate edge {arr[dup[0]].tolist()}")
     return arr
 
 
@@ -47,36 +51,40 @@ class Graph:
     def __init__(self, num_nodes, edges, features, labels, train_mask, val_mask, test_mask):
         self.num_nodes = int(num_nodes)
         if self.num_nodes < 1:
-            raise ValidationError("num_nodes must be >= 1")
+            raise GraphParseError("num_nodes", f"expected an integer >= 1, got {num_nodes}")
         self.edges = _canonical_edges(edges, self.num_nodes)
         self.features = features if isinstance(features, Tensor) else Tensor(features)
         if self.features.shape[0] != self.num_nodes:
-            raise ValidationError(
-                f"features rows {self.features.shape[0]} != num_nodes {self.num_nodes}"
-            )
+            raise GraphParseError("features", f"{self.features.shape[0]} rows, expected one "
+                                  f"per node ({self.num_nodes})")
         bad = np.argwhere(~np.isfinite(self.features.values))
         if len(bad):
-            raise ValidationError(f"features[{bad[0][0]}][{bad[0][1]}] is not finite")
+            raise GraphParseError(f"features[{bad[0][0]}][{bad[0][1]}]", "expected a finite number")
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.labels.shape != (self.num_nodes,):
-            raise ValidationError("labels must have one entry per node")
-        self.train_mask = self._check_mask(train_mask, "train")
-        self.val_mask = self._check_mask(val_mask, "val")
-        self.test_mask = self._check_mask(test_mask, "test")
-        combined = np.concatenate([self.train_mask, self.val_mask, self.test_mask])
-        if len(np.unique(combined)) != len(combined):
-            raise ValidationError("train/val/test masks overlap")
-        if len(self.train_mask) and np.any(self.labels[self.train_mask] == UNLABELED):
-            raise ValidationError("train node without label")
+            raise GraphParseError("labels", f"{self.labels.size} entries, expected one per node "
+                                  f"({self.num_nodes})")
+        masks = {key: self._check_mask(mask, key)
+                 for key, mask in (("train", train_mask), ("val", val_mask), ("test", test_mask))}
+        for (first, m1), (key, m2) in itertools.combinations(masks.items(), 2):
+            both = np.intersect1d(m1, m2, assume_unique=True)
+            if len(both):
+                raise GraphParseError(f"masks.{key}", f"id {both[0]} is also in masks.{first}")
+        self.train_mask, self.val_mask, self.test_mask = masks.values()
+        unlabeled = self.train_mask[self.labels[self.train_mask] == UNLABELED]
+        if len(unlabeled):
+            raise GraphParseError(f"labels[{unlabeled[0]}]", f"training node without a label "
+                                  f"({UNLABELED})")
         self._norm_adj = None
         self._laplacian = None
         self._hops = [self.features]  # [X, A_hat X, ...], see propagated_features
         self._adjacency = None  # see adjacency
 
-    def _check_mask(self, mask, name):
+    def _check_mask(self, mask, key):
         m = np.unique(np.asarray(mask, dtype=np.int64))
-        if len(m) and (m.min() < 0 or m.max() >= self.num_nodes):
-            raise ValidationError(f"{name} mask id out of range")
+        bad = m[(m < 0) | (m >= self.num_nodes)]
+        if len(bad):
+            raise GraphParseError(f"masks.{key}", f"id {bad[0]} outside [0, {self.num_nodes})")
         return m
 
     def empty_split(self) -> str | None:

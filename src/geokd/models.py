@@ -154,7 +154,7 @@ def forward(model: GnnModel, g: Graph):
         else:
             h = T.matmul(T.spmm(a_hat, h), w)
         if l < model.num_layers - 1:
-            h = T.relu(h)
+            h = T.relu(h, inplace=True)  # over the fresh product, which no node reads
         trace.append(h)
     return h, trace
 

@@ -84,7 +84,7 @@ def randomized_features(h: Tensor, spec: KernelSpec, s: int | None = None) -> Te
     kernel is the decay-weighted mean of the m+1 Gram matrices.
     """
     proj, weights = build_projections(spec, h.shape[1], s), spec.weights()
-    phi = T.tanh(T.matmul(h, T.constant(proj)))
+    phi = T.tanh(T.matmul(h, T.constant(proj)), inplace=True)
     cols = np.repeat(np.sqrt(weights / len(weights)), proj.shape[1] // len(weights))
     return T.mul_elem(phi, T.constant(np.broadcast_to(cols, phi.shape)))
 

@@ -6,10 +6,13 @@ tape in reverse topological order. Sparse matrices are constants: gradients
 flow only through their dense operands.
 
 A sparse-dense product runs from a plan built once per matrix: rows are
-grouped by how many entries they store, and each group is one gather and one
-``einsum``. Every output row sums its entries one after another in column
-order, so results do not depend on how rows are grouped (see
-``SparseMatrix.matmul_dense`` for the one exception).
+grouped by how many entries they store, and each group runs in chunks of
+rows, one gather and one ``einsum`` per chunk. A chunk gathers about
+``_BLOCK_FLOATS`` floats at most (two rows at least), so the memory a product
+takes beyond its output is O(``_BLOCK_FLOATS``) at any n. Every output row
+sums its entries one after another in column order, so results do not depend
+on how rows are grouped or chunked (see ``SparseMatrix.matmul_dense`` for the
+one exception).
 
 The fused op ``kernel_alignment`` gives the weighted distance between two
 kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
@@ -27,6 +30,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
+
+# kernel_alignment's row blocks are at most b x n, b = max(64, 65536 // n): 512 KiB
+# up to n = 1024, never so few rows that gemms slow down; its edge chunks take
+# 65536 // w entries, and matmul_dense's chunks gather 65536 floats
+_BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
 
 
 class Tensor:
@@ -208,21 +216,25 @@ class SparseMatrix:
         return self._transpose
 
     def matmul_dense(self, x: np.ndarray, data=None) -> np.ndarray:
-        """CSR @ dense, one gather and one einsum per degree bucket; ``data``,
-        when given, replaces the stored values entry for entry.
+        """CSR @ dense, one gather and one einsum per chunk of a degree bucket;
+        ``data``, when given, replaces the stored values entry for entry.
 
         Rows storing k entries form one bucket, held as (k, rows) arrays of
         column indices and values, so there are at most sqrt(2 * nnz) buckets.
+        A bucket runs in chunks of c = max(2, _BLOCK_FLOATS // (k d)) rows for
+        x of width d, and a one-row tail joins the chunk before it: a chunk
+        gathers at most _BLOCK_FLOATS + k d floats when 2 k d <= _BLOCK_FLOATS,
+        and its product holds a k-th of that, whatever the row count.
+
         With the entry axis outermost, einsum adds entry j + 1 to the partial
         sum of entries 0..j: each row sums in column order, one entry after
-        another. The exception is a bucket of one row times a one-column x,
-        which einsum reduces as a dot product that may pair terms. Empty rows
-        stay zero.
+        another. The exception is a chunk of one row times a one-column x,
+        which einsum reduces as a dot product that may pair terms; chunking
+        makes one only of a bucket of one row. Empty rows stay zero.
 
         Rows storing one entry skip einsum and compute 0.0 + value * x in
         place on the gathered rows, the same rounding einsum applies (a -0.0
-        product becomes +0.0 in both). When one bucket holds every row, its
-        result is the output: a row selector is a single gather.
+        product becomes +0.0 in both).
         """
         if self.cols != x.shape[0]:
             raise DimensionError(f"spmm: {self.shape} @ {x.shape}")
@@ -236,13 +248,17 @@ class SparseMatrix:
         if data is not None and self._positions is None:  # built once, on the first data=
             self._positions = [self.indptr[rows] + np.arange(len(idx))[:, None]
                                for rows, idx, _ in self._plan]
-        plan = self._plan if data is None else [
-            (rows, idx, data[pos]) for (rows, idx, _), pos in zip(self._plan, self._positions)]
-        if len(plan) == 1 and len(plan[0][0]) == self.rows:
-            return _bucket_product(x, *plan[0][1:])
         out = np.zeros((self.rows, x.shape[1]))
-        for rows, idx, vals in plan:
-            out[rows] = _bucket_product(x, idx, vals)
+        for b, (rows, idx, vals) in enumerate(self._plan):
+            pos = None if data is None else self._positions[b]
+            step = max(2, _BLOCK_FLOATS // (len(idx) * x.shape[1] or 1))
+            if len(rows) <= step + 1:  # one chunk, with no views to slice
+                out[rows] = _bucket_product(x, idx, vals if pos is None else data[pos])
+                continue
+            bounds = [*range(0, len(rows) - 1, step), len(rows)]  # no one-row tail
+            for c in map(slice, bounds, bounds[1:]):
+                out[rows[c]] = _bucket_product(x, idx[:, c],
+                                               vals[:, c] if pos is None else data[pos[:, c]])
         return out
 
 
@@ -295,18 +311,25 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.values.T.copy(), (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
+# relu and tanh ``inplace`` overwrite a's values with their output, for a fresh
+# op output no other node reads: relu's backward reads only its mask, tanh's
+# only its output, and a matmul's or spmm's only its inputs
+def relu(a: Tensor, inplace: bool = False) -> Tensor:
     mask = a.values > 0  # subgradient 0 at exactly 0
 
     def backward(g):
         if a.requires_grad:
             a._accumulate_owned(g * mask)
 
-    return _make(np.where(mask, a.values, 0.0), (a,), backward)
+    # np.where(mask, a, 0.0)'s bits without its branch per entry: fmax maps NaN
+    # and every value <= 0 to 0.0 (or -0.0, on some paths), and + 0.0 gives +0.0
+    out_vals = np.fmax(a.values, 0.0, out=a.values if inplace else None)
+    out_vals += 0.0
+    return _make(out_vals, (a,), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out_vals = np.tanh(a.values)
+def tanh(a: Tensor, inplace: bool = False) -> Tensor:
+    out_vals = np.tanh(a.values, out=a.values if inplace else None)
 
     def backward(g):
         if a.requires_grad:
@@ -455,9 +478,6 @@ def gram(h: Tensor) -> Tensor:
     return matmul(h, transpose(h))
 
 
-# kernel_alignment's row blocks are at most b x n, b = max(64, 65536 // n): 512 KiB
-# up to n = 1024, never so few rows that gemms slow down; edge chunks, 65536 // w
-_BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
 _GRAM_KINDS = ("randomized", "parametric")  # kernels K = Phi Phi^T of factor rows
 
 

@@ -243,11 +243,15 @@ def train_supervised(g: Graph, model: GnnModel, plan: TrainPlan) -> TrainResult:
     return _fit(model, g, plan, lambda epoch, logits, trace: ((), 0.0, None))
 
 
-def _restrict(logits, trace, node_map):
-    """Teacher logit and trace values on the student's rows (all if None)."""
-    if node_map is None:
-        node_map = np.arange(logits.shape[0])
-    return logits.values[node_map], [h.values[node_map] for h in trace]
+def _teacher_view(logits, trace, node_map, read_logits: bool, entries):
+    """The teacher values a student mode reads, on the student's rows: the
+    logits if ``read_logits``, else None, and the trace with None at entries
+    not in ``entries``. With node_map None they are the teacher's own arrays,
+    uncopied."""
+    def rows(t):
+        return t.values if node_map is None else t.values[node_map]
+    return (rows(logits) if read_logits else None,
+            [rows(h) if i in entries else None for i, h in enumerate(trace)])
 
 
 def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
@@ -301,7 +305,6 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
     if not pgkd and len(t_trace) != student.num_layers + 1:
         raise ValidationError(f"teacher trace has {len(t_trace)} entries, student expects "
                               f"{student.num_layers + 1}")
-    t_view = _restrict(t_logits, t_trace, node_map)
     if pgkd:
         (early_t, late_t), (early_s, late_s) = pgkd_span(teacher), pgkd_span(student)
         t_late, t_early = (T.constant(t_trace[i].values) for i in (late_t, early_t))
@@ -310,6 +313,10 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
         if mapper_s is not mapper_t:
             phi_params = phi_params + mapper_s.parameters()
         opt_phi = Adam(phi_params, plan.lr_mapper, name="mapper weight")
+    # the epochs read the logits for soft labels alone, and the entries the
+    # alignment reads: pgkd's mapped late one, every other mode's 1 .. L-1
+    entries = () if cfg.alpha == 0 else (late_t,) if pgkd else range(1, len(t_trace) - 1)
+    t_view = _teacher_view(t_logits, t_trace, node_map, cfg.alpha_kd > 0, entries)
     if not online:  # frees the forward's tensors; a frozen teacher's epochs read arrays alone
         t_logits = t_trace = None
     batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
@@ -327,7 +334,7 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
             t_logits, t_trace = forward(teacher, g_complete)
             _, t_val, t_test = accuracies(t_logits.values, g_complete)
             tracker_t.update(epoch, t_val, t_test)
-            t_view = _restrict(t_logits, t_trace, node_map)
+            t_view = _teacher_view(t_logits, t_trace, node_map, cfg.alpha_kd > 0, entries)
         teacher_logits, teacher_feats = t_view
         if pgkd:  # the E-step reads the student's trace values as constants
             s_late, s_early = (T.constant(trace[i].values) for i in (late_s, early_s))
@@ -348,8 +355,9 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
                 ids = None
                 if batched:
                     ids = sample_distill_batch(g.num_nodes, cfg.batch_size, plan.seed, epoch)
-                    trace = [T.take_rows(h, ids) for h in trace]
-                    teacher_feats = [f[ids] for f in teacher_feats]
+                    trace = [T.take_rows(h, ids) if 0 < l < len(trace) - 1 else h  # 1 .. L-1
+                             for l, h in enumerate(trace)]
+                    teacher_feats = [f if f is None else f[ids] for f in teacher_feats]
                 dims = [h.shape[1] for h in trace]
                 if online or batched:
                     t_rows = teacher_layer_rows(teacher_feats, dims, spec)

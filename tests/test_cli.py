@@ -347,6 +347,34 @@ def assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("edges", lambda doc: [[0, doc["num_nodes"]]]),
+    ("edges", lambda doc: [[4, 4]]),
+    ("labels", lambda doc: doc["labels"][:-1]),
+    ("masks.val", lambda doc: doc["masks"]["val"] + doc["masks"]["train"][:1]),
+    ("masks.test", lambda doc: [doc["num_nodes"] + 3]),
+    ("features", lambda doc: doc["features"][:-1]),
+])
+def test_graph_with_a_structural_error_exits_1_naming_the_field(tmp_path, graph_file, capsys,
+                                                                field, bad):
+    doc = json.loads(graph_file.read_text())
+    assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, bad(doc))
+    ckpt = make_teacher(tmp_path, graph_file)
+    assert run_cli("eval", "--checkpoint", ckpt, "--graph", tmp_path / "bad_graph.json") == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_missing_file_exits_1_naming_its_flag(tmp_path, graph_file, capsys):
+    ckpt, missing = make_teacher(tmp_path, graph_file), tmp_path / "missing.json"
+    for argv, name in ((("eval", "--checkpoint", ckpt, "--graph", missing), "--graph"),
+                       (("eval", "--checkpoint", missing, "--graph", graph_file), "checkpoint"),
+                       (("train-teacher", "--config", missing), "--config"),
+                       (("distill", "--config", missing), "--config"),
+                       (("sweep-pir", "--config", missing), "--config")):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {name}: file not found: {missing}\n"
+
+
 def test_non_finite_checkpoint_weights_exit_1(tmp_path, graph_file, capsys):
     ckpt = make_teacher(tmp_path, graph_file)
     doc = json.loads(ckpt.read_text())

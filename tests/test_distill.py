@@ -240,6 +240,22 @@ def test_reconstruction_scalar_case():
         assert loss.item() == pytest.approx(expected)
 
 
+def test_mapper_tanh_overwrites_its_product_and_keeps_its_gradient():
+    h = T.constant(np.random.default_rng(4).standard_normal((5, 3)))
+    grads = []
+    for inplace in (False, True):
+        mapper = InverseNhkMapper(3, 6)
+        mapper.init(1)
+        if inplace:
+            out = mapper.apply(h)
+            assert out._parents[0].values is out.values
+        else:
+            out = T.tanh(T.matmul(h, mapper.weight))
+        T.sum_all(T.mul_elem(out, out)).backward()
+        grads.append(mapper.weight.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_reconstruction_gradient_wrt_mapper():
     mapper = InverseNhkMapper(3, 6)
     mapper.init(1)

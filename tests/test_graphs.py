@@ -55,6 +55,27 @@ def test_rejects_unlabeled_train_node():
         Graph(2, [], np.zeros((2, 1)), [-1, 0], [0], [], [])
 
 
+@pytest.mark.parametrize("args, message", [
+    ({"edges": [(0, 1), (2, 5)]}, "edges: pair 1 [2, 5] has an endpoint outside [0, 4)"),
+    ({"edges": [(0, 1), (3, 3)]}, "edges: pair 1 [3, 3] is a self-loop"),
+    ({"edges": [(2, 1), (0, 1), (1, 2)]}, "edges: duplicate edge [1, 2]"),
+    ({"num_nodes": 0}, "num_nodes: expected an integer >= 1, got 0"),
+    ({"features": np.zeros((3, 2))}, "features: 3 rows, expected one per node (4)"),
+    ({"labels": [0, 1, 0]}, "labels: 3 entries, expected one per node (4)"),
+    ({"labels": [0, -1, 0, 1]}, "labels[1]: training node without a label (-1)"),
+    ({"val": [2, 5]}, "masks.val: id 5 outside [0, 4)"),
+    ({"val": [2, 1]}, "masks.val: id 1 is also in masks.train"),
+    ({"test": [3, 2]}, "masks.test: id 2 is also in masks.val"),
+])
+def test_structural_errors_name_their_field(args, message):
+    kw = {"num_nodes": 4, "edges": [(0, 1)], "features": np.zeros((4, 2)),
+          "labels": [0, 1, 0, 1], "train": [0, 1], "val": [2], "test": [3], **args}
+    with pytest.raises(GraphParseError) as exc:
+        Graph(kw["num_nodes"], kw["edges"], kw["features"], kw["labels"], kw["train"],
+              kw["val"], kw["test"])
+    assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rejects_non_finite_features(bad):
     feats = np.zeros((3, 2))

@@ -3,7 +3,7 @@ import pytest
 
 from geokd import tensor as T
 from geokd.errors import DimensionError, ValidationError
-from geokd.graphs import Graph, normalize_adjacency, sbm_generate
+from geokd.graphs import Graph, normalize_adjacency, propagated_features, sbm_generate
 from geokd.models import (
     GnnModel,
     accuracy,
@@ -218,6 +218,22 @@ def test_gcn_trace_is_post_activation(graph):
     _, trace = forward(model, graph)
     assert len(trace) == 3
     assert np.all(trace[1].values >= 0.0)  # relu output
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_forward_overwrites_only_its_own_products(graph, depth):
+    # each relu overwrites the product it reads, which the tape then holds
+    # once; the cached propagations it multiplies stay as they were
+    model = build_model("gcn", 4, 8, depth, 2)
+    init_xavier(model, 5)
+    model.set_trainable(True)
+    cached = [h.values.copy() for h in propagated_features(graph, 1)]
+    for _ in range(2):
+        _, trace = forward(model, graph)
+    for h, before in zip(propagated_features(graph, 1), cached):
+        assert h.values.tobytes() == before.tobytes()
+    for h in trace[1:-1]:
+        assert h._parents[0].values is h.values
 
 
 def test_forward_permutation_equivariance(graph):

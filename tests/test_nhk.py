@@ -181,6 +181,15 @@ def test_stacked_matches_looped_variants(variant):
         assert_rel(a, b)
 
 
+def test_randomized_features_tanh_overwrites_its_product():
+    h = T.parameter(np.random.default_rng(2).standard_normal((6, 3)))
+    before = h.values.copy()
+    phi = randomized_features(h, KernelSpec(kind="randomized", m=2), 4)
+    tanh_out = phi._parents[0]  # phi = mul_elem(tanh(matmul(h, P)), scale)
+    assert tanh_out._parents[0].values is tanh_out.values
+    assert h.values.tobytes() == before.tobytes()
+
+
 def test_randomized_features_column_blocks():
     h = feats(6, 3, 12)
     spec = KernelSpec(kind="randomized", m=2, t=1.5, seed=4)

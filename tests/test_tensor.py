@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,68 @@ def test_spmm_single_entry_rows_round_like_einsum():
     assert not np.any(np.signbit(got[0]))
 
 
+def chunk_rows(monkeypatch):
+    """Spy on matmul_dense's chunks: the row count of each _bucket_product call."""
+    sizes, product = [], T._bucket_product
+
+    def spy(x, idx, vals):
+        sizes.append(idx.shape[1])
+        return product(x, idx, vals)
+
+    monkeypatch.setattr(T, "_bucket_product", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("d", [1, 3, 32])
+@pytest.mark.parametrize("block", [1, 64, 4096])
+def test_chunked_spmm_matches_the_unchunked_bits(monkeypatch, d, block):
+    # buckets of 17, 33, 33 and 1 rows (degrees 4, 2, 1 and 7): chunks of 2
+    # rows (block 1), or of 16 and 32 rows (block 64, d 1), leave one-row
+    # tails, which join the chunk before them
+    degrees = [4] * 9 + [2] * 17 + [1] * 33 + [7] + [0] * 3 + [4] * 8 + [2] * 16
+    rows, cols = len(degrees), 40
+    s = random_csr(d * 10 + block, rows, cols, degrees)
+    rng = np.random.default_rng(block + d)
+    x, other = rng.uniform(-1, 1, size=(cols, d)), rng.uniform(-1, 1, size=s.nnz)
+    unchunked = SparseMatrix(rows, cols, s.indptr, s.indices, s.data)
+    monkeypatch.setattr(T, "_BLOCK_FLOATS", 1 << 60)
+    want, want_data = unchunked.matmul_dense(x), unchunked.matmul_dense(x, other)
+    monkeypatch.setattr(T, "_BLOCK_FLOATS", block)
+    sizes = chunk_rows(monkeypatch)
+    assert s.matmul_dense(x).tobytes() == want.tobytes()
+    assert s.matmul_dense(x, other).tobytes() == want_data.tobytes()
+    counts = np.bincount(np.diff(s.indptr))
+    assert sum(sizes) == 2 * (rows - counts[0])  # every stored row once per call
+    assert sizes.count(1) == 2  # the one-row bucket, never a tail
+    if block == 1:
+        assert max(sizes) == 3  # chunks of two rows, a tail joining the last
+    # integer values sum exactly, so every order gives densify's product
+    ints = SparseMatrix(rows, cols, s.indptr, s.indices, rng.integers(-3, 4, size=s.nnz))
+    xi = rng.integers(-5, 6, size=(cols, d)).astype(float)
+    assert ints.matmul_dense(xi).tobytes() == (ints.densify() @ xi).tobytes()
+
+
+@pytest.mark.parametrize("degrees", [[3] * 20_480, [3] * 20_480 + [2] * 1_000])
+def test_chunked_spmm_holds_at_most_the_output_and_two_blocks(degrees):
+    # one bucket of every row, then beside a second bucket: the gathered rows
+    # of a 20k-row bucket at width 32 would take 15 MiB
+    n = len(degrees)
+    rows = np.repeat(np.arange(n), degrees)
+    cols = (rows + np.concatenate([np.arange(k) for k in degrees])) % n
+    s = SparseMatrix.from_coo(n, n, rows, cols, np.full(len(rows), 0.5))
+    x = np.random.default_rng(0).uniform(-1, 1, size=(n, 32))
+    other = np.full(s.nnz, 0.25)
+    s.matmul_dense(x, other)  # builds the plan and entry positions, which the matrix keeps
+    for data in (None, other):
+        tracemalloc.start()
+        try:
+            out = s.matmul_dense(x, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * T._BLOCK_FLOATS * 8
+
+
 def test_spmm_gradient_flows_to_dense_only():
     s = SparseMatrix.from_coo(3, 3, [0, 1, 2, 2], [1, 2, 0, 1], [1.0, -2.0, 0.5, 3.0])
     x = rand((3, 2), 6)
@@ -196,6 +260,38 @@ def test_relu_gradient_zero_at_zero():
     x = Tensor([[0.0, -1.0, 1.0]], requires_grad=True)
     T.sum_all(T.relu(x)).backward()
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+
+
+SPECIAL = [np.nan, -0.0, 0.0, -1e-300, 1e-300, -5e-324, 5e-324, -2.5, 3.0, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("op, ref", [(T.relu, lambda x: np.where(x > 0, x, 0.0)),
+                                     (T.tanh, np.tanh)])
+@pytest.mark.parametrize("cols", [1, 3, 7, 11, 64])  # vector loops and their tails
+def test_inplace_activation_matches_out_of_place(op, ref, cols):
+    x = np.resize(SPECIAL, (5, cols))
+    a, b = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+    want = op(a)
+    got = op(b, inplace=True)
+    assert want.values.tobytes() == got.values.tobytes() == ref(x).tobytes()
+    assert got.values is b.values and a.values.tobytes() == x.tobytes()
+    g = np.random.default_rng(0).uniform(-1, 1, size=x.shape)
+    want._backward(g.copy())
+    got._backward(g.copy())
+    assert b.grad.tobytes() == a.grad.tobytes()
+
+
+@pytest.mark.parametrize("op", [T.relu, T.tanh])
+def test_inplace_activation_over_a_product_keeps_its_gradients(op):
+    def loss(inplace):
+        h = rand((5, 4), 11)
+        w = rand((4, 3), 12)
+        out = op(T.matmul(h, w), inplace=inplace)
+        T.sum_all(T.mul_elem(out, out)).backward()
+        return out.values, h.grad, w.grad
+
+    for want, got in zip(loss(False), loss(True)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tanh_odd():

@@ -314,6 +314,17 @@ def test_gkd_minibatch_runs_and_is_deterministic(graphs, teacher):
     assert run() == run()
 
 
+def test_gkd_minibatch_gathers_only_the_aligned_student_entries(graphs, teacher, monkeypatch):
+    g_c, g = graphs
+    shapes, take_rows = [], T.take_rows
+    monkeypatch.setattr(T, "take_rows", lambda a, idx: shapes.append(a.shape) or take_rows(a, idx))
+    plan = quick_plan(mode="gkd_offline", seed=4, epochs=2,
+                      distill=DistillConfig(alpha=1.0, batch_size=8))
+    train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
+    # each epoch: the cross-entropy's training rows, then trace entries 1 and 2
+    assert shapes == [(40, 2), (40, 8), (40, 8)] * 2
+
+
 def test_gkd_minibatch_builds_no_full_weight_matrix(graphs, teacher, monkeypatch):
     # no batch builds W: gauss and randomized batches both run the blocked op
     g_c, g = graphs
@@ -349,6 +360,42 @@ def test_gkd_node_aware_alignment(graphs, teacher):
     student = build_model("gcn", 6, 8, 3, 2)
     res = train_student(plan, g, g_c, teacher, student, node_map)
     assert len(res.metrics) == 10
+
+
+@pytest.mark.parametrize("mode, alpha, alpha_kd, nodes, entries", [
+    ("gkd_offline", 1.0, 0.0, False, [1, 2]),  # X and the logits are never aligned
+    ("gkd_offline", 1.0, 0.5, True, [1, 2]),
+    ("gkd_offline", 0.0, 0.5, False, []),
+    ("online", 1.0, 0.0, False, [1, 2]),
+    ("pgkd", 1e-3, 0.0, True, [2]),  # the mapped late entry alone
+])
+def test_teacher_view_holds_only_what_the_mode_reads(graphs, teacher, monkeypatch, mode, alpha,
+                                                     alpha_kd, nodes, entries):
+    g_c, g = graphs
+    node_map = None
+    if nodes:
+        g, node_map = split_nodes(g_c, 0.5, 8)
+    views, view = [], training._teacher_view
+
+    def spy(logits, trace, *args):
+        views.append((logits, trace, view(logits, trace, *args)))
+        return views[-1][2]
+
+    monkeypatch.setattr(training, "_teacher_view", spy)
+    if mode == "online":  # trains a teacher of its own
+        teacher = build_model("gcn", 6, 8, 3, 2)
+    plan = quick_plan(mode=mode, seed=3, epochs=3,
+                      distill=DistillConfig(alpha=alpha, delta=0.2, alpha_kd=alpha_kd))
+    train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2), node_map)
+    assert len(views) == (4 if mode == "online" else 1)  # online: once per teacher forward
+    for logits, trace, (t_logits, feats) in views:
+        assert [i for i, f in enumerate(feats) if f is not None] == entries
+        assert (t_logits is None) == (alpha_kd == 0)
+        for got, src in [(feats[i], trace[i]) for i in entries] + [(t_logits, logits)]:
+            if got is not None and node_map is None:
+                assert got is src.values  # the teacher's own array, uncopied
+            elif got is not None:
+                np.testing.assert_array_equal(got, src.values[node_map])
 
 
 def test_gkd_compression_dims(graphs, teacher):
