@@ -151,6 +151,10 @@ class RunConfig:
                                   "from scratch and reads no checkpoint")
         if student.checkpoint is not None:
             raise GraphParseError("student.checkpoint", "no command reads a student checkpoint")
+        for name, value in (("split", split), ("partial_graph", partial)):
+            if mode in ("self_distill", "compression") and value is not None:
+                raise GraphParseError(name, f"mode '{mode}' trains its student on "
+                                      "complete_graph and reads no partial view")
         return cls(
             complete_graph=complete,
             plan=plan,

@@ -81,10 +81,12 @@ class Graph:
         self._adjacency = None  # see adjacency
 
     def _check_mask(self, mask, key):
-        m = np.unique(np.asarray(mask, dtype=np.int64))
+        m, seen = np.unique(np.asarray(mask, dtype=np.int64), return_counts=True)
         bad = m[(m < 0) | (m >= self.num_nodes)]
         if len(bad):
             raise GraphParseError(f"masks.{key}", f"id {bad[0]} outside [0, {self.num_nodes})")
+        if np.any(seen > 1):
+            raise GraphParseError(f"masks.{key}", f"id {m[np.argmax(seen > 1)]} is repeated")
         return m
 
     def empty_split(self) -> str | None:
@@ -127,7 +129,7 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
         n, n, np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
     )
     # entries (u, v) and (v, u) hold the same product, so the matrix is exactly
-    # symmetric and backward passes reuse its matmul_dense plan
+    # symmetric and backward passes reuse it
     g._norm_adj._transpose = g._norm_adj
     return g._norm_adj
 
@@ -144,7 +146,7 @@ def propagated_features(g: Graph, hops: int) -> list:
 
 
 def adjacency(g: Graph, ids=None) -> SparseMatrix:
-    """Binary adjacency among the nodes ``ids`` as CSR, cached when ids is None.
+    """Binary adjacency among the nodes ``ids``, cached when ids is None.
 
     Entry (p, q) is 1 when (ids[p], ids[q]) is an edge, so a repeated id
     repeats its node's row and column, and copies of one node stay unlinked.
@@ -176,11 +178,9 @@ def laplacian_sym(g: Graph) -> SparseMatrix:
     if g._laplacian is not None:
         return g._laplacian
     a = normalize_adjacency(g)
-    data = -a.data.copy()
-    # each row's diagonal entry is present by construction
-    diag = np.flatnonzero(a.indices == a.row_ids())
-    data[diag] = 1.0 - a.data[diag]
-    g._laplacian = SparseMatrix(a.rows, a.cols, a.indptr.copy(), a.indices.copy(), data)
+    diag = a.indices == a.row_ids  # each row's diagonal entry is present by construction
+    g._laplacian = SparseMatrix.from_coo(a.rows, a.cols, a.row_ids, a.indices,
+                                         np.where(diag, 1.0 - a.data, -a.data))
     return g._laplacian
 
 

@@ -1,13 +1,15 @@
-"""Dense tensors with reverse-mode differentiation, plus fixed CSR operators.
+"""Dense tensors with reverse-mode differentiation, plus fixed sparse operators.
 
 Tensors are strictly rank-2 float64. Each differentiable op records its
 parents and a backward closure; calling ``backward()`` on a scalar walks the
 tape in reverse topological order. Sparse matrices are constants: gradients
 flow only through their dense operands.
 
-A sparse-dense product runs from a plan built once per matrix: rows are
-grouped by how many entries they store, and each group runs in chunks of
-rows, one gather and one ``einsum`` per chunk. A chunk gathers about
+A sparse matrix stores each entry once, in the order its sparse-dense
+product reads them: rows are grouped by how many entries they store, each
+group is one entry-major block, and the groups' column ids and values are
+views of the stored arrays, made once. Each group runs in chunks of rows,
+one gather and one ``einsum`` per chunk. A chunk gathers about
 ``_BLOCK_FLOATS`` floats at most (two rows at least), so the memory a product
 takes beyond its output is O(``_BLOCK_FLOATS``) at any n. Every output row
 sums its entries one after another in column order, so results do not depend
@@ -144,42 +146,56 @@ def parameter(values) -> Tensor:
 
 
 class SparseMatrix:
-    """CSR matrix with strictly increasing column indices per row."""
+    """Sparse matrix holding each entry once, in ``matmul_dense``'s order.
 
-    def __init__(self, rows: int, cols: int, indptr, indices, data):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-        self._transpose = None
-        self._plan = None  # cached degree buckets for matmul_dense
-        self._positions = None  # each bucket's entry positions, for data=
-        self._validate()
+    Rows are grouped into buckets by how many entries they store, the buckets
+    by ascending count. A bucket of m rows storing k entries each holds its
+    entries as one entry-major (k, m) block: rows ascending along m, each
+    row's entries in column order along k. ``row_ids``, ``indices`` and
+    ``data`` hold the entries in that order, and each bucket's (k, m) column
+    ids and values are views of ``indices`` and ``data``, made once: the
+    matrix holds three nnz-long arrays and one row list per bucket.
+    ``from_coo`` builds one.
+    """
 
-    def _validate(self):
-        if self.rows < 0 or self.cols < 0:
+    @classmethod
+    def from_coo(cls, rows: int, cols: int, rr, cc, vv) -> "SparseMatrix":
+        """The rows x cols matrix with value vv[p] at (rr[p], cc[p]), given in any
+        order; ids outside the shape and repeated (row, col) pairs are refused."""
+        rr, cc = np.asarray(rr, dtype=np.int64), np.asarray(cc, dtype=np.int64)
+        vv = np.asarray(vv, dtype=np.float64)
+        if rows < 0 or cols < 0:
             raise ValidationError("negative dimensions")
-        if self.indptr.shape != (self.rows + 1,):
-            raise ValidationError("indptr length must be rows+1")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
-            raise ValidationError("indptr endpoints inconsistent with indices")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValidationError("indptr must be nondecreasing")
-        if len(self.indices) != len(self.data):
-            raise ValidationError("indices/data length mismatch")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.cols):
-            raise ValidationError("column index out of range")
-        row_ids = self.row_ids()
-        bad = np.flatnonzero((np.diff(self.indices) <= 0) & (np.diff(row_ids) == 0))
-        if len(bad):
-            raise ValidationError(
-                f"row {row_ids[bad[0]]}: column indices not strictly increasing"
-            )
-
-    def row_ids(self) -> np.ndarray:
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+        if rr.ndim != 1 or not rr.shape == cc.shape == vv.shape:
+            raise ValidationError("row ids, column ids and values differ in shape")
+        for ids, size, what in ((rr, rows, "row"), (cc, cols, "column")):
+            if len(ids) and (ids.min() < 0 or ids.max() >= size):
+                raise ValidationError(f"{what} index out of range")
+        key = rr * cols + cc  # row-major position, unique unless an entry repeats
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            r, c = divmod(int(key[dup[0]]), cols)
+            raise ValidationError(f"row {r}: repeated entry in column {c}")
+        counts = np.bincount(rr, minlength=rows)
+        by_count = np.argsort(counts, kind="stable")  # ties keep row order
+        ks, sizes = np.unique(counts[by_count], return_counts=True)
+        first = np.cumsum(counts) - counts  # each row's first entry in order
+        del key  # from here the build holds one nnz-long index (order) beside its input and output
+        self = cls.__new__(cls)
+        self.rows, self.cols, self._transpose, self._buckets = int(rows), int(cols), None, []
+        stored = [np.empty(len(a), a.dtype) for a in (rr, cc, vv)]
+        self.row_ids, self.indices, self.data = stored
+        lo = 0
+        for k, ids in zip(ks, np.split(by_count, np.cumsum(sizes)[:-1])):
+            if k:  # the bucket's entries, entry-major, taken into views of the stored arrays
+                at = order[first[ids] + np.arange(k)[:, None]]
+                _, idx, vals = (np.take(a, at, out=s[lo:lo + at.size].reshape(at.shape))
+                                for a, s in zip((rr, cc, vv), stored))
+                self._buckets.append((ids, lo, idx, vals))  # rows, first entry, (k, rows)
+                lo += at.size
+        return self
 
     @property
     def shape(self):
@@ -189,38 +205,24 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    @classmethod
-    def from_coo(cls, rows: int, cols: int, rr, cc, vv) -> "SparseMatrix":
-        rr = np.asarray(rr, dtype=np.int64)
-        cc = np.asarray(cc, dtype=np.int64)
-        vv = np.asarray(vv, dtype=np.float64)
-        order = np.lexsort((cc, rr))
-        rr, cc, vv = rr[order], cc[order], vv[order]
-        if len(rr) > 1 and np.any((np.diff(rr) == 0) & (np.diff(cc) == 0)):
-            raise ValidationError("duplicate (row, col) entry")
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(indptr, rr + 1, 1)
-        indptr = np.cumsum(indptr)
-        return cls(rows, cols, indptr, cc, vv)
-
     def densify(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        out[self.row_ids(), self.indices] = self.data
+        out[self.row_ids, self.indices] = self.data
         return out
 
     def transpose(self) -> "SparseMatrix":
         if self._transpose is None:
-            self._transpose = SparseMatrix.from_coo(
-                self.cols, self.rows, self.indices, self.row_ids(), self.data
-            )
+            self._transpose = SparseMatrix.from_coo(self.cols, self.rows, self.indices,
+                                                    self.row_ids, self.data)
         return self._transpose
 
     def matmul_dense(self, x: np.ndarray, data=None) -> np.ndarray:
-        """CSR @ dense, one gather and one einsum per chunk of a degree bucket;
-        ``data``, when given, replaces the stored values entry for entry.
+        """self @ x, one gather and one einsum per chunk of a degree bucket;
+        ``data``, when given, replaces the stored values entry for entry, in
+        the stored order, as the same views.
 
-        Rows storing k entries form one bucket, held as (k, rows) arrays of
-        column indices and values, so there are at most sqrt(2 * nnz) buckets.
+        A bucket of rows storing k entries each is held as (k, rows) arrays of
+        column ids and values, so there are at most sqrt(2 * nnz) buckets.
         A bucket runs in chunks of c = max(2, _BLOCK_FLOATS // (k d)) rows for
         x of width d, and a one-row tail joins the chunk before it: a chunk
         gathers at most _BLOCK_FLOATS + k d floats when 2 k d <= _BLOCK_FLOATS,
@@ -238,27 +240,17 @@ class SparseMatrix:
         """
         if self.cols != x.shape[0]:
             raise DimensionError(f"spmm: {self.shape} @ {x.shape}")
-        if self._plan is None:
-            counts = np.diff(self.indptr)
-            self._plan = []
-            for k in np.unique(counts[counts > 0]):
-                rows = np.flatnonzero(counts == k)
-                pos = self.indptr[rows] + np.arange(k)[:, None]
-                self._plan.append((rows, self.indices[pos], self.data[pos]))
-        if data is not None and self._positions is None:  # built once, on the first data=
-            self._positions = [self.indptr[rows] + np.arange(len(idx))[:, None]
-                               for rows, idx, _ in self._plan]
         out = np.zeros((self.rows, x.shape[1]))
-        for b, (rows, idx, vals) in enumerate(self._plan):
-            pos = None if data is None else self._positions[b]
+        for rows, lo, idx, vals in self._buckets:
+            if data is not None:
+                vals = data[lo:lo + idx.size].reshape(idx.shape)
             step = max(2, _BLOCK_FLOATS // (len(idx) * x.shape[1] or 1))
             if len(rows) <= step + 1:  # one chunk, with no views to slice
-                out[rows] = _bucket_product(x, idx, vals if pos is None else data[pos])
+                out[rows] = _bucket_product(x, idx, vals)
                 continue
             bounds = [*range(0, len(rows) - 1, step), len(rows)]  # no one-row tail
             for c in map(slice, bounds, bounds[1:]):
-                out[rows[c]] = _bucket_product(x, idx[:, c],
-                                               vals[:, c] if pos is None else data[pos[:, c]])
+                out[rows[c]] = _bucket_product(x, idx[:, c], vals[:, c])
         return out
 
 
@@ -600,7 +592,7 @@ def _edge_kernel(spec, operands, adj: SparseMatrix) -> np.ndarray:
     ``_kernel_operands`` (u, v): chunks of entries take their rows' inner
     products (a sampled dense-dense product; np.take gathers rows faster than
     u[r])."""
-    (u, v), rows, cols = operands, adj.row_ids(), adj.indices
+    (u, v), rows, cols = operands, adj.row_ids, adj.indices
     out, step = np.empty(adj.nnz), max(1, _BLOCK_FLOATS // u.shape[1])
     for lo in range(0, adj.nnz, step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]

@@ -353,6 +353,7 @@ def assert_bad_graph_exits_1_naming(tmp_path, graph_file, capsys, field, value):
     ("labels", lambda doc: doc["labels"][:-1]),
     ("masks.val", lambda doc: doc["masks"]["val"] + doc["masks"]["train"][:1]),
     ("masks.test", lambda doc: [doc["num_nodes"] + 3]),
+    ("masks.train", lambda doc: doc["masks"]["train"] + doc["masks"]["train"][:1]),
     ("features", lambda doc: doc["features"][:-1]),
 ])
 def test_graph_with_a_structural_error_exits_1_naming_the_field(tmp_path, graph_file, capsys,
@@ -570,6 +571,20 @@ def test_partial_graph_with_other_features_exits_1(tmp_path, graph_file, capsys)
     assert not (tmp_path / "out").exists()
     partial.write_text(graph_file.read_text())  # the same features run
     assert run_cli("distill", "--config", cfg) == 0
+
+
+@pytest.mark.parametrize("mode", ["self_distill", "compression"])
+@pytest.mark.parametrize("key", ["split", "partial_graph"])
+def test_complete_graph_mode_with_a_partial_view_exits_1_before_any_read(
+        tmp_path, graph_file, capsys, monkeypatch, mode, key):
+    # these modes train the student on complete_graph: a split or file would go unread
+    monkeypatch.setattr(cli, "load_graph", lambda path: pytest.fail(f"read {path}"))
+    view = {"split": None, "partial_graph": str(graph_file)} if key == "partial_graph" else {}
+    cfg = write_config(tmp_path, graph_file, mode=mode, **view)
+    assert run_cli("distill", "--config", cfg) == 1
+    assert f"error: {key}: mode '{mode}' trains its student on complete_graph" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,7 @@ def test_rejects_unlabeled_train_node():
     ({"val": [2, 5]}, "masks.val: id 5 outside [0, 4)"),
     ({"val": [2, 1]}, "masks.val: id 1 is also in masks.train"),
     ({"test": [3, 2]}, "masks.test: id 2 is also in masks.val"),
+    ({"train": [1, 0, 1, 0]}, "masks.train: id 0 is repeated"),
 ])
 def test_structural_errors_name_their_field(args, message):
     kw = {"num_nodes": 4, "edges": [(0, 1)], "features": np.zeros((4, 2)),
@@ -178,16 +179,16 @@ def test_matmul_dense_matches_densify_on_seeded_graphs(seed):
             x = rng.uniform(-1, 1, size=(m.cols, d))
             want = m.densify() @ x
             assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
-            # values given per entry, on the same cached plan, then the stored ones again
+            # values given per entry, in the stored order, then the stored ones again
             data = rng.uniform(-1, 1, size=m.nnz)
             other = np.zeros(m.shape)
-            other[m.row_ids(), m.indices] = data
+            other[m.row_ids, m.indices] = data
             assert np.max(np.abs(m.matmul_dense(x, data) - other @ x), initial=0.0) < 1e-12
             assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
 
 
 def test_seeded_graphs_cover_the_edge_cases():
-    # the seeds above reach every case the bucket plan special-cases
+    # the seeds above reach every case the degree buckets special-case
     graphs = [seeded_graph(seed) for seed in range(40)]
     assert any(g.num_nodes == 1 for g in graphs)
     assert any(g.num_edges == 0 and g.num_nodes > 1 for g in graphs)
@@ -205,7 +206,7 @@ def test_matmul_dense_on_a_batch_with_repeated_ids(ids):
     assert np.max(np.abs(a.matmul_dense(x) - full[np.ix_(ids, ids)] @ x)) < 1e-12
     data = np.arange(1.0, a.nnz + 1)
     dense = np.zeros(a.shape)
-    dense[a.row_ids(), a.indices] = data
+    dense[a.row_ids, a.indices] = data
     assert np.max(np.abs(a.matmul_dense(x, data) - dense @ x), initial=0.0) < 1e-12
 
 

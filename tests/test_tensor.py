@@ -52,7 +52,7 @@ def test_spmm_identity():
 
 
 def test_spmm_empty_matrix_annihilates():
-    s = SparseMatrix(3, 3, [0, 0, 0, 0], [], [])
+    s = SparseMatrix.from_coo(3, 3, [], [], [])
     out = T.spmm(s, rand((3, 2), 4))
     np.testing.assert_array_equal(out.values, np.zeros((3, 2)))
 
@@ -75,7 +75,7 @@ def test_spmm_handles_empty_rows():
 
 
 def random_csr(seed, rows, cols, degrees):
-    """CSR matrix whose row r stores degrees[r] distinct random columns."""
+    """Sparse matrix whose row r stores degrees[r] distinct random columns."""
     rng = np.random.default_rng(seed)
     rr, cc = [], []
     for r, k in enumerate(degrees):
@@ -88,7 +88,8 @@ def row_sequential(s, x):
     """Reference spmm: each row adds its entries one at a time in column order."""
     out = np.zeros((s.rows, x.shape[1]))
     for r in range(s.rows):
-        seg = slice(s.indptr[r], s.indptr[r + 1])
+        seg = np.flatnonzero(s.row_ids == r)
+        seg = seg[np.argsort(s.indices[seg])]
         terms = s.data[seg, None] * x[s.indices[seg]]
         if len(terms):
             acc = terms[0].copy()
@@ -122,28 +123,26 @@ def test_spmm_bucket_plan_matches_dense(rows, cols, degrees, d):
     assert np.max(np.abs(got - s.densify() @ x), initial=0.0) < 1e-12
     if d > 1:
         np.testing.assert_array_equal(got, row_sequential(s, x))
-    np.testing.assert_array_equal(s.matmul_dense(x), got)  # cached plan reused
-    # values given per entry run on the same plan, as if they were stored
+    np.testing.assert_array_equal(s.matmul_dense(x), got)  # stored buckets reused
+    # values given per entry run on the same buckets, as if they were stored
     other = np.random.default_rng(seed + 2).uniform(-1, 1, size=s.nnz)
     np.testing.assert_array_equal(
         s.matmul_dense(x, other),
-        SparseMatrix(rows, cols, s.indptr, s.indices, other).matmul_dense(x))
+        SparseMatrix.from_coo(rows, cols, s.row_ids, s.indices, other).matmul_dense(x))
 
 
-def test_matmul_dense_builds_entry_positions_once():
+def test_buckets_are_views_of_the_stored_entries():
     s = random_csr(7, 16, 40, SKEWED)
-    x = np.random.default_rng(8).uniform(-1, 1, size=(40, 3))
-    assert s._positions is None
-    for seed in range(3):
-        other = np.random.default_rng(seed).uniform(-1, 1, size=s.nnz)
-        np.testing.assert_array_equal(
-            s.matmul_dense(x, other),
-            SparseMatrix(16, 40, s.indptr, s.indices, other).matmul_dense(x))
-        if seed == 0:
-            positions = s._positions
-        assert s._positions is positions  # built on the first call, then kept
-    # the stored values are kept beside the positions, not replaced by them
-    np.testing.assert_array_equal(s.matmul_dense(x), row_sequential(s, x))
+    assert len(s._buckets) == len(set(SKEWED) - {0})
+    for rows, lo, idx, vals in s._buckets:
+        assert idx.shape == vals.shape == (SKEWED[rows[0]], len(rows))
+        assert np.shares_memory(idx, s.indices) and np.shares_memory(vals, s.data)
+        np.testing.assert_array_equal(s.row_ids[lo:lo + idx.size], np.tile(rows, len(idx)))
+        assert np.all(np.diff(rows) > 0) and np.all(np.diff(idx, axis=0) > 0)
+    # the stored order does not depend on the order the entries come in
+    again = SparseMatrix.from_coo(16, 40, s.row_ids[::-1], s.indices[::-1], s.data[::-1])
+    for a in ("row_ids", "indices", "data"):
+        np.testing.assert_array_equal(getattr(again, a), getattr(s, a))
 
 
 def test_spmm_single_entry_rows_round_like_einsum():
@@ -158,7 +157,7 @@ def test_spmm_single_entry_rows_round_like_einsum():
         for r, c, v in zip([0, 1, 3, 4], [2, 0, 1, 2], vals):
             want[r] = np.einsum("krd,kr->rd", x[[[c]]], np.array([[v]]))[0]
         assert got.tobytes() == want.tobytes()
-    selector = SparseMatrix(4, 3, np.arange(5), [2, 0, 0, 1], np.ones(4))
+    selector = SparseMatrix.from_coo(4, 3, np.arange(4), [2, 0, 0, 1], np.ones(4))
     got = selector.matmul_dense(x)
     assert got.tobytes() == (x[[2, 0, 0, 1]] + 0.0).tobytes()
     assert not np.any(np.signbit(got[0]))
@@ -187,20 +186,21 @@ def test_chunked_spmm_matches_the_unchunked_bits(monkeypatch, d, block):
     s = random_csr(d * 10 + block, rows, cols, degrees)
     rng = np.random.default_rng(block + d)
     x, other = rng.uniform(-1, 1, size=(cols, d)), rng.uniform(-1, 1, size=s.nnz)
-    unchunked = SparseMatrix(rows, cols, s.indptr, s.indices, s.data)
+    unchunked = SparseMatrix.from_coo(rows, cols, s.row_ids, s.indices, s.data)
     monkeypatch.setattr(T, "_BLOCK_FLOATS", 1 << 60)
     want, want_data = unchunked.matmul_dense(x), unchunked.matmul_dense(x, other)
     monkeypatch.setattr(T, "_BLOCK_FLOATS", block)
     sizes = chunk_rows(monkeypatch)
     assert s.matmul_dense(x).tobytes() == want.tobytes()
     assert s.matmul_dense(x, other).tobytes() == want_data.tobytes()
-    counts = np.bincount(np.diff(s.indptr))
+    counts = np.bincount(np.bincount(s.row_ids, minlength=rows))
     assert sum(sizes) == 2 * (rows - counts[0])  # every stored row once per call
     assert sizes.count(1) == 2  # the one-row bucket, never a tail
     if block == 1:
         assert max(sizes) == 3  # chunks of two rows, a tail joining the last
     # integer values sum exactly, so every order gives densify's product
-    ints = SparseMatrix(rows, cols, s.indptr, s.indices, rng.integers(-3, 4, size=s.nnz))
+    ints = SparseMatrix.from_coo(rows, cols, s.row_ids, s.indices,
+                                 rng.integers(-3, 4, size=s.nnz))
     xi = rng.integers(-5, 6, size=(cols, d)).astype(float)
     assert ints.matmul_dense(xi).tobytes() == (ints.densify() @ xi).tobytes()
 
@@ -215,7 +215,6 @@ def test_chunked_spmm_holds_at_most_the_output_and_two_blocks(degrees):
     s = SparseMatrix.from_coo(n, n, rows, cols, np.full(len(rows), 0.5))
     x = np.random.default_rng(0).uniform(-1, 1, size=(n, 32))
     other = np.full(s.nnz, 0.25)
-    s.matmul_dense(x, other)  # builds the plan and entry positions, which the matrix keeps
     for data in (None, other):
         tracemalloc.start()
         try:
@@ -234,12 +233,15 @@ def test_spmm_gradient_flows_to_dense_only():
 
 
 def test_sparse_validation():
-    with pytest.raises(ValidationError):
-        SparseMatrix(2, 2, [0, 1, 2], [0, 5], [1.0, 1.0])  # col out of range
+    with pytest.raises(ValidationError, match="column index out of range"):
+        SparseMatrix.from_coo(2, 2, [0, 1], [0, 5], [1.0, 1.0])
+    for row in (2, -1):
+        with pytest.raises(ValidationError, match="row index out of range"):
+            SparseMatrix.from_coo(2, 2, [0, row], [0, 1], [1.0, 1.0])
     with pytest.raises(ValidationError):
         SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 1.0])  # duplicate
     with pytest.raises(ValidationError, match="row 2"):
-        SparseMatrix(3, 3, [0, 1, 3, 5], [2, 0, 2, 1, 1], np.ones(5))
+        SparseMatrix.from_coo(3, 3, [0, 1, 1, 2, 2], [2, 0, 2, 1, 1], np.ones(5))
 
 
 def test_sparse_transpose_roundtrip():
