@@ -348,6 +348,8 @@ def cmd_sweep_pir(args) -> int:
                 "--pirs", f"expected comma-separated numbers in [0, 1], got {args.pirs!r}") from e
     split_kind = cfg.sweep.split_kind or (cfg.split.kind if cfg.split else "edges")
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
+    if method in ("self_distill", "compression"):
+        raise GraphParseError("mode", f"mode '{method}' trains on complete_graph, unsplit")
     method_plan = replace(cfg.plan, mode=method)  # checks its kernel before any training
     method_plan.require_alignable(cfg.student.kind, cfg.student.depth, cfg.teacher.depth)
     for name, value in (("teacher.checkpoint", cfg.teacher.checkpoint),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import GraphParseError
 
 REQUIRED = object()  # the default of a field that must be present
 _TYPES = {"float": (int, float), "int": int, "str": str, "list": list, "object": dict}
+SLICE_CHARS = 1 << 16  # text of whole rows per json.loads call in _sliced
 
 
 def config_fields(cls) -> dict:
@@ -28,19 +30,53 @@ def config_fields(cls) -> dict:
             if kind.removeprefix("list[").removesuffix("]") in ("float", "int", "str")}
 
 
-def read_document(path, name: str):
+def read_document(path, name: str, arrays=()):
     """The JSON object at path, and whether its text holds a true or false
     literal: only then does ``array`` scan a field for booleans. A document
-    that is not JSON or not an object is an error naming it as ``name``."""
+    that is not JSON or not an object is an error naming it as ``name``. The
+    rows under the top-level keys ``arrays`` come back as arrays (``_sliced``)."""
     with open(path) as f:
         text = f.read()
     try:
-        doc = json.loads(text)
+        doc = arrays and _sliced(text, arrays) or json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphParseError(name, f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise GraphParseError(name, "expected a JSON object")
     return doc, "true" in text or "false" in text
+
+
+def _sliced(text: str, keys):
+    """The document, the rows under ``keys`` read by json and numpy in slices
+    of about SLICE_CHARS characters of whole rows; None (parse it whole) for a
+    backslash (an escaped key), a key absent, repeated or nested, a string,
+    true, false or null in a span, a third level, ragged or unlike slices."""
+    rows, rest, at = {}, [], 0
+    for found, key in sorted((text.find(f'"{k}"'), k) for k in keys):
+        colon = re.compile(r"\s*:\s*(?=\[)").match(text, found + len(key) + 2)
+        start, end = (colon.end(), text.find("]]", colon.end()) + 2) if colon else (0, 0)
+        if found < 0 or "\\" in text or text.find(f'"{key}"', found + 1) >= 0 or end < 2 or any(
+                text.find(w, start, end) >= 0 for w in ('"', "true", "false", "null")):
+            return None
+        parts, a = [], start + 1
+        while a < end - 1:
+            cut = text.find("],", a + SLICE_CHARS, end)
+            b = end - 1 if cut < 0 else cut + 1
+            try:
+                part = np.asarray(json.loads(f"[{text[a:b]}]"))
+            except ValueError:  # not JSON, or ragged rows
+                return None
+            if part.ndim != 2 or part.dtype.kind not in "if" or parts and part.shape[1] != width:
+                return None
+            parts.append(part)
+            a, width = b + 1, part.shape[1]
+        rows[key], rest, at = np.concatenate(parts), rest + [text[at:start], '"<rows>"'], end
+    try:
+        doc = json.loads("".join(rest + [text[at:]]))
+    except json.JSONDecodeError:
+        return None
+    top = isinstance(doc, dict) and all(doc.get(key) == "<rows>" for key in keys)
+    return {**doc, **rows} if top else None  # else a key is nested or absent at top level
 
 
 def required(doc: dict, key: str, name: str | None = None):

@@ -29,7 +29,7 @@ def _rng(seed, *tags):
 
 
 def _canonical_edges(edges, num_nodes: int) -> np.ndarray:
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
     if len(arr):
         outside = ((arr < 0) | (arr >= num_nodes)).any(axis=1)
         for bad, what in ((outside, f"has an endpoint outside [0, {num_nodes})"),
@@ -37,11 +37,13 @@ def _canonical_edges(edges, num_nodes: int) -> np.ndarray:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise GraphParseError("edges", f"pair {i} {arr[i].tolist()} {what}")
-        arr = np.sort(arr, axis=1)
-        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-        dup = np.flatnonzero((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0))
-        if len(dup):
-            raise GraphParseError("edges", f"duplicate edge {arr[dup[0]].tolist()}")
+        du, dv = np.diff(arr[:, 0]), np.diff(arr[:, 1])  # canonical: u < v, rows increasing
+        if (arr[:, 0] >= arr[:, 1]).any() or ((du < 0) | (du == 0) & (dv <= 0)).any():
+            arr = np.sort(arr, axis=1)
+            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+            dup = np.flatnonzero((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0))
+            if len(dup):
+                raise GraphParseError("edges", f"duplicate edge {arr[dup[0]].tolist()}")
     return arr
 
 
@@ -315,7 +317,7 @@ def save_graph(g: Graph, path):
 
 
 def load_graph(path) -> Graph:
-    doc, bools = read_document(path, "<document>")
+    doc, bools = read_document(path, "<document>", ("features", "edges"))
     num_nodes = read_field(doc, "num_nodes", "int")
     edges = array(required(doc, "edges"), "int", "edges", bools)
     if edges.shape != (0,) and (edges.ndim != 2 or edges.shape[1] != 2):

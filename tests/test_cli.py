@@ -537,6 +537,19 @@ def test_sweep_pir_file_it_does_not_read_exits_1_before_any_read(tmp_path, graph
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["self_distill", "compression"])
+def test_sweep_pir_refuses_a_mode_that_trains_on_the_complete_graph(tmp_path, graph_file, capsys,
+                                                                    monkeypatch, mode):
+    # its students would train on the split graph, which these modes never read
+    monkeypatch.setattr(cli, "load_graph", lambda path: pytest.fail(f"read {path}"))
+    cfg = write_config(tmp_path, graph_file, mode=mode, split=None,
+                       sweep={"pirs": [0.5], "seeds": [0]})
+    assert run_cli("sweep-pir", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: mode: mode '{mode}' trains on complete_graph, unsplit\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["gkd_offline", "pgkd"])
 @pytest.mark.parametrize("field,teacher", [
     ("kind", {"kind": "sgc", "depth": 2, "hidden": 8}),

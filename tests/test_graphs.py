@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geokd import config
-from geokd.errors import GraphParseError, ValidationError
+from geokd.errors import GeokdError, GraphParseError, ValidationError
 from geokd.graphs import (
     Graph,
     _rng,
@@ -445,3 +447,177 @@ def test_load_missing_features_names_field(tmp_path, complete):
     with pytest.raises(GraphParseError) as exc:
         load_graph(path)
     assert "features" in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# sliced reading: load_graph reads features and edges a slice of rows at a
+# time, and every graph or refusal must equal the whole-document parse
+
+
+SBM_PATH = Path(__file__).resolve().parents[1] / "bench" / "sbm.py"
+ARRAYS = ("features", "edges")
+
+
+@pytest.fixture(scope="module")
+def texts(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location("bench_sbm", SBM_PATH)
+    sbm = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sbm)
+    docs = {f"sbm{n}": sbm.make_sbm(n, 3, degree)  # the bench's toy and workload graphs
+            for n, degree in ((48, 4.0), (800, 16.0), (3200, 16.0))}
+    texts = {name: json.dumps(doc) + "\n" for name, doc in docs.items()}  # as write_sbm writes
+    texts["compact"] = json.dumps(docs["sbm3200"], separators=(",", ":"))  # "edges":[[
+    saved = tmp_path_factory.mktemp("saved") / "g.json"
+    save_graph(sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0), saved)
+    texts["saved"] = saved.read_text()
+    return texts
+
+
+def outcome(path):
+    try:
+        g = load_graph(path)
+    except GeokdError as e:
+        return type(e).__name__, str(e)
+    arrays = (g.features.values, g.edges, g.labels, g.train_mask, g.val_mask, g.test_mask)
+    return g.num_nodes, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_reads_as_the_whole_document(tmp_path, monkeypatch, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    sliced = outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(config, "_sliced", lambda text, keys: None)  # one json.loads of the whole
+        assert sliced == outcome(path)
+    return sliced
+
+
+@pytest.mark.parametrize("name", ["sbm48", "sbm3200", "saved", "compact"])
+def test_sliced_read_is_bit_equal_to_the_whole_document(tmp_path, monkeypatch, texts, name):
+    assert config._sliced(texts[name], ARRAYS) is not None  # the slices were read
+    num_nodes, _ = assert_reads_as_the_whole_document(tmp_path, monkeypatch, texts[name])
+    assert num_nodes == json.loads(texts[name])["num_nodes"]
+
+
+def first_slice_rows(text, key):
+    start = text.index(f'"{key}": [[') + len(key) + 5
+    return text.count("], [", start, text.index("],", start + config.SLICE_CHARS)) + 1
+
+
+def edit(mutate):
+    """A text edit that applies mutate(doc) to the parsed document."""
+    def apply(text):
+        doc = json.loads(text)
+        mutate(doc)
+        return json.dumps(doc)
+    return apply
+
+
+def put(field, value):
+    """An edit that sets field (``masks.<key>`` for a mask) to value(doc)."""
+    def mutate(doc):
+        owner, key = (doc["masks"], field[6:]) if field.startswith("masks.") else (doc, field)
+        owner[key] = value(doc)
+    return edit(mutate)
+
+
+def set_entry(key, row, col, value):
+    return edit(lambda doc: doc[key][row].__setitem__(col, value))
+
+
+EDITS = {
+    # the refusals tests/test_cli.py and the tests above check
+    "float ids": put("edges", lambda doc: [[0.7, 1], [2, 3.9]]),
+    "string id": put("edges", lambda doc: [[0, 1], [2, "3"]]),
+    "float train id": put("masks.train", lambda doc: [0, 1.5]),
+    "float test id": put("masks.test", lambda doc: [2.0]),
+    "float label": put("labels", lambda doc: [0, 1.6] + [0] * (doc["num_nodes"] - 2)),
+    "float num_nodes": put("num_nodes", lambda doc: doc["num_nodes"] - 0.1),
+    "boolean num_nodes": put("num_nodes", lambda doc: True),
+    "scalar mask": put("masks.train", lambda doc: 3),
+    "ragged features": put("features", lambda doc: doc["features"][:-1] + [[0.5]]),
+    "string feature": set_entry("features", -1, 0, "x"),
+    "numeric string feature": set_entry("features", -1, 0, "0.5"),
+    "triples": put("edges", lambda doc: [[0, 1, 2], [3, 4, 5]]),
+    "flat ids": put("edges", lambda doc: [0, 1, 2, 3]),
+    "ragged edges": put("edges", lambda doc: [[0, 1], [2]]),
+    "third level": put("edges", lambda doc: [[[0, 1]]]),
+    **{f"boolean in {field}": put(field, lambda doc, field=field: [True] + (
+        doc["masks"][field[6:]] if field.startswith("masks.") else doc[field])[1:])
+       for field in ("labels", "masks.train", "masks.val", "masks.test")},
+    "boolean edge": set_entry("edges", 0, 0, True),
+    "boolean feature": set_entry("features", 0, 0, True),
+    "edge out of range": put("edges", lambda doc: [[0, doc["num_nodes"]]]),
+    "self-loop": put("edges", lambda doc: [[4, 4]]),
+    "a label too few": put("labels", lambda doc: doc["labels"][:-1]),
+    "masks overlap": put("masks.val", lambda doc: doc["masks"]["val"] + doc["masks"]["train"][:1]),
+    "test id out of range": put("masks.test", lambda doc: [doc["num_nodes"] + 3]),
+    "repeated train id": put("masks.train", lambda doc: doc["masks"]["train"] * 2),
+    "a feature row too few": put("features", lambda doc: doc["features"][:-1]),
+    "features missing": edit(lambda doc: doc.pop("features")),
+    "NaN feature": set_entry("features", 3, 0, float("nan")),
+    # what only the slice path could get wrong
+    "true in a late slice": set_entry("features", -1, 2, True),
+    "null in a late slice": set_entry("features", -2, 1, None),
+    "null edge in the last slice": set_entry("edges", -1, 0, None),
+    "ragged row in the last slice": put("features", lambda doc: doc["features"][:-1] + [
+        doc["features"][-1][:-1]]),
+    "widths differ between slices": lambda text: put("features", lambda doc: [
+        row if i < first_slice_rows(text, "features") else row[:-1]
+        for i, row in enumerate(doc["features"])])(text),
+    "1.0 in the last edge": edit(lambda doc: doc["edges"][-1].__setitem__(
+        1, float(doc["edges"][-1][1]))),
+    "int beyond int64 in the last edge": set_entry("edges", -1, 1, 2 ** 64),
+    "2**63 in the last edge": set_entry("edges", -1, 1, 2 ** 63),
+    "int beyond int64 in the last feature row": set_entry("features", -1, 0, 2 ** 64),
+    "NaN and Infinity in the last slices": edit(lambda doc: (
+        doc["features"][-1].__setitem__(0, float("inf")),
+        doc["edges"][-1].__setitem__(0, float("nan")))),
+    "features repeated at top level": lambda text: text.rstrip()[:-1] + ', "features": [[0.5]]}',
+    "ragged features, then repeated": lambda text: text.replace(
+        '"features": [[', '"features": [[1], [2, 3]], "features": [[', 1),
+    "features nested under masks": edit(lambda doc: doc["masks"].__setitem__(
+        "features", doc.pop("features"))),
+    "features only as a string": edit(lambda doc: doc.update(note=str(doc.pop("features")))),
+    "features only inside a string": edit(lambda doc: doc.update(
+        note='"features": ' + json.dumps(doc.pop("features")))),
+    "features key spelled with an escape": lambda text: text.replace(
+        '"features"', '"\\u0066eatures"'),
+    # a top-level value equal to the placeholder, after the span that was sliced
+    "nested features, then the placeholder": lambda text: text.replace(
+        '"features": [[', '"masks": {"features": [[', 1).replace(
+        '], "labels": ', ']}, "features": "<rows>", "labels": ', 1),
+    "the placeholder under an escaped key": lambda text: text.rstrip()[:-1] + (
+        ', "\\u0066eatures": "<rows>"}'),
+    "invalid JSON after the arrays": lambda text: text.rstrip()[:-1] + ",}",
+    # documents that load
+    '"edges":[[ without spaces': lambda text: text.replace('"edges": [[', '"edges":[['),
+    "indented": lambda text: json.dumps(json.loads(text), indent=1),
+    "integer features": edit(lambda doc: doc.update(features=[
+        [round(x) for x in row] for row in doc["features"]])),
+    "no edges": put("edges", lambda doc: []),
+    "keys in reverse order": lambda text: json.dumps(dict(reversed(json.loads(text).items()))),
+}
+
+
+@pytest.mark.parametrize("base,slice_chars", [("saved", 1), ("sbm800", config.SLICE_CHARS)])
+@pytest.mark.parametrize("case", EDITS)
+def test_sliced_read_matches_the_whole_document_after_each_edit(tmp_path, monkeypatch, texts,
+                                                                base, slice_chars, case):
+    # a slice of one character is one row: every row boundary is a slice boundary
+    monkeypatch.setattr(config, "SLICE_CHARS", slice_chars)
+    text = texts[base]
+    assert first_slice_rows(text, "edges") < len(json.loads(text)["edges"])  # >= 2 slices
+    assert_reads_as_the_whole_document(tmp_path, monkeypatch, EDITS[case](text))
+
+
+def test_no_json_loads_call_reads_more_than_one_slice(tmp_path, monkeypatch, texts):
+    path = tmp_path / "g.json"
+    path.write_text(texts["sbm3200"])
+    sizes, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: sizes.append(len(s)) or loads(s, **kw))
+    g = load_graph(path)
+    row = max(map(len, texts["sbm3200"].split("], [")[:100]))
+    assert len(sizes) > len(texts["sbm3200"]) // config.SLICE_CHARS
+    assert max(sizes) < config.SLICE_CHARS + 2 * row
+    assert g.features.shape == (3200, 16)
