@@ -55,11 +55,12 @@ class Graph:
         if self.num_nodes < 1:
             raise GraphParseError("num_nodes", f"expected an integer >= 1, got {num_nodes}")
         self.edges = _canonical_edges(edges, self.num_nodes)
-        self.features = features if isinstance(features, Tensor) else Tensor(features)
+        checked = isinstance(features, Tensor)  # finite: another graph's, or load_graph's
+        self.features = features if checked else Tensor(features)
         if self.features.shape[0] != self.num_nodes:
             raise GraphParseError("features", f"{self.features.shape[0]} rows, expected one "
                                   f"per node ({self.num_nodes})")
-        bad = np.argwhere(~np.isfinite(self.features.values))
+        bad = () if checked else np.argwhere(~np.isfinite(self.features.values))
         if len(bad):
             raise GraphParseError(f"features[{bad[0][0]}][{bad[0][1]}]", "expected a finite number")
         self.labels = np.asarray(labels, dtype=np.int64)
@@ -77,10 +78,14 @@ class Graph:
         if len(unlabeled):
             raise GraphParseError(f"labels[{unlabeled[0]}]", f"training node without a label "
                                   f"({UNLABELED})")
-        self._norm_adj = None
-        self._laplacian = None
+        self.drop_operators()
+
+    def drop_operators(self):
+        """Forget the cached operators and propagations (normalize_adjacency,
+        laplacian_sym, adjacency, propagated_features); a later use rebuilds
+        the same values."""
+        self._norm_adj = self._laplacian = self._adjacency = None
         self._hops = [self.features]  # [X, A_hat X, ...], see propagated_features
-        self._adjacency = None  # see adjacency
 
     def _check_mask(self, mask, key):
         m, seen = np.unique(np.asarray(mask, dtype=np.int64), return_counts=True)
@@ -131,8 +136,9 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
         n, n, np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
     )
     # entries (u, v) and (v, u) hold the same product, so the matrix is exactly
-    # symmetric and backward passes reuse it
-    g._norm_adj._transpose = g._norm_adj
+    # symmetric and backward passes reuse it (a flag, not a reference to itself:
+    # a dropped matrix is freed at once, with no cycle for the collector)
+    g._norm_adj.symmetric = True
     return g._norm_adj
 
 
@@ -196,7 +202,7 @@ def split_edges(g_complete: Graph, pir: float, seed: int) -> Graph:
     return Graph(
         g_complete.num_nodes,
         g_complete.edges[np.sort(chosen)],
-        g_complete.features.detach(),
+        g_complete.features,  # shared: features are never written in place
         g_complete.labels,
         g_complete.train_mask,
         g_complete.val_mask,
@@ -324,8 +330,8 @@ def load_graph(path) -> Graph:
         raise GraphParseError("edges", "expected an empty list or [u, v] pairs, got an array "
                               f"of shape {edges.shape}")
     masks = read_field(doc, "masks", "object")
-    return Graph(num_nodes, edges,
-                 array(required(doc, "features"), "float", "features", bools, ndim=2),
+    return Graph(num_nodes, edges,  # a Tensor: array refused non-finite features
+                 Tensor(array(required(doc, "features"), "float", "features", bools, ndim=2)),
                  array(required(doc, "labels"), "int", "labels", bools, ndim=1),
                  *(array(required(masks, key, f"masks.{key}"), "int", f"masks.{key}", bools,
                          ndim=1) for key in ("train", "val", "test")))

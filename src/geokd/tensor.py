@@ -184,7 +184,8 @@ class SparseMatrix:
         first = np.cumsum(counts) - counts  # each row's first entry in order
         del key  # from here the build holds one nnz-long index (order) beside its input and output
         self = cls.__new__(cls)
-        self.rows, self.cols, self._transpose, self._buckets = int(rows), int(cols), None, []
+        self.rows, self.cols, self._buckets = int(rows), int(cols), []
+        self.symmetric, self._transpose = False, None  # symmetric: transpose() is self
         stored = [np.empty(len(a), a.dtype) for a in (rr, cc, vv)]
         self.row_ids, self.indices, self.data = stored
         lo = 0
@@ -211,10 +212,10 @@ class SparseMatrix:
         return out
 
     def transpose(self) -> "SparseMatrix":
-        if self._transpose is None:
+        if self._transpose is None and not self.symmetric:
             self._transpose = SparseMatrix.from_coo(self.cols, self.rows, self.indices,
                                                     self.row_ids, self.data)
-        return self._transpose
+        return self if self.symmetric else self._transpose
 
     def matmul_dense(self, x: np.ndarray, data=None) -> np.ndarray:
         """self @ x, one gather and one einsum per chunk of a degree bucket;

@@ -270,16 +270,32 @@ def _build_mappers(plan: TrainPlan, teacher: GnnModel, student: GnnModel):
     return mapper_t, mapper_s
 
 
+def _e_step(opt_phi: Adam, sides) -> float:
+    """pgkd's E-step: one mapper step on the sum, returned, of the ``sides``'
+    (mapper, h_late, h_early) reconstruction losses. Each side's tape is spent
+    before the next is built; a shared mapper's weight sums one gradient from
+    each side, as a backward through their sum would, in either order."""
+    opt_phi.zero_grad()
+    losses = []
+    for mapper, late, early in sides:
+        rec = factored_reconstruction_loss(mapper.apply(late), late, early)
+        rec.backward()
+        losses.append(rec.item())
+    opt_phi.step()
+    return sum(losses)
+
+
 def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
                   teacher: GnnModel, student: GnnModel, node_map=None) -> TrainResult:
     """Distill the teacher, run on g_complete, into the student, trained on g.
 
     ``node_map[i]`` is the g_complete node of g's node i (None: the same
     nodes). online trains the teacher from scratch, one step ahead of the
-    student each epoch; every other mode freezes it. Each epoch then adds to
-    the student's cross-entropy, in order: pgkd's E-step, which refits the
-    inverse-kernel mappers with the GNN weights frozen; the alignment at
-    alpha > 0; the soft labels at alpha_kd > 0.
+    student each epoch; every other mode freezes it and runs it once, then
+    drops g_complete's cached operators unless g is g_complete. Each epoch
+    then adds to the student's cross-entropy, in order: pgkd's E-step, which
+    refits the inverse-kernel mappers with the GNN weights frozen; the
+    alignment at alpha > 0; the soft labels at alpha_kd > 0.
 
     pgkd aligns the mapped late span entries. Every other mode aligns trace
     entries 1 .. L-1 under an alpha / L scale (entry 0 is X on both sides)
@@ -319,6 +335,8 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
     t_view = _teacher_view(t_logits, t_trace, node_map, cfg.alpha_kd > 0, entries)
     if not online:  # frees the forward's tensors; a frozen teacher's epochs read arrays alone
         t_logits = t_trace = None
+        if g_complete is not g:  # and nothing reads g_complete's operators again
+            g_complete.drop_operators()
     batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
     frozen_rows = []
 
@@ -338,14 +356,8 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
         teacher_logits, teacher_feats = t_view
         if pgkd:  # the E-step reads the student's trace values as constants
             s_late, s_early = (T.constant(trace[i].values) for i in (late_s, early_s))
-            rec = T.add(
-                factored_reconstruction_loss(mapper_t.apply(t_late), t_late, t_early),
-                factored_reconstruction_loss(mapper_s.apply(s_late), s_late, s_early),
-            )
-            opt_phi.zero_grad()
-            rec.backward()
-            opt_phi.step()
-            loss_rec = rec.item()
+            loss_rec = _e_step(opt_phi, ((mapper_t, t_late, t_early),
+                                         (mapper_s, s_late, s_early)))
         if cfg.alpha > 0:
             if pgkd:  # the mappers stay frozen from here on
                 phi_t = mapper_t.apply(T.constant(teacher_feats[late_t]))

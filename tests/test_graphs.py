@@ -1,6 +1,8 @@
+import gc
 import importlib.util
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from geokd.graphs import (
     laplacian_sym,
     load_graph,
     normalize_adjacency,
+    propagated_features,
     save_graph,
     sbm_generate,
     split_edges,
@@ -240,6 +243,29 @@ def test_split_edges_deterministic(complete):
     a = split_edges(complete, 0.3, 9)
     b = split_edges(complete, 0.3, 9)
     np.testing.assert_array_equal(a.edges, b.edges)
+
+
+def test_split_edges_shares_the_complete_graphs_features(complete):
+    assert split_edges(complete, 0.5, 0).features is complete.features
+
+
+def test_dropped_operators_are_freed_and_rebuilt_equal():
+    g = sbm_generate([6, 6], 0.5, 0.1, 3, 0.5, 4)
+    built = [normalize_adjacency(g), laplacian_sym(g), adjacency(g), propagated_features(g, 2)[2]]
+    want = [m.densify() for m in built[:3]] + [built[3].values.copy()]
+    assert built[0].transpose() is built[0]  # symmetric, without a reference to itself
+    refs = [weakref.ref(m) for m in built[:3]] + [weakref.ref(built[3].values)]
+    del built
+    gc.disable()  # freed by reference counts alone
+    try:
+        g.drop_operators()
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+    assert g._hops == [g.features]
+    again = [normalize_adjacency(g), laplacian_sym(g), adjacency(g), propagated_features(g, 2)[2]]
+    for a, b in zip([m.densify() for m in again[:3]] + [again[3].values], want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_split_edges_rejects_bad_pir(complete):

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from geokd import distill, nhk, training
 from geokd import tensor as T
 from geokd.distill import DistillConfig
 from geokd.errors import GraphParseError, NumericError, ValidationError
-from geokd.graphs import Graph, sbm_generate, split_edges, split_nodes
+from geokd.graphs import Graph, normalize_adjacency, sbm_generate, split_edges, split_nodes
 from geokd.models import build_model, forward, init_xavier
 from geokd.nhk import KernelSpec
 from geokd.training import (
@@ -494,6 +496,74 @@ def test_pgkd_separate_mappers_for_mismatched_dims(graphs, teacher):
     student = build_model("gcn", 6, 4, 3, 2)  # hidden 4 vs teacher hidden 8
     res = train_student(plan, g, g_c, teacher, student)
     assert len(res.metrics) == 4
+
+
+@pytest.mark.parametrize("hidden", [8, 12])  # one shared mapper; one per model
+def test_e_step_one_side_at_a_time_matches_the_summed_backward(graphs, teacher, hidden):
+    g_c, g = graphs
+    plan = quick_plan(mode="pgkd", seed=16)
+    student = build_model("gcn", 6, hidden, 3, 2)
+    init_xavier(student, 17)
+    (early_t, late_t), (early_s, late_s) = distill.pgkd_span(teacher), distill.pgkd_span(student)
+    t_trace, s_trace = forward(teacher, g_c)[1], forward(student, g)[1]
+    t_late, t_early, s_late, s_early = (T.constant(h.values) for h in (
+        t_trace[late_t], t_trace[early_t], s_trace[late_s], s_trace[early_s]))
+
+    def mapper_params(mappers):
+        return list(dict.fromkeys(p for m in mappers for p in m.parameters()))
+
+    ref = training._build_mappers(plan, teacher, student)
+    assert (ref[0] is ref[1]) == (hidden == 8)
+    rec = T.add(distill.factored_reconstruction_loss(ref[0].apply(t_late), t_late, t_early),
+                distill.factored_reconstruction_loss(ref[1].apply(s_late), s_late, s_early))
+    rec.backward()
+    mappers = training._build_mappers(plan, teacher, student)
+    loss = training._e_step(Adam(mapper_params(mappers), 0.01),
+                            ((mappers[0], t_late, t_early), (mappers[1], s_late, s_early)))
+    assert loss == rec.item()
+    for got, want in zip(mapper_params(mappers), mapper_params(ref)):
+        np.testing.assert_array_equal(got.grad, want.grad)
+
+
+def test_e_step_frees_the_teacher_side_before_the_student_side(graphs, teacher, monkeypatch):
+    g_c, g = graphs
+    mapped, freed = [], []
+
+    def spy(phi, h_late, h_early):
+        if len(mapped) % 2:  # the student side: the teacher's mapped features are gone
+            freed.append(mapped[-1]() is None)
+        mapped.append(weakref.ref(phi.values))
+        return distill.factored_reconstruction_loss(phi, h_late, h_early)
+
+    monkeypatch.setattr(training, "factored_reconstruction_loss", spy)
+    gc.disable()  # by reference counts alone
+    try:
+        train_student(quick_plan(mode="pgkd", seed=18, epochs=3), g, g_c, teacher,
+                      build_model("gcn", 6, 8, 3, 2))
+    finally:
+        gc.enable()
+    assert freed == [True] * 3
+
+
+@pytest.mark.parametrize("mode, split, dropped", [
+    ("gkd_offline", "edges", True), ("pgkd", "nodes", True),
+    ("online", "edges", False), ("self_distill", None, False)])
+def test_complete_graph_operators_dropped_after_a_frozen_teacher(teacher, mode, split, dropped):
+    g_c = sbm_generate([20, 20], 0.3, 0.05, 6, 0.5, 0)
+    g, node_map = g_c, None
+    if split == "edges":
+        g = split_edges(g_c, 0.5, 0)
+    elif split == "nodes":
+        g, node_map = split_nodes(g_c, 0.5, 0)
+    a_hat = weakref.ref(normalize_adjacency(g_c))
+    model = teacher if mode != "online" else build_model("gcn", 6, 8, 3, 2)
+    gc.disable()  # freed by reference counts alone
+    try:
+        train_student(quick_plan(mode=mode, seed=19, epochs=2), g, g_c, model,
+                      build_model("gcn", 6, 8, 3, 2), node_map)
+        assert (a_hat() is None) == dropped
+    finally:
+        gc.enable()
 
 
 def test_pgkd_allocates_no_node_by_node_buffer():
