@@ -312,6 +312,8 @@ def cmd_distill(args) -> int:
             if got not in (None, getattr(section, key)):  # the section describes its checkpoint
                 raise GraphParseError(f"teacher.{key}", f"the checkpoint's is {got!r}, "
                                       f"the section's {getattr(section, key)!r}")
+        _check_widths(teacher, g_complete, "teacher.checkpoint",
+                      num_classes if cfg.plan.distill.alpha_kd > 0 else None)
     result = train_student(cfg.plan, g, g_complete, teacher, student, node_map)
     checkpoints = {"student.json": result.model}
     if result.teacher_model is not None:
@@ -320,11 +322,21 @@ def cmd_distill(args) -> int:
     return 0
 
 
+def _check_widths(model: GnnModel, g: Graph, field: str, num_classes: int | None = None):
+    """Refuse, naming field, a checkpoint whose input width is not g's feature
+    width, or whose output width is not num_classes when that is given."""
+    for end, got, want, of in (("input", model.dims[0], g.features.shape[1], "feature width"),
+                               ("output", model.dims[-1], num_classes, "class count")):
+        if want not in (None, got):
+            raise GraphParseError(field, f"{end} width {got}, but the graph's {of} is {want}")
+
+
 def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.graph, "--graph")
     model = GnnModel.load(args.checkpoint)
     g = load_graph(args.graph)
+    _check_widths(model, g, "checkpoint")
     logits, _ = forward(model, g)
     doc = {"checkpoint": str(args.checkpoint), "graph": str(args.graph)}
     doc.update(zip(("train_acc", "val_acc", "test_acc"), accuracies(logits.values, g)))

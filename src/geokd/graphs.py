@@ -67,6 +67,10 @@ class Graph:
         if self.labels.shape != (self.num_nodes,):
             raise GraphParseError("labels", f"{self.labels.size} entries, expected one per node "
                                   f"({self.num_nodes})")
+        below = np.flatnonzero(self.labels < UNLABELED)
+        if len(below):
+            raise GraphParseError(f"labels[{below[0]}]", f"expected a class id >= 0 or "
+                                  f"{UNLABELED} (unlabeled), got {self.labels[below[0]]}")
         masks = {key: self._check_mask(mask, key)
                  for key, mask in (("train", train_mask), ("val", val_mask), ("test", test_mask))}
         for (first, m1), (key, m2) in itertools.combinations(masks.items(), 2):
@@ -117,28 +121,17 @@ class Graph:
         return 1.0 + np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
 
+def _normalized_values(g: Graph):
+    """The diagonal and per-edge values of D^{-1/2} (A + I) D^{-1/2}."""
+    inv_sqrt = 1.0 / np.sqrt(g.degrees_with_self_loop())
+    return inv_sqrt * inv_sqrt, inv_sqrt[g.edges[:, 0]] * inv_sqrt[g.edges[:, 1]]
+
+
 def normalize_adjacency(g: Graph) -> SparseMatrix:
     """D^{-1/2} (A + I) D^{-1/2} with D the self-loop-augmented degrees."""
-    if g._norm_adj is not None:
-        return g._norm_adj
-    inv_sqrt = 1.0 / np.sqrt(g.degrees_with_self_loop())
-    n = g.num_nodes
-    rr = [np.arange(n)]
-    cc = [np.arange(n)]
-    vv = [inv_sqrt * inv_sqrt]
-    if len(g.edges):
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        w = inv_sqrt[u] * inv_sqrt[v]
-        rr += [u, v]
-        cc += [v, u]
-        vv += [w, w]
-    g._norm_adj = SparseMatrix.from_coo(
-        n, n, np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
-    )
-    # entries (u, v) and (v, u) hold the same product, so the matrix is exactly
-    # symmetric and backward passes reuse it (a flag, not a reference to itself:
-    # a dropped matrix is freed at once, with no cycle for the collector)
-    g._norm_adj.symmetric = True
+    if g._norm_adj is None:
+        diag, w = _normalized_values(g)
+        g._norm_adj = SparseMatrix.from_edges(g.num_nodes, *g.edges.T, w, diag)
     return g._norm_adj
 
 
@@ -161,34 +154,31 @@ def adjacency(g: Graph, ids=None) -> SparseMatrix:
     """
     if ids is None:
         if g._adjacency is None:
-            g._adjacency = adjacency(g, np.arange(g.num_nodes))
+            g._adjacency = SparseMatrix.from_edges(g.num_nodes, *g.edges.T, np.ones(g.num_edges))
         return g._adjacency
     ids = np.asarray(ids, dtype=np.int64)
     if len(ids) and (ids.min() < 0 or ids.max() >= g.num_nodes):
         raise ValidationError("node subset id out of range")
     # node k's positions in ids are order[start[k]:start[k] + count[k]]; each
-    # directed edge (u, v) links every position of u to every position of v
+    # edge (u, v) links every position of u to every position of v, and
+    # from_edges adds the other orientation
     order = np.argsort(ids, kind="stable")
     count = np.bincount(ids, minlength=g.num_nodes)
     start = np.cumsum(count) - count
-    u = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    v = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    u, v = g.edges.T
     pairs = count[u] * count[v]
     e = np.repeat(np.arange(len(u)), pairs)
     k = np.arange(len(e)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
     rows = order[start[u[e]] + k // count[v[e]]]
     cols = order[start[v[e]] + k % count[v[e]]]
-    return SparseMatrix.from_coo(len(ids), len(ids), rows, cols, np.ones(len(rows)))
+    return SparseMatrix.from_edges(len(ids), rows, cols, np.ones(len(rows)))
 
 
 def laplacian_sym(g: Graph) -> SparseMatrix:
     """Symmetric normalized Laplacian I - normalize_adjacency(g)."""
-    if g._laplacian is not None:
-        return g._laplacian
-    a = normalize_adjacency(g)
-    diag = a.indices == a.row_ids  # each row's diagonal entry is present by construction
-    g._laplacian = SparseMatrix.from_coo(a.rows, a.cols, a.row_ids, a.indices,
-                                         np.where(diag, 1.0 - a.data, -a.data))
+    if g._laplacian is None:
+        diag, w = _normalized_values(g)
+        g._laplacian = SparseMatrix.from_edges(g.num_nodes, *g.edges.T, -w, 1.0 - diag)
     return g._laplacian
 
 

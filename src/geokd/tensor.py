@@ -5,16 +5,18 @@ parents and a backward closure; calling ``backward()`` on a scalar walks the
 tape in reverse topological order. Sparse matrices are constants: gradients
 flow only through their dense operands.
 
-A sparse matrix stores each entry once, in the order its sparse-dense
-product reads them: rows are grouped by how many entries they store, each
-group is one entry-major block, and the groups' column ids and values are
-views of the stored arrays, made once. Each group runs in chunks of rows,
-one gather and one ``einsum`` per chunk. A chunk gathers about
-``_BLOCK_FLOATS`` floats at most (two rows at least), so the memory a product
-takes beyond its output is O(``_BLOCK_FLOATS``) at any n. Every output row
-sums its entries one after another in column order, so results do not depend
-on how rows are grouped or chunked (see ``SparseMatrix.matmul_dense`` for the
-one exception).
+A sparse matrix is square and symmetric by construction: its builder takes
+each off-diagonal pair once, in either orientation, and stores its value at
+both positions, so spmm's backward runs the forward product again. Each entry
+is held once, in the order the sparse-dense product reads them: rows are
+grouped by how many entries they store, each group is one entry-major block,
+and the groups' column ids and values are views of the stored arrays, made
+once. Each group runs in chunks of rows, one gather and one ``einsum`` per
+chunk. A chunk gathers about ``_BLOCK_FLOATS`` floats at most (two rows at
+least), so the memory a product takes beyond its output is
+O(``_BLOCK_FLOATS``) at any n. Every output row sums its entries one after
+another in column order, so results do not depend on how rows are grouped or
+chunked (see ``SparseMatrix.matmul_dense`` for the one exception).
 
 The fused op ``kernel_alignment`` gives the weighted distance between two
 kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
@@ -146,7 +148,8 @@ def parameter(values) -> Tensor:
 
 
 class SparseMatrix:
-    """Sparse matrix holding each entry once, in ``matmul_dense``'s order.
+    """Symmetric n x n sparse matrix, built by ``from_edges`` from one
+    orientation of each pair, holding each entry once in ``matmul_dense``'s order.
 
     Rows are grouped into buckets by how many entries they store, the buckets
     by ascending count. A bucket of m rows storing k entries each holds its
@@ -155,37 +158,39 @@ class SparseMatrix:
     ``data`` hold the entries in that order, and each bucket's (k, m) column
     ids and values are views of ``indices`` and ``data``, made once: the
     matrix holds three nnz-long arrays and one row list per bucket.
-    ``from_coo`` builds one.
     """
 
     @classmethod
-    def from_coo(cls, rows: int, cols: int, rr, cc, vv) -> "SparseMatrix":
-        """The rows x cols matrix with value vv[p] at (rr[p], cc[p]), given in any
-        order; ids outside the shape and repeated (row, col) pairs are refused."""
-        rr, cc = np.asarray(rr, dtype=np.int64), np.asarray(cc, dtype=np.int64)
-        vv = np.asarray(vv, dtype=np.float64)
-        if rows < 0 or cols < 0:
-            raise ValidationError("negative dimensions")
-        if rr.ndim != 1 or not rr.shape == cc.shape == vv.shape:
-            raise ValidationError("row ids, column ids and values differ in shape")
-        for ids, size, what in ((rr, rows, "row"), (cc, cols, "column")):
-            if len(ids) and (ids.min() < 0 or ids.max() >= size):
-                raise ValidationError(f"{what} index out of range")
-        key = rr * cols + cc  # row-major position, unique unless an entry repeats
+    def from_edges(cls, n: int, u, v, w, diag=None) -> "SparseMatrix":
+        """The n x n matrix with value w[p] at (u[p], v[p]) and (v[p], u[p]) and,
+        when diag is given, diag[i] at (i, i). Pairs come in any order and
+        orientation; ids outside [0, n), u == v and a pair given twice are
+        refused."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        if u.ndim != 1 or not u.shape == v.shape == w.shape:
+            raise ValidationError("pair ids and values differ in shape")
+        if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            raise ValidationError(f"pair id outside [0, {n})")
+        rr, cc, vv = [u, v], [v, u], [w, w]  # both orientations of each pair
+        if diag is not None:
+            rr, cc, vv = rr + [np.arange(n)], cc + [np.arange(n)], vv + [np.asarray(diag, float)]
+        rr, cc, vv = (np.concatenate(a) for a in (rr, cc, vv))
+        key = rr * n + cc  # row-major position, unique unless a pair repeats or u == v
         order = np.argsort(key, kind="stable")
         key = key[order]
         dup = np.flatnonzero(key[1:] == key[:-1])
         if len(dup):
-            r, c = divmod(int(key[dup[0]]), cols)
-            raise ValidationError(f"row {r}: repeated entry in column {c}")
-        counts = np.bincount(rr, minlength=rows)
+            r, c = divmod(int(key[dup[0]]), n)
+            what = "on the diagonal" if r == c else "given twice"
+            raise ValidationError(f"pair ({r}, {c}) is {what}")
+        counts = np.bincount(rr, minlength=n)
         by_count = np.argsort(counts, kind="stable")  # ties keep row order
         ks, sizes = np.unique(counts[by_count], return_counts=True)
         first = np.cumsum(counts) - counts  # each row's first entry in order
         del key  # from here the build holds one nnz-long index (order) beside its input and output
         self = cls.__new__(cls)
-        self.rows, self.cols, self._buckets = int(rows), int(cols), []
-        self.symmetric, self._transpose = False, None  # symmetric: transpose() is self
+        self.shape, self._buckets = (int(n), int(n)), []
         stored = [np.empty(len(a), a.dtype) for a in (rr, cc, vv)]
         self.row_ids, self.indices, self.data = stored
         lo = 0
@@ -199,23 +204,13 @@ class SparseMatrix:
         return self
 
     @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    @property
     def nnz(self) -> int:
         return len(self.data)
 
     def densify(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
+        out = np.zeros(self.shape)
         out[self.row_ids, self.indices] = self.data
         return out
-
-    def transpose(self) -> "SparseMatrix":
-        if self._transpose is None and not self.symmetric:
-            self._transpose = SparseMatrix.from_coo(self.cols, self.rows, self.indices,
-                                                    self.row_ids, self.data)
-        return self if self.symmetric else self._transpose
 
     def matmul_dense(self, x: np.ndarray, data=None) -> np.ndarray:
         """self @ x, one gather and one einsum per chunk of a degree bucket;
@@ -239,9 +234,9 @@ class SparseMatrix:
         place on the gathered rows, the same rounding einsum applies (a -0.0
         product becomes +0.0 in both).
         """
-        if self.cols != x.shape[0]:
+        if self.shape[1] != x.shape[0]:
             raise DimensionError(f"spmm: {self.shape} @ {x.shape}")
-        out = np.zeros((self.rows, x.shape[1]))
+        out = np.zeros((self.shape[0], x.shape[1]))
         for rows, lo, idx, vals in self._buckets:
             if data is not None:
                 vals = data[lo:lo + idx.size].reshape(idx.shape)
@@ -285,13 +280,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
-    if s.cols != x.shape[0]:
-        raise DimensionError(f"spmm: {s.shape} @ {x.shape}")
     out_vals = s.matmul_dense(x.values)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate_owned(s.transpose().matmul_dense(g))
+            x._accumulate_owned(s.matmul_dense(g))  # s is symmetric: s^T g = s g
 
     return _make(out_vals, (x,), backward)
 

@@ -570,6 +570,55 @@ def test_teacher_section_unlike_its_checkpoint_exits_1_naming_the_field(
     assert not (tmp_path / "out").exists()
 
 
+def graph_of(tmp_path, name, blocks, feature_dim):
+    path = tmp_path / name
+    save_graph(sbm_generate(blocks, 0.4, 0.05, feature_dim, 0.5, 0), path)
+    return path
+
+
+def test_eval_of_a_checkpoint_of_other_width_exits_1_naming_checkpoint(tmp_path, graph_file,
+                                                                       capsys):
+    ckpt = make_teacher(tmp_path, graph_file)  # 6 features wide
+    capsys.readouterr()
+    wide = graph_of(tmp_path, "wide.json", [15, 15], 9)
+    assert run_cli("eval", "--checkpoint", ckpt, "--graph", wide) == 1
+    assert capsys.readouterr().err == ("error: checkpoint: input width 6, but the graph's "
+                                       "feature width is 9\n")
+
+
+@pytest.mark.parametrize("mode", ["gkd_offline", "pgkd", "self_distill"])
+def test_distill_from_a_teacher_of_other_input_width_exits_1_before_training(
+        tmp_path, graph_file, capsys, mode):
+    ckpt = make_teacher(tmp_path, graph_file)
+    capsys.readouterr()
+    cfg = write_config(tmp_path, graph_of(tmp_path, "wide.json", [15, 15], 9), mode=mode,
+                       kernel={"kind": "parametric" if mode == "pgkd" else "gauss"},
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
+                       **({"split": None} if mode == "self_distill" else {}))
+    assert run_cli("distill", "--config", cfg) == 1
+    assert capsys.readouterr().err == ("error: teacher.checkpoint: input width 6, but the "
+                                       "graph's feature width is 9\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha_kd", [0.0, 0.5])
+def test_teacher_output_width_is_checked_where_soft_labels_read_it(tmp_path, graph_file, capsys,
+                                                                   alpha_kd):
+    ckpt = make_teacher(tmp_path, graph_file)  # two classes
+    capsys.readouterr()
+    cfg = write_config(tmp_path, graph_of(tmp_path, "three.json", [10, 10, 10], 6),
+                       teacher={"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(ckpt)},
+                       distill={"alpha": 2.0, "delta": 0.4, "alpha_kd": alpha_kd},
+                       optimizer={"lr": 0.05, "epochs": 2})
+    if alpha_kd == 0.0:  # the alignment reads no logits' width
+        assert run_cli("distill", "--config", cfg) == 0
+        return
+    assert run_cli("distill", "--config", cfg) == 1
+    assert capsys.readouterr().err == ("error: teacher.checkpoint: output width 2, but the "
+                                       "graph's class count is 3\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_partial_graph_with_other_features_exits_1(tmp_path, graph_file, capsys):
     ckpt = make_teacher(tmp_path, graph_file)
     doc = json.loads(graph_file.read_text())

@@ -68,6 +68,9 @@ def test_rejects_unlabeled_train_node():
     ({"features": np.zeros((3, 2))}, "features: 3 rows, expected one per node (4)"),
     ({"labels": [0, 1, 0]}, "labels: 3 entries, expected one per node (4)"),
     ({"labels": [0, -1, 0, 1]}, "labels[1]: training node without a label (-1)"),
+    ({"labels": [0, -2, 0, 1]}, "labels[1]: expected a class id >= 0 or -1 (unlabeled), got -2"),
+    ({"labels": [0, 1, -3, 1]}, "labels[2]: expected a class id >= 0 or -1 (unlabeled), got -3"),
+    ({"labels": [0, 1, 0, -7]}, "labels[3]: expected"),  # a test node's
     ({"val": [2, 5]}, "masks.val: id 5 outside [0, 4)"),
     ({"val": [2, 1]}, "masks.val: id 1 is also in masks.train"),
     ({"test": [3, 2]}, "masks.test: id 2 is also in masks.val"),
@@ -109,7 +112,6 @@ def test_normalize_two_nodes_one_edge():
 def test_normalized_adjacency_support_and_symmetry():
     g = sbm_generate([6, 6], 0.5, 0.2, 3, 0.3, 1)
     a_hat = normalize_adjacency(g)
-    assert a_hat.transpose() is a_hat  # backward reuses the forward plan
     a = a_hat.densify()
     np.testing.assert_array_equal(a, a.T)
     support = adjacency(g).densify() + np.eye(g.num_nodes)
@@ -181,7 +183,7 @@ def test_matmul_dense_matches_densify_on_seeded_graphs(seed):
     rng = np.random.default_rng([seed, 62])
     for m in graph_operators(g, rng):
         for d in (1, 3):
-            x = rng.uniform(-1, 1, size=(m.cols, d))
+            x = rng.uniform(-1, 1, size=(m.shape[0], d))
             want = m.densify() @ x
             assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
             # values given per entry, in the stored order, then the stored ones again
@@ -253,7 +255,6 @@ def test_dropped_operators_are_freed_and_rebuilt_equal():
     g = sbm_generate([6, 6], 0.5, 0.1, 3, 0.5, 4)
     built = [normalize_adjacency(g), laplacian_sym(g), adjacency(g), propagated_features(g, 2)[2]]
     want = [m.densify() for m in built[:3]] + [built[3].values.copy()]
-    assert built[0].transpose() is built[0]  # symmetric, without a reference to itself
     refs = [weakref.ref(m) for m in built[:3]] + [weakref.ref(built[3].values)]
     del built
     gc.disable()  # freed by reference counts alone

@@ -318,14 +318,6 @@ def test_exact_heat_kernel_spectral_properties(spectrum):
     assert lam.max() <= 1.0 + 1e-10
 
 
-def test_exact_heat_kernel_rejects_asymmetric():
-    from geokd.tensor import SparseMatrix
-
-    s = SparseMatrix.from_coo(2, 2, [0], [1], [1.0])
-    with pytest.raises(ValidationError, match="symmetric"):
-        heat_spectrum(s)
-
-
 def test_exact_heat_kernel_rejects_negative_time(spectrum):
     with pytest.raises(ValidationError, match="time"):
         heat_kernel(spectrum, -0.1)

@@ -44,24 +44,39 @@ def test_matmul_gradient():
 # sparse
 
 
+def symmetric(n, pairs, seed=0, diag=False):
+    """The matrix with a random value at each pair, in both orientations, and
+    with a random diagonal when diag is True."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return SparseMatrix.from_edges(n, pairs[:, 0], pairs[:, 1], rng.uniform(-1, 1, len(pairs)),
+                                   rng.uniform(-1, 1, n) if diag else None)
+
+
 def test_spmm_identity():
     x = rand((4, 3), 3, grad=False)
-    eye = SparseMatrix.from_coo(4, 4, np.arange(4), np.arange(4), np.ones(4))
+    eye = SparseMatrix.from_edges(4, [], [], [], np.ones(4))
     out = T.spmm(eye, x)
     np.testing.assert_array_equal(out.values, x.values)
+    with pytest.raises(DimensionError, match="spmm"):
+        T.spmm(eye, rand((3, 3), 3))
 
 
 def test_spmm_empty_matrix_annihilates():
-    s = SparseMatrix.from_coo(3, 3, [], [], [])
+    s = SparseMatrix.from_edges(3, [], [], [])
     out = T.spmm(s, rand((3, 2), 4))
     np.testing.assert_array_equal(out.values, np.zeros((3, 2)))
+    empty = SparseMatrix.from_edges(0, [], [], [])
+    assert empty.shape == (0, 0) and empty.matmul_dense(np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_spmm_matches_dense_oracle():
     rng = np.random.default_rng(5)
-    dense = rng.uniform(-1, 1, size=(5, 5)) * (rng.random((5, 5)) < 0.4)
-    rr, cc = np.nonzero(dense)
-    s = SparseMatrix.from_coo(5, 5, rr, cc, dense[rr, cc])
+    dense = np.triu(rng.uniform(-1, 1, size=(5, 5)) * (rng.random((5, 5)) < 0.4), 1)
+    dense += dense.T
+    np.fill_diagonal(dense, rng.uniform(-1, 1, size=5))
+    u, v = np.nonzero(np.triu(dense, 1))
+    s = SparseMatrix.from_edges(5, u, v, dense[u, v], np.diag(dense))
     x = rng.uniform(-1, 1, size=(5, 3))
     assert np.max(np.abs(s.matmul_dense(x) - dense @ x)) < 1e-12
     np.testing.assert_allclose(s.densify(), dense, atol=0)
@@ -69,28 +84,22 @@ def test_spmm_matches_dense_oracle():
 
 def test_spmm_handles_empty_rows():
     # rows 0 and 3 empty: they belong to no degree bucket and must stay zero
-    s = SparseMatrix.from_coo(4, 4, [1, 1, 2], [0, 3, 2], [2.0, 1.0, -1.0])
-    x = np.arange(8.0).reshape(4, 2)
-    np.testing.assert_allclose(s.matmul_dense(x), s.densify() @ x, atol=0)
+    s = SparseMatrix.from_edges(5, [1, 4], [2, 1], [2.0, -1.0])
+    x = np.arange(10.0).reshape(5, 2)
+    got = s.matmul_dense(x)
+    np.testing.assert_allclose(got, s.densify() @ x, atol=0)
+    assert not got[[0, 3]].any()
 
 
-def random_csr(seed, rows, cols, degrees):
-    """Sparse matrix whose row r stores degrees[r] distinct random columns."""
-    rng = np.random.default_rng(seed)
-    rr, cc = [], []
-    for r, k in enumerate(degrees):
-        rr += [r] * k
-        cc += sorted(rng.choice(cols, size=k, replace=False))
-    return SparseMatrix.from_coo(rows, cols, rr, cc, rng.uniform(-1, 1, size=len(rr)))
-
-
-def row_sequential(s, x):
-    """Reference spmm: each row adds its entries one at a time in column order."""
-    out = np.zeros((s.rows, x.shape[1]))
-    for r in range(s.rows):
+def row_sequential(s, x, data=None):
+    """Reference spmm: each row adds its entries one at a time in column order,
+    with data, when given, in place of the stored values."""
+    data = s.data if data is None else data
+    out = np.zeros((s.shape[0], x.shape[1]))
+    for r in range(s.shape[0]):
         seg = np.flatnonzero(s.row_ids == r)
         seg = seg[np.argsort(s.indices[seg])]
-        terms = s.data[seg, None] * x[s.indices[seg]]
+        terms = data[seg, None] * x[s.indices[seg]]
         if len(terms):
             acc = terms[0].copy()
             for t in terms[1:]:
@@ -99,68 +108,101 @@ def row_sequential(s, x):
     return out
 
 
-SKEWED = [0, 1, 1, 2, 0, 3, 3, 3, 5, 8, 1, 40, 0, 2, 13, 2]
+def skewed_pairs():
+    """Pairs of 40 nodes with skewed degrees, in ten buckets: node i < 8
+    links to the next 2 ** i nodes, up to node 39."""
+    return [(i, j) for i in range(8) for j in range(i + 1, min(40, i + 1 + 2 ** i))]
+
+
+def star_pairs(n, centre):
+    """Every node linked to centre, whose row is then dense, plus a path among
+    the first few others."""
+    others = [i for i in range(n) if i != centre]
+    return [(centre, i) for i in others] + list(zip(others[:4], others[1:5]))
+
+
+def random_pairs(n, seed):
+    """Distinct pairs drawn at a density from 0 to 0.12."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0, 0.12), 1)
+    return np.argwhere(upper)
 
 
 @pytest.mark.parametrize("d", [1, 16, 32])
-@pytest.mark.parametrize("rows, cols, degrees", [
-    (4, 5, [0, 0, 0, 0]),           # nnz = 0
-    (1, 1, [1]),                    # n = 1
-    (1, 7, [0]),                    # a single empty row
-    (6, 6, [2, 0, 1, 0, 3, 0]),     # empty rows between full ones
-    (5, 30, [1, 30, 2, 1, 3]),      # one dense row
-    (16, 40, SKEWED),               # skewed degrees, many buckets
-    (200, 200, None),               # seeded random degrees
+@pytest.mark.parametrize("n, pairs, diag", [
+    (4, [], False),                         # nnz = 0
+    (1, [], True),                          # n = 1
+    (1, [], False),                         # a single empty row
+    (6, [(0, 2), (2, 4), (0, 4)], False),   # empty rows between full ones
+    (30, star_pairs(30, 1), True),          # one dense row, a star's centre
+    (40, skewed_pairs(), False),            # skewed degrees, many buckets
+    (200, random_pairs(200, 9), True),      # seeded random degrees
 ])
-def test_spmm_bucket_plan_matches_dense(rows, cols, degrees, d):
-    seed = rows * 100 + d
-    if degrees is None:
-        degrees = list(np.random.default_rng(seed).integers(0, 25, size=rows))
-    s = random_csr(seed, rows, cols, degrees)
-    x = np.random.default_rng(seed + 1).uniform(-1, 1, size=(cols, d))
+def test_spmm_bucket_plan_matches_dense(n, pairs, diag, d):
+    seed = n * 100 + d
+    s = symmetric(n, pairs, seed, diag)
+    x = np.random.default_rng(seed + 1).uniform(-1, 1, size=(n, d))
     got = s.matmul_dense(x)
-    assert got.shape == (rows, d)
-    assert np.max(np.abs(got - s.densify() @ x), initial=0.0) < 1e-12
+    assert got.shape == (n, d)
+    dense = s.densify()
+    np.testing.assert_array_equal(dense, dense.T)
+    assert np.max(np.abs(got - dense @ x), initial=0.0) < 1e-12
     if d > 1:
         np.testing.assert_array_equal(got, row_sequential(s, x))
     np.testing.assert_array_equal(s.matmul_dense(x), got)  # stored buckets reused
-    # values given per entry run on the same buckets, as if they were stored
+    # values given per entry run on the same buckets, as if they were stored;
+    # like the gauss edge slopes, they need not be symmetric
     other = np.random.default_rng(seed + 2).uniform(-1, 1, size=s.nnz)
-    np.testing.assert_array_equal(
-        s.matmul_dense(x, other),
-        SparseMatrix.from_coo(rows, cols, s.row_ids, s.indices, other).matmul_dense(x))
+    other_dense = np.zeros(s.shape)
+    other_dense[s.row_ids, s.indices] = other
+    got = s.matmul_dense(x, other)
+    assert np.max(np.abs(got - other_dense @ x), initial=0.0) < 1e-12
+    if d > 1:
+        np.testing.assert_array_equal(got, row_sequential(s, x, other))
 
 
 def test_buckets_are_views_of_the_stored_entries():
-    s = random_csr(7, 16, 40, SKEWED)
-    assert len(s._buckets) == len(set(SKEWED) - {0})
+    s = symmetric(40, skewed_pairs(), 7)
+    degrees = np.bincount(np.array(skewed_pairs()).ravel(), minlength=40)
+    assert len(s._buckets) == len(set(degrees) - {0}) == 10
     for rows, lo, idx, vals in s._buckets:
-        assert idx.shape == vals.shape == (SKEWED[rows[0]], len(rows))
+        assert idx.shape == vals.shape == (degrees[rows[0]], len(rows))
         assert np.shares_memory(idx, s.indices) and np.shares_memory(vals, s.data)
         np.testing.assert_array_equal(s.row_ids[lo:lo + idx.size], np.tile(rows, len(idx)))
         assert np.all(np.diff(rows) > 0) and np.all(np.diff(idx, axis=0) > 0)
-    # the stored order does not depend on the order the entries come in
-    again = SparseMatrix.from_coo(16, 40, s.row_ids[::-1], s.indices[::-1], s.data[::-1])
+
+
+def test_stored_entries_do_not_depend_on_pair_order_or_orientation():
+    pairs = random_pairs(60, 4)
+    rng = np.random.default_rng(5)
+    w, diag = rng.uniform(-1, 1, len(pairs)), rng.uniform(-1, 1, 60)
+    s = SparseMatrix.from_edges(60, pairs[:, 0], pairs[:, 1], w, diag)
+    order, flip = rng.permutation(len(pairs)), rng.random(len(pairs)) < 0.5
+    u = np.where(flip, pairs[:, 1], pairs[:, 0])[order]
+    v = np.where(flip, pairs[:, 0], pairs[:, 1])[order]
+    again = SparseMatrix.from_edges(60, u, v, w[order], diag)
     for a in ("row_ids", "indices", "data"):
-        np.testing.assert_array_equal(getattr(again, a), getattr(s, a))
+        assert getattr(again, a).tobytes() == getattr(s, a).tobytes()
+    for (r1, lo1, i1, v1), (r2, lo2, i2, v2) in zip(s._buckets, again._buckets, strict=True):
+        assert lo1 == lo2 and r1.tobytes() == r2.tobytes() and i1.tobytes() == i2.tobytes()
 
 
 def test_spmm_single_entry_rows_round_like_einsum():
     # rows storing one entry skip einsum; the result must keep einsum's bits,
     # which turn a -0.0 product into +0.0
     special = [0.0, -0.0, 1.5, -2.0, 1e-300, -1e-300, 3.0]
-    x = np.array([special, special[::-1], [-0.0] * 7])
-    for vals in ([1.0, 1.0, 1.0, 1.0], [-0.5, 0.0, 2.0, -0.0]):
-        s = SparseMatrix.from_coo(5, 3, [0, 1, 3, 4], [2, 0, 1, 2], vals)
+    x = np.array([special, special[::-1], [-0.0] * 7, [-v for v in special], [-0.0] * 7])
+    for vals in ([1.0, 1.0], [-0.5, 0.0], [2.0, -0.0]):
+        s = SparseMatrix.from_edges(5, [0, 3], [2, 1], vals)  # row 4 empty
         got = s.matmul_dense(x)
         want = np.zeros((5, 7))
-        for r, c, v in zip([0, 1, 3, 4], [2, 0, 1, 2], vals):
+        for r, c, v in zip([0, 2, 3, 1], [2, 0, 1, 3], np.repeat(vals, 2)):
             want[r] = np.einsum("krd,kr->rd", x[[[c]]], np.array([[v]]))[0]
         assert got.tobytes() == want.tobytes()
-    selector = SparseMatrix.from_coo(4, 3, np.arange(4), [2, 0, 0, 1], np.ones(4))
-    got = selector.matmul_dense(x)
-    assert got.tobytes() == (x[[2, 0, 0, 1]] + 0.0).tobytes()
-    assert not np.any(np.signbit(got[0]))
+    swap = SparseMatrix.from_edges(5, [0, 2], [1, 3], np.ones(2))
+    got = swap.matmul_dense(x)
+    assert got[:4].tobytes() == (x[[1, 0, 3, 2]] + 0.0).tobytes()
+    assert not np.any(np.signbit(got[got == 0.0]))  # row 3 takes x's -0.0 row
 
 
 def chunk_rows(monkeypatch):
@@ -175,44 +217,57 @@ def chunk_rows(monkeypatch):
     return sizes
 
 
+def bucketed_pairs(seed):
+    """Pairs of 87 nodes, numbered at random, in buckets of 17, 33, 33 and 1
+    rows of degrees 4, 2, 1 and 7, and three empty rows: a circulant of
+    offsets +-1 and +-2, a cycle, a hub's 7 leaves and 13 linked pairs."""
+    ids = iter(np.random.default_rng(seed).permutation(87))
+    four, two, one = ([next(ids) for _ in range(k)] for k in (17, 33, 33))
+    hub = next(ids)
+    return ([(four[i], four[(i + o) % 17]) for i in range(17) for o in (1, 2)]
+            + [(two[i], two[(i + 1) % 33]) for i in range(33)]
+            + [(hub, leaf) for leaf in one[:7]] + list(zip(one[7::2], one[8::2])))
+
+
 @pytest.mark.parametrize("d", [1, 3, 32])
 @pytest.mark.parametrize("block", [1, 64, 4096])
 def test_chunked_spmm_matches_the_unchunked_bits(monkeypatch, d, block):
-    # buckets of 17, 33, 33 and 1 rows (degrees 4, 2, 1 and 7): chunks of 2
-    # rows (block 1), or of 16 and 32 rows (block 64, d 1), leave one-row
-    # tails, which join the chunk before them
-    degrees = [4] * 9 + [2] * 17 + [1] * 33 + [7] + [0] * 3 + [4] * 8 + [2] * 16
-    rows, cols = len(degrees), 40
-    s = random_csr(d * 10 + block, rows, cols, degrees)
+    # chunks of 2 rows (block 1), or of 16 and 32 rows (block 64, d 1), leave
+    # one-row tails, which join the chunk before them
+    n = 87
+    s = symmetric(n, bucketed_pairs(d + block), d * 10 + block)
+    assert sorted(len(rows) for rows, *_ in s._buckets) == [1, 17, 33, 33]
     rng = np.random.default_rng(block + d)
-    x, other = rng.uniform(-1, 1, size=(cols, d)), rng.uniform(-1, 1, size=s.nnz)
-    unchunked = SparseMatrix.from_coo(rows, cols, s.row_ids, s.indices, s.data)
+    x, other = rng.uniform(-1, 1, size=(n, d)), rng.uniform(-1, 1, size=s.nnz)
     monkeypatch.setattr(T, "_BLOCK_FLOATS", 1 << 60)
-    want, want_data = unchunked.matmul_dense(x), unchunked.matmul_dense(x, other)
+    want, want_data = s.matmul_dense(x), s.matmul_dense(x, other)
     monkeypatch.setattr(T, "_BLOCK_FLOATS", block)
     sizes = chunk_rows(monkeypatch)
     assert s.matmul_dense(x).tobytes() == want.tobytes()
     assert s.matmul_dense(x, other).tobytes() == want_data.tobytes()
-    counts = np.bincount(np.bincount(s.row_ids, minlength=rows))
-    assert sum(sizes) == 2 * (rows - counts[0])  # every stored row once per call
+    assert sum(sizes) == 2 * (n - 3)  # every stored row once per call
     assert sizes.count(1) == 2  # the one-row bucket, never a tail
     if block == 1:
         assert max(sizes) == 3  # chunks of two rows, a tail joining the last
     # integer values sum exactly, so every order gives densify's product
-    ints = SparseMatrix.from_coo(rows, cols, s.row_ids, s.indices,
-                                 rng.integers(-3, 4, size=s.nnz))
-    xi = rng.integers(-5, 6, size=(cols, d)).astype(float)
+    pairs = np.array(bucketed_pairs(d + block))
+    ints = SparseMatrix.from_edges(n, pairs[:, 0], pairs[:, 1],
+                                   rng.integers(-3, 4, size=len(pairs)))
+    xi = rng.integers(-5, 6, size=(n, d)).astype(float)
     assert ints.matmul_dense(xi).tobytes() == (ints.densify() @ xi).tobytes()
 
 
-@pytest.mark.parametrize("degrees", [[3] * 20_480, [3] * 20_480 + [2] * 1_000])
-def test_chunked_spmm_holds_at_most_the_output_and_two_blocks(degrees):
-    # one bucket of every row, then beside a second bucket: the gathered rows
-    # of a 20k-row bucket at width 32 would take 15 MiB
-    n = len(degrees)
-    rows = np.repeat(np.arange(n), degrees)
-    cols = (rows + np.concatenate([np.arange(k) for k in degrees])) % n
-    s = SparseMatrix.from_coo(n, n, rows, cols, np.full(len(rows), 0.5))
+@pytest.mark.parametrize("extra", [0, 1_000])
+def test_chunked_spmm_holds_at_most_the_output_and_two_blocks(extra):
+    # a +-1 circulant of 20,480 rows is one bucket, then beside a second
+    # bucket of linked pairs: the gathered rows of the 20k-row bucket at width
+    # 32 would take 10 MiB
+    big = np.arange(20_480)
+    pair = 20_480 + np.arange(0, extra, 2)
+    u, v = np.concatenate([big, pair]), np.concatenate([(big + 1) % len(big), pair + 1])
+    n = len(big) + extra
+    s = SparseMatrix.from_edges(n, u, v, np.full(len(u), 0.5))
+    assert len(s._buckets) == 1 + (extra > 0)
     x = np.random.default_rng(0).uniform(-1, 1, size=(n, 32))
     other = np.full(s.nnz, 0.25)
     for data in (None, other):
@@ -226,27 +281,25 @@ def test_chunked_spmm_holds_at_most_the_output_and_two_blocks(degrees):
 
 
 def test_spmm_gradient_flows_to_dense_only():
-    s = SparseMatrix.from_coo(3, 3, [0, 1, 2, 2], [1, 2, 0, 1], [1.0, -2.0, 0.5, 3.0])
-    x = rand((3, 2), 6)
-    err = grad_check(lambda: T.sum_all(T.spmm(s, x)), [x])
+    s = SparseMatrix.from_edges(3, [0, 1, 2], [1, 2, 0], [1.0, -2.0, 0.5], [3.0, 0.0, -1.0])
+    x, weights = rand((3, 2), 6), T.constant(np.arange(6.0).reshape(3, 2))
+    err = grad_check(lambda: T.sum_all(T.mul_elem(T.spmm(s, x), weights)), [x])
     assert err < 1e-6
 
 
 def test_sparse_validation():
-    with pytest.raises(ValidationError, match="column index out of range"):
-        SparseMatrix.from_coo(2, 2, [0, 1], [0, 5], [1.0, 1.0])
-    for row in (2, -1):
-        with pytest.raises(ValidationError, match="row index out of range"):
-            SparseMatrix.from_coo(2, 2, [0, row], [0, 1], [1.0, 1.0])
-    with pytest.raises(ValidationError):
-        SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 1.0])  # duplicate
-    with pytest.raises(ValidationError, match="row 2"):
-        SparseMatrix.from_coo(3, 3, [0, 1, 1, 2, 2], [2, 0, 2, 1, 1], np.ones(5))
-
-
-def test_sparse_transpose_roundtrip():
-    s = SparseMatrix.from_coo(3, 4, [0, 1, 2], [3, 0, 2], [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(s.transpose().densify(), s.densify().T)
+    for u, v in (([0, 1], [1, 5]), ([0, -1], [1, 2]), ([3], [0])):
+        with pytest.raises(ValidationError, match=r"pair id outside \[0, 3\)"):
+            SparseMatrix.from_edges(3, u, v, np.ones(len(u)))
+    with pytest.raises(ValidationError, match=r"pair \(1, 1\) is on the diagonal"):
+        SparseMatrix.from_edges(3, [0, 1], [2, 1], [1.0, 1.0])
+    with pytest.raises(ValidationError, match=r"pair \(1, 1\) is on the diagonal"):
+        SparseMatrix.from_edges(3, [1], [1], [1.0], np.ones(3))
+    for u, v in (([0, 1, 2], [2, 2, 0]), ([0, 1, 0], [2, 2, 2])):  # other, then same orientation
+        with pytest.raises(ValidationError, match=r"pair \(0, 2\) is given twice"):
+            SparseMatrix.from_edges(3, u, v, np.ones(3))
+    with pytest.raises(ValidationError, match="differ in shape"):
+        SparseMatrix.from_edges(3, [0, 1], [1, 2], [1.0])
 
 
 # --------------------------------------------------------------------------
