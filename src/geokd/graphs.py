@@ -1,10 +1,10 @@
 """Graph container, normalized operators, privileged-information splits, SBM.
 
-Edges are undirected, stored once as (u, v) with u < v, no self-loops. The
-normalized adjacency and Laplacian add the implicit self-loop (A + I) and are
-cached on the graph, which is immutable after construction; so are the
-parameter-free propagations A_hat^k X of the features and the binary
-adjacency.
+Edges are undirected, stored once as int32 (u, v) with u < v, no
+self-loops. The normalized adjacency and Laplacian add the implicit
+self-loop (A + I) and are cached on the graph, which is immutable after
+construction; so are the parameter-free propagations A_hat^k X of the
+features and the binary adjacency.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _canonical_edges(edges, num_nodes: int) -> np.ndarray:
             dup = np.flatnonzero((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0))
             if len(dup):
                 raise GraphParseError("edges", f"duplicate edge {arr[dup[0]].tolist()}")
-    return arr
+    return arr.astype(np.int32)  # Graph refuses num_nodes >= 2^31
 
 
 class Graph:
@@ -52,8 +52,9 @@ class Graph:
 
     def __init__(self, num_nodes, edges, features, labels, train_mask, val_mask, test_mask):
         self.num_nodes = int(num_nodes)
-        if self.num_nodes < 1:
-            raise GraphParseError("num_nodes", f"expected an integer >= 1, got {num_nodes}")
+        if not 1 <= self.num_nodes < 2 ** 31:  # node ids are stored as int32
+            want = ">= 1" if self.num_nodes < 1 else "below 2^31 (int32 node ids)"
+            raise GraphParseError("num_nodes", f"expected an integer {want}, got {num_nodes}")
         self.edges = _canonical_edges(edges, self.num_nodes)
         checked = isinstance(features, Tensor)  # finite: another graph's, or load_graph's
         self.features = features if checked else Tensor(features)

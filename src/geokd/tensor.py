@@ -11,12 +11,12 @@ both positions, so spmm's backward runs the forward product again. Each entry
 is held once, in the order the sparse-dense product reads them: rows are
 grouped by how many entries they store, each group is one entry-major block,
 and the groups' column ids and values are views of the stored arrays, made
-once. Each group runs in chunks of rows, one gather and one ``einsum`` per
-chunk. A chunk gathers about ``_BLOCK_FLOATS`` floats at most (two rows at
-least), so the memory a product takes beyond its output is
-O(``_BLOCK_FLOATS``) at any n. Every output row sums its entries one after
-another in column order, so results do not depend on how rows are grouped or
-chunked (see ``SparseMatrix.matmul_dense`` for the one exception).
+once, with int32 ids. Each group runs in chunks of rows, one gather and one
+``einsum`` per chunk, as does the alignment's edge kernel. A chunk gathers
+about ``_BLOCK_FLOATS`` floats at most (two rows at least), so a product
+takes O(``_BLOCK_FLOATS``) memory beyond its output at any n. Every output
+row sums its entries one after another in column order, so results do not
+depend on how rows are grouped or chunked (``matmul_dense`` has one exception).
 
 The fused op ``kernel_alignment`` gives the weighted distance between two
 kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
@@ -36,8 +36,8 @@ import numpy as np
 from .errors import DimensionError, NumericError, ValidationError
 
 # kernel_alignment's row blocks are at most b x n, b = max(64, 65536 // n): 512 KiB
-# up to n = 1024, never so few rows that gemms slow down; its edge chunks take
-# 65536 // w entries, and matmul_dense's chunks gather 65536 floats
+# up to n = 1024, never so few rows that gemms slow down; matmul_dense's chunks,
+# and the edge kernel's, gather 65536 floats
 _BLOCK_FLOATS, _BLOCK_ROWS = 65536, 64
 
 
@@ -154,10 +154,10 @@ class SparseMatrix:
     Rows are grouped into buckets by how many entries they store, the buckets
     by ascending count. A bucket of m rows storing k entries each holds its
     entries as one entry-major (k, m) block: rows ascending along m, each
-    row's entries in column order along k. ``row_ids``, ``indices`` and
-    ``data`` hold the entries in that order, and each bucket's (k, m) column
-    ids and values are views of ``indices`` and ``data``, made once: the
-    matrix holds three nnz-long arrays and one row list per bucket.
+    row's entries in column order along k. ``indices`` (int32) and ``data``
+    hold the entries in that order, and each bucket's (k, m) column ids and
+    values are views of them, made once, beside its int32 row list, a view of
+    one n-long array: the matrix holds 12 bytes an entry and 4 a row.
     """
 
     @classmethod
@@ -165,9 +165,8 @@ class SparseMatrix:
         """The n x n matrix with value w[p] at (u[p], v[p]) and (v[p], u[p]) and,
         when diag is given, diag[i] at (i, i). Pairs come in any order and
         orientation; ids outside [0, n), u == v and a pair given twice are
-        refused."""
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        refused. Ids are stored as int32: ``Graph`` refuses n >= 2^31."""
+        u, v, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=np.float64)
         if u.ndim != 1 or not u.shape == v.shape == w.shape:
             raise ValidationError("pair ids and values differ in shape")
         if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
@@ -175,8 +174,9 @@ class SparseMatrix:
         rr, cc, vv = [u, v], [v, u], [w, w]  # both orientations of each pair
         if diag is not None:
             rr, cc, vv = rr + [np.arange(n)], cc + [np.arange(n)], vv + [np.asarray(diag, float)]
-        rr, cc, vv = (np.concatenate(a) for a in (rr, cc, vv))
-        key = rr * n + cc  # row-major position, unique unless a pair repeats or u == v
+        rr, cc = (np.concatenate(a, dtype=np.int32, casting="unsafe") for a in (rr, cc))
+        vv = np.concatenate(vv)
+        key = rr.astype(np.int64) * n + cc  # row-major, unique unless a pair repeats or u == v
         order = np.argsort(key, kind="stable")
         key = key[order]
         dup = np.flatnonzero(key[1:] == key[:-1])
@@ -185,20 +185,19 @@ class SparseMatrix:
             what = "on the diagonal" if r == c else "given twice"
             raise ValidationError(f"pair ({r}, {c}) is {what}")
         counts = np.bincount(rr, minlength=n)
-        by_count = np.argsort(counts, kind="stable")  # ties keep row order
+        by_count = np.argsort(counts, kind="stable").astype(np.int32)  # ties keep row order
         ks, sizes = np.unique(counts[by_count], return_counts=True)
         first = np.cumsum(counts) - counts  # each row's first entry in order
         del key  # from here the build holds one nnz-long index (order) beside its input and output
         self = cls.__new__(cls)
         self.shape, self._buckets = (int(n), int(n)), []
-        stored = [np.empty(len(a), a.dtype) for a in (rr, cc, vv)]
-        self.row_ids, self.indices, self.data = stored
+        self.indices, self.data = np.empty(len(cc), np.int32), np.empty(len(vv))
         lo = 0
         for k, ids in zip(ks, np.split(by_count, np.cumsum(sizes)[:-1])):
             if k:  # the bucket's entries, entry-major, taken into views of the stored arrays
                 at = order[first[ids] + np.arange(k)[:, None]]
-                _, idx, vals = (np.take(a, at, out=s[lo:lo + at.size].reshape(at.shape))
-                                for a, s in zip((rr, cc, vv), stored))
+                idx, vals = (np.take(a, at, out=s[lo:lo + at.size].reshape(at.shape))
+                             for a, s in zip((cc, vv), (self.indices, self.data)))
                 self._buckets.append((ids, lo, idx, vals))  # rows, first entry, (k, rows)
                 lo += at.size
         return self
@@ -209,7 +208,8 @@ class SparseMatrix:
 
     def densify(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self.row_ids, self.indices] = self.data
+        for rows, _, idx, vals in self._buckets:
+            out[rows, idx] = vals
         return out
 
     def matmul_dense(self, x: np.ndarray, data=None) -> np.ndarray:
@@ -240,14 +240,16 @@ class SparseMatrix:
         for rows, lo, idx, vals in self._buckets:
             if data is not None:
                 vals = data[lo:lo + idx.size].reshape(idx.shape)
-            step = max(2, _BLOCK_FLOATS // (len(idx) * x.shape[1] or 1))
-            if len(rows) <= step + 1:  # one chunk, with no views to slice
-                out[rows] = _bucket_product(x, idx, vals)
-                continue
-            bounds = [*range(0, len(rows) - 1, step), len(rows)]  # no one-row tail
-            for c in map(slice, bounds, bounds[1:]):
+            for c in _chunks(len(rows), len(idx) * x.shape[1]):
                 out[rows[c]] = _bucket_product(x, idx[:, c], vals[:, c])
         return out
+
+
+def _chunks(rows: int, floats: int):
+    """A bucket's row chunks: max(2, _BLOCK_FLOATS // floats) rows, no one-row tail."""
+    step = max(2, _BLOCK_FLOATS // (floats or 1))
+    bounds = [*range(0, max(rows - 1, 1), step), rows]
+    return map(slice, bounds, bounds[1:])
 
 
 def _bucket_product(x: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -469,13 +471,16 @@ _GRAM_KINDS = ("randomized", "parametric")  # kernels K = Phi Phi^T of factor ro
 
 class FrozenRows(Tensor):
     """Constant rows for ``kernel_alignment``'s h_t holding spec's kernel at
-    the entries of adj, computed once: a frozen teacher's side of the edge sum."""
+    the entries of adj, computed once: a frozen teacher's side of the edge sum;
+    without ``keep_rows``, the rows go once it is built (delta 0 only)."""
 
-    def __init__(self, values, spec, adj: SparseMatrix):
+    def __init__(self, values, spec, adj: SparseMatrix, keep_rows: bool = True):
         super().__init__(values)
-        self.adj, self.spec = adj, spec
+        self.adj, self.spec, self.released = adj, spec, not keep_rows
         self.edge_kernel = _edge_kernel(
             spec, _kernel_operands(spec, np.ascontiguousarray(self.values)), adj)
+        if self.released:  # the shape, no bytes: at delta 0 only edge_kernel is read
+            self.values = np.broadcast_to(np.nan, self.shape)
 
     @cached_property
     def operands(self):
@@ -507,7 +512,10 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, 
             f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
     hs, d2, want_grad = np.ascontiguousarray(h_s.values), float(delta) ** 2, h_s.requires_grad
     parts = _alignment_parts(spec, hs, h_t, adj, d2, want_grad)
-    grad = _gradient(spec, sum(w * qu for w, (_, qu) in parts), hs) if want_grad else None
+    qu = 0.0
+    for w, (_, q) in parts if want_grad else ():  # sum(w q), in the parts' own buffers
+        qu = np.add(qu, np.multiply(q, w, out=q), out=q)
+    grad = _gradient(spec, qu, hs) if want_grad else None
 
     def backward(g):
         h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
@@ -522,8 +530,10 @@ def _alignment_parts(spec, hs: np.ndarray, h_t: Tensor, adj: SparseMatrix, d2: f
     all-pairs sum runs first, so that the edge sum's Q u holds only u_s, and
     u_s goes on return, before the gradient is mapped: the peak stays one
     n x (d + 2) operand above the rows."""
-    n, ht = len(hs), np.ascontiguousarray(h_t.values)
-    frozen = isinstance(h_t, FrozenRows) and h_t.adj is adj
+    n, frozen = len(hs), isinstance(h_t, FrozenRows) and h_t.adj is adj
+    if getattr(h_t, "released", False) and (d2 or not frozen):
+        raise ValidationError("kernel_alignment: released rows align at delta 0 on their adj alone")
+    ht = None if frozen and not d2 else np.ascontiguousarray(h_t.values)
     ops_s, ops_t = _kernel_operands(spec, hs), None if frozen else _kernel_operands(spec, ht)
     k_s = _edge_kernel(spec, ops_s, adj)
     k_t = h_t.edge_kernel if frozen else _edge_kernel(spec, ops_t, adj)
@@ -572,26 +582,26 @@ def _slope(spec, res: np.ndarray, k_s: np.ndarray) -> np.ndarray:
 
 def _gradient(spec, qu: np.ndarray, h: np.ndarray) -> np.ndarray:
     """d(sum of res^2)/dH over symmetric pairs from qu = Q u (``_slope``): for
-    gauss, as dL/dD = -Q / 2t, (2 / t) (Q H - diag(Q 1) H); else c Q H as dL/dG
-    = c Q / 2, c = 4a for sigmoid and 4 for a Gram, overwriting qu."""
+    gauss, as dL/dD = -Q / 2t, (2 / t) (Q H - diag(Q 1) H) in one new buffer;
+    else c Q H as dL/dG = c Q / 2, c = 4a (sigmoid) or 4 (Gram), overwriting qu."""
     if spec.kind == "gauss":
         d = h.shape[1]
-        return (qu[:, :d] - qu[:, d:d + 1] * h) * (2.0 / spec.t)
+        out = np.multiply(qu[:, d:d + 1], h)
+        return np.multiply(np.subtract(qu[:, :d], out, out=out), 2.0 / spec.t, out=out)
     qu *= 4.0 * spec.a if spec.kind == "sigmoid" else 4.0
     return qu
 
 
 def _edge_kernel(spec, operands, adj: SparseMatrix) -> np.ndarray:
-    """spec's kernel at the stored entries of adj from one side's
-    ``_kernel_operands`` (u, v): chunks of entries take their rows' inner
-    products (a sampled dense-dense product; np.take gathers rows faster than
-    u[r])."""
-    (u, v), rows, cols = operands, adj.row_ids, adj.indices
-    out, step = np.empty(adj.nnz), max(1, _BLOCK_FLOATS // u.shape[1])
-    for lo in range(0, adj.nnz, step):
-        r, c = rows[lo:lo + step], cols[lo:lo + step]
-        _kernel_of_dots(spec, np.einsum("ij,ij->i", np.take(u, r, axis=0),
-                                        np.take(v, c, axis=0), out=out[lo:lo + step]))
+    """spec's kernel at adj's stored entries, in order, from one side's
+    ``_kernel_operands`` (u, v): per ``matmul_dense`` chunk, u at its rows against
+    v at its (k, c) ids, into a new block (einsum into out's slice took more memory)."""
+    (u, v), out = operands, np.empty(adj.nnz)
+    for rows, lo, idx, _ in adj._buckets:
+        block = out[lo:lo + idx.size].reshape(idx.shape)
+        for c in _chunks(len(rows), len(idx) * u.shape[1]):
+            block[:, c] = _kernel_of_dots(spec, np.einsum(
+                "cw,kcw->kc", np.take(u, rows[c], axis=0), np.take(v, idx[:, c], axis=0)))
     return out
 
 

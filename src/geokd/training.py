@@ -299,12 +299,12 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
 
     pgkd aligns the mapped late span entries. Every other mode aligns trace
     entries 1 .. L-1 under an alpha / L scale (entry 0 is X on both sides)
-    against ``teacher_layer_rows``. A frozen full-graph teacher's rows are
-    built on the first epoch and kept as ``T.FrozenRows``, which also keep
-    each layer's kernel on the adjacency's entries (and, once the row blocks
-    read them, its kernel operands). An online or batched teacher's are
-    rebuilt each epoch from the aligned rows' features alone, so a batch of b
-    nodes holds O(b r) teacher floats whatever n is.
+    against ``teacher_layer_rows``. A frozen full-graph teacher's are built
+    before the first epoch as ``T.FrozenRows``, which keep each layer's
+    kernel on the adjacency's entries, and its trace is dropped (at delta 0,
+    where the edge sum reads those kernels alone, the rows too). An online or
+    batched teacher's are rebuilt each epoch from the aligned rows' features
+    alone, so a batch of b nodes holds O(b r) teacher floats whatever n is.
     """
     if plan.mode not in STUDENT_MODES:
         raise ValidationError(f"mode {plan.mode!r} is not a student mode")
@@ -338,7 +338,11 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
         if g_complete is not g:  # and nothing reads g_complete's operators again
             g_complete.drop_operators()
     batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
-    frozen_rows = []
+    frozen_rows = None
+    if cfg.alpha > 0 and not (online or pgkd or batched):  # all the epochs read of the trace
+        frozen_rows = [T.FrozenRows(r.values, spec, adjacency(g), keep_rows=cfg.delta > 0)
+                       for r in teacher_layer_rows(t_view[1], student.dims, spec)]
+        t_view = t_view[0], None
 
     def terms(epoch, logits, trace):
         nonlocal t_logits, t_trace, t_view
@@ -370,14 +374,8 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
                     trace = [T.take_rows(h, ids) if 0 < l < len(trace) - 1 else h  # 1 .. L-1
                              for l, h in enumerate(trace)]
                     teacher_feats = [f if f is None else f[ids] for f in teacher_feats]
-                dims = [h.shape[1] for h in trace]
-                if online or batched:
-                    t_rows = teacher_layer_rows(teacher_feats, dims, spec)
-                else:
-                    if not frozen_rows:
-                        frozen_rows.extend(T.FrozenRows(r.values, spec, adjacency(g))
-                                           for r in teacher_layer_rows(teacher_feats, dims, spec))
-                    t_rows = frozen_rows
+                t_rows = frozen_rows if frozen_rows is not None else teacher_layer_rows(
+                    teacher_feats, [h.shape[1] for h in trace], spec)
                 dis = layer_avg_distill(t_rows, trace, spec, cfg, g, ids)
             loss_dis = dis.item()
             extra.append(dis)

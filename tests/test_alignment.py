@@ -14,6 +14,7 @@ Values and gradients are compared to 1e-12 relative, never bit for bit.
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,9 +30,17 @@ from geokd.distill import (
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
-from geokd.graphs import Graph, adjacency, sbm_generate, save_graph, split_edges
+from geokd import training
+from geokd.graphs import (
+    Graph,
+    adjacency,
+    normalize_adjacency,
+    sbm_generate,
+    save_graph,
+    split_edges,
+)
 from geokd.models import build_model, init_xavier
-from geokd.nhk import KernelSpec, kernel_matrix
+from geokd.nhk import KernelSpec, kernel_matrix, kernel_rows
 from geokd.tensor import Tensor
 from geokd.training import TrainPlan, train_student
 
@@ -143,6 +152,82 @@ def test_frozen_rows_give_the_same_bits(kind, delta):
     assert loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)[0] != want[0]
     other = adjacency(g, np.arange(90))
     assert loss_and_grad(with_frozen, hv_s, hv_t, other, delta, spec)[0] == want[0]
+    # released rows keep their shape and edge kernel but no bytes: the same
+    # bits at delta 0 on their own adjacency, and a refusal wherever the rows
+    # themselves would be read
+    frozen = T.FrozenRows(hv_t, spec, adj, keep_rows=False)
+    assert frozen.shape == hv_t.shape and frozen.values.strides == (0, 0)
+    if delta == 0:
+        got = loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    for a, d in ((adj, 0.4), (other, 0.0)):
+        with pytest.raises(ValidationError, match="released rows align at delta 0 on their adj"):
+            loss_and_grad(with_frozen, hv_s, hv_t, a, d, spec)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid", "randomized"])
+def test_frozen_rows_built_before_training_give_the_same_run(kind, delta, monkeypatch):
+    # a frozen full-graph teacher's rows are built before the student's first
+    # forward, and at delta 0 keep only their edge kernels; the run keeps the
+    # bits of one that aligns against the rows themselves every epoch
+    g_c = sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0)
+    g = split_edges(g_c, 0.5, 0)
+    teacher = build_model("gcn", 6, 8, 3, 2)
+    init_xavier(teacher, 1)
+    plan = TrainPlan(mode="gkd_offline", epochs=4, seed=2, lr=0.05,
+                     kernel=KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2, m=2),
+                     distill=DistillConfig(alpha=1.0, delta=delta))
+    events, forward, frozen_init = [], training.forward, T.FrozenRows.__init__
+    teacher_entries, alive = [], []
+
+    def spy(model, *args):
+        events.append(model)
+        if model is teacher:
+            logits, trace = forward(model, *args)
+            teacher_entries.extend(weakref.ref(h.values) for h in trace[1:-1])
+            return logits, trace
+        alive.append([ref() is not None for ref in teacher_entries])
+        return forward(model, *args)
+
+    monkeypatch.setattr(training, "forward", spy)
+    monkeypatch.setattr(T.FrozenRows, "__init__", lambda self, *a, keep_rows=True: events.append(
+        ("rows", keep_rows)) or frozen_init(self, *a, keep_rows=keep_rows))
+    student = build_model("gcn", 6, 8, 3, 2)
+    got = [r.public_dict() for r in train_student(plan, g, g_c, teacher, student).metrics]
+    assert events[:4] == [teacher, ("rows", delta > 0), ("rows", delta > 0), student]
+    # from the student's first forward on, the teacher's trace lives on only
+    # as the rows kept for the all-pairs sum of a gauss or sigmoid kernel
+    kept = delta > 0 and kind != "randomized"
+    assert alive[0] == [kept, kept]
+    # rows kept whole and tied to no adjacency: each alignment computes the
+    # teacher's edge kernel from them anew
+    monkeypatch.setattr(T.FrozenRows, "__init__", lambda self, *a, keep_rows=True:
+                        frozen_init(self, *a) or setattr(self, "adj", None))
+    student = build_model("gcn", 6, 8, 3, 2)
+    want = [r.public_dict() for r in train_student(plan, g, g_c, teacher, student).metrics]
+    assert got == want
+
+
+@pytest.mark.parametrize("block", [T._BLOCK_FLOATS, 8])  # at 8, chunks of 2 or 3 rows
+@pytest.mark.parametrize("operator", ["adjacency", "normalized", "batch"])
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid", "randomized"])
+def test_edge_kernel_is_the_dense_kernel_at_the_stored_entries(kind, operator, block,
+                                                               monkeypatch):
+    monkeypatch.setattr(T, "_BLOCK_FLOATS", block)
+    g = sbm_generate([30, 30], 0.3, 0.03, 4, 0.5, 6)
+    ids = np.random.default_rng(7).integers(0, 60, size=90)  # repeats ids
+    adj = {"adjacency": adjacency(g), "normalized": normalize_adjacency(g),
+           "batch": adjacency(g, ids)}[operator]
+    spec = KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2, m=2)
+    h = T.constant(features(adj.shape[0], 5, 8))
+    rows = kernel_rows(spec, h)  # a randomized kernel's factors
+    got = T._edge_kernel(spec, T._kernel_operands(spec, rows.values), adj)
+    want = kernel_matrix(spec, h).values
+    assert len(got) == adj.nnz
+    for r, lo, idx, _ in adj._buckets:
+        np.testing.assert_allclose(got[lo:lo + idx.size].reshape(idx.shape), want[r, idx],
+                                   rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode,batch_size", [("gkd_offline", None), ("gkd_offline", 8),

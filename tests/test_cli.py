@@ -586,6 +586,21 @@ def test_eval_of_a_checkpoint_of_other_width_exits_1_naming_checkpoint(tmp_path,
                                        "feature width is 9\n")
 
 
+@pytest.mark.parametrize("blocks", [[8, 8, 8, 8], [30]])
+def test_eval_of_a_checkpoint_narrower_than_the_classes_exits_1_naming_checkpoint(
+        tmp_path, graph_file, capsys, blocks):
+    ckpt = make_teacher(tmp_path, graph_file)  # two classes
+    capsys.readouterr()
+    graph = graph_of(tmp_path, "other.json", blocks, 6)
+    if len(blocks) == 1:  # a wider output may meet a graph that labels fewer classes
+        assert run_cli("eval", "--checkpoint", ckpt, "--graph", graph) == 0
+        return
+    assert run_cli("eval", "--checkpoint", ckpt, "--graph", graph) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: checkpoint: output width 2, but the graph's class count is 4\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["gkd_offline", "pgkd", "self_distill"])
 def test_distill_from_a_teacher_of_other_input_width_exits_1_before_training(
         tmp_path, graph_file, capsys, mode):

@@ -65,6 +65,11 @@ def test_rejects_unlabeled_train_node():
     ({"edges": [(0, 1), (3, 3)]}, "edges: pair 1 [3, 3] is a self-loop"),
     ({"edges": [(2, 1), (0, 1), (1, 2)]}, "edges: duplicate edge [1, 2]"),
     ({"num_nodes": 0}, "num_nodes: expected an integer >= 1, got 0"),
+    # int32 ids: 2^31 nodes are refused before anything is allocated, and one
+    # fewer passes on to the features check
+    ({"num_nodes": 2 ** 31}, "num_nodes: expected an integer below 2^31 (int32 node ids), "
+                             "got 2147483648"),
+    ({"num_nodes": 2 ** 31 - 1}, "features: 4 rows, expected one per node (2147483647)"),
     ({"features": np.zeros((3, 2))}, "features: 3 rows, expected one per node (4)"),
     ({"labels": [0, 1, 0]}, "labels: 3 entries, expected one per node (4)"),
     ({"labels": [0, -1, 0, 1]}, "labels[1]: training node without a label (-1)"),
@@ -177,6 +182,15 @@ def graph_operators(g, rng):
     return [normalize_adjacency(g), laplacian_sym(g), adjacency(g), adjacency(g, ids)]
 
 
+def dense_with(m, data):
+    """m's dense matrix with data in place of its stored values, entry for
+    entry in the stored order, placed through the bucket views."""
+    out = np.zeros(m.shape)
+    for rows, lo, idx, _ in m._buckets:
+        out[rows, idx] = data[lo:lo + idx.size].reshape(idx.shape)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_matmul_dense_matches_densify_on_seeded_graphs(seed):
     g = seeded_graph(seed)
@@ -188,8 +202,7 @@ def test_matmul_dense_matches_densify_on_seeded_graphs(seed):
             assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
             # values given per entry, in the stored order, then the stored ones again
             data = rng.uniform(-1, 1, size=m.nnz)
-            other = np.zeros(m.shape)
-            other[m.row_ids, m.indices] = data
+            other = dense_with(m, data)
             assert np.max(np.abs(m.matmul_dense(x, data) - other @ x), initial=0.0) < 1e-12
             assert np.max(np.abs(m.matmul_dense(x) - want), initial=0.0) < 1e-12
 
@@ -212,9 +225,23 @@ def test_matmul_dense_on_a_batch_with_repeated_ids(ids):
     x = np.random.default_rng(63).uniform(-1, 1, size=(len(ids), 2))
     assert np.max(np.abs(a.matmul_dense(x) - full[np.ix_(ids, ids)] @ x)) < 1e-12
     data = np.arange(1.0, a.nnz + 1)
-    dense = np.zeros(a.shape)
-    dense[a.row_ids, a.indices] = data
+    dense = dense_with(a, data)
     assert np.max(np.abs(a.matmul_dense(x, data) - dense @ x), initial=0.0) < 1e-12
+
+
+def test_operators_hold_12_bytes_an_entry_and_4_a_row():
+    # an n = 800 SBM of mean degree about 16, as the benchmark's gkd-gauss input
+    g = sbm_generate([200] * 4, 0.064, 0.0053, 16, 0.5, 3)
+    assert g.edges.dtype == np.int32 and 6_000 < g.num_edges < 6_600
+    for m in (normalize_adjacency(g), adjacency(g)):
+        assert not hasattr(m, "row_ids")
+        assert m.indices.dtype == np.int32
+        arrays = [m.indices, m.data]
+        for rows, _, idx, vals in m._buckets:
+            assert rows.dtype == idx.dtype == np.int32
+            arrays += [rows, idx, vals]
+        held = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
+        assert sum(held.values()) == 12 * m.nnz + 4 * g.num_nodes
 
 
 # --------------------------------------------------------------------------
@@ -390,7 +417,7 @@ def triu_sbm_reference(blocks, p_in, p_out, feature_dim, noise_sigma, seed):
 def test_sbm_chunked_draws_match_one_triu_draw(blocks):
     g = sbm_generate(blocks, 0.3, 0.02, 5, 0.5, 7)
     edges, feats = triu_sbm_reference(blocks, 0.3, 0.02, 5, 0.5, 7)
-    assert g.edges.dtype == edges.dtype and g.edges.shape == edges.shape
+    assert g.edges.dtype == np.int32 and g.edges.shape == edges.shape
     np.testing.assert_array_equal(g.edges, edges)
     np.testing.assert_array_equal(g.features.values, feats)
 

@@ -91,13 +91,21 @@ def test_spmm_handles_empty_rows():
     assert not got[[0, 3]].any()
 
 
+def stored_rows(s):
+    """The row of each stored entry, in the stored order, from the bucket views."""
+    rows_of = np.empty(s.nnz, dtype=np.int64)
+    for rows, lo, idx, _ in s._buckets:
+        rows_of[lo:lo + idx.size] = np.tile(rows, len(idx))
+    return rows_of
+
+
 def row_sequential(s, x, data=None):
     """Reference spmm: each row adds its entries one at a time in column order,
     with data, when given, in place of the stored values."""
-    data = s.data if data is None else data
+    data, rows_of = s.data if data is None else data, stored_rows(s)
     out = np.zeros((s.shape[0], x.shape[1]))
     for r in range(s.shape[0]):
-        seg = np.flatnonzero(s.row_ids == r)
+        seg = np.flatnonzero(rows_of == r)
         seg = seg[np.argsort(s.indices[seg])]
         terms = data[seg, None] * x[s.indices[seg]]
         if len(terms):
@@ -154,7 +162,7 @@ def test_spmm_bucket_plan_matches_dense(n, pairs, diag, d):
     # like the gauss edge slopes, they need not be symmetric
     other = np.random.default_rng(seed + 2).uniform(-1, 1, size=s.nnz)
     other_dense = np.zeros(s.shape)
-    other_dense[s.row_ids, s.indices] = other
+    other_dense[stored_rows(s), s.indices] = other
     got = s.matmul_dense(x, other)
     assert np.max(np.abs(got - other_dense @ x), initial=0.0) < 1e-12
     if d > 1:
@@ -165,11 +173,17 @@ def test_buckets_are_views_of_the_stored_entries():
     s = symmetric(40, skewed_pairs(), 7)
     degrees = np.bincount(np.array(skewed_pairs()).ravel(), minlength=40)
     assert len(s._buckets) == len(set(degrees) - {0}) == 10
+    dense, end = s.densify(), 0
     for rows, lo, idx, vals in s._buckets:
         assert idx.shape == vals.shape == (degrees[rows[0]], len(rows))
-        assert np.shares_memory(idx, s.indices) and np.shares_memory(vals, s.data)
-        np.testing.assert_array_equal(s.row_ids[lo:lo + idx.size], np.tile(rows, len(idx)))
+        assert idx.base is s.indices and vals.base is s.data
+        assert lo == end  # the buckets tile the stored arrays in order
+        end += idx.size
+        np.testing.assert_array_equal(s.indices[lo:end], idx.ravel())
+        np.testing.assert_array_equal(s.data[lo:end], vals.ravel())
+        np.testing.assert_array_equal(dense[rows, idx], vals)
         assert np.all(np.diff(rows) > 0) and np.all(np.diff(idx, axis=0) > 0)
+    assert end == s.nnz and np.count_nonzero(dense) == s.nnz
 
 
 def test_stored_entries_do_not_depend_on_pair_order_or_orientation():
@@ -181,7 +195,7 @@ def test_stored_entries_do_not_depend_on_pair_order_or_orientation():
     u = np.where(flip, pairs[:, 1], pairs[:, 0])[order]
     v = np.where(flip, pairs[:, 0], pairs[:, 1])[order]
     again = SparseMatrix.from_edges(60, u, v, w[order], diag)
-    for a in ("row_ids", "indices", "data"):
+    for a in ("indices", "data"):
         assert getattr(again, a).tobytes() == getattr(s, a).tobytes()
     for (r1, lo1, i1, v1), (r2, lo2, i2, v2) in zip(s._buckets, again._buckets, strict=True):
         assert lo1 == lo2 and r1.tobytes() == r2.tobytes() and i1.tobytes() == i2.tobytes()
