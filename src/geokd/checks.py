@@ -20,7 +20,7 @@ from .distill import (
     kd_soft_label_loss,
     layer_avg_distill,
     reconstruction_loss,
-    teacher_layer_rows,
+    teacher_kernels,
     weight_matrix,
 )
 from .graphs import adjacency, laplacian_sym, normalize_adjacency, sbm_generate
@@ -217,8 +217,8 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
 
         def f():
             _, s_trace = forward(gcn, g)
-            return layer_avg_distill(teacher_layer_rows(t_feats, gcn.dims, spec), s_trace,
-                                     spec, cfg, g)
+            return layer_avg_distill(teacher_kernels(t_feats, gcn.dims, spec, adjacency(g),
+                                                     cfg.delta), s_trace, spec, cfg.alpha)
 
         return f
 
@@ -237,8 +237,8 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     hb, tb = rand(6, 3), T.constant(rng.uniform(-1, 1, size=(6, 2)))
     for kind in ("gauss", "sigmoid", "randomized"):
         spec = KernelSpec(kind=kind, t=0.6, a=1.4, b=0.3)
-        results.append(_grad_case(f"kernel_alignment {kind}", lambda spec=spec: (
-            T.kernel_alignment(hb, tb, adj, 0.4, spec)), [hb]))
+        results.append(_grad_case(f"kernel_alignment {kind}", lambda t=T.TeacherKernel(
+            tb.values, spec, adj, 0.4): T.kernel_alignment(hb, t), [hb]))
 
     mapper = InverseNhkMapper(5, 10)
     mapper.init(seed)
@@ -273,8 +273,8 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
 
     def factored_align_loss():
         _, s_trace = forward(gcn, g)
-        return T.kernel_alignment(mapper.apply(s_trace[1]), mapper.apply(T.constant(t_late)),
-                                  adjacency(g), 0.4, KernelSpec(kind="parametric"))
+        return T.kernel_alignment(mapper.apply(s_trace[1]), T.TeacherKernel(mapper.apply(
+            T.constant(t_late)).values, KernelSpec(kind="parametric"), adjacency(g), 0.4))
 
     results.append(
         _grad_case("pgkd factored alignment loss", factored_align_loss, gcn.parameters())

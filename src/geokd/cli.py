@@ -109,6 +109,11 @@ class SweepSection:
         for p in self.pirs:
             if not 0.0 <= p <= 1.0:
                 raise GraphParseError("pirs", f"{p} outside [0, 1]")
+        for name in ("pirs", "seeds"):  # a repeat would count its runs twice in each mean
+            values = getattr(self, name)
+            for i, x in enumerate(values):
+                if x in values[:i]:
+                    raise GraphParseError(f"{name}[{i}]", f"{x} repeats entry {values.index(x)}")
         if self.split_kind not in (None, "edges", "nodes"):
             raise GraphParseError("split_kind", f"unknown kind {self.split_kind!r}")
 
@@ -358,7 +363,7 @@ def cmd_sweep_pir(args) -> int:
             pirs = SweepSection(pirs=[float(p) for p in args.pirs.split(",")]).pirs
         except (ValueError, GraphParseError) as e:
             raise GraphParseError(
-                "--pirs", f"expected comma-separated numbers in [0, 1], got {args.pirs!r}") from e
+                "--pirs", f"expected distinct numbers in [0, 1], got {args.pirs!r}") from e
     split_kind = cfg.sweep.split_kind or (cfg.split.kind if cfg.split else "edges")
     method = cfg.plan.mode if cfg.plan.mode != "teacher" else "gkd_offline"
     if method in ("self_distill", "compression"):

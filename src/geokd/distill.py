@@ -1,8 +1,8 @@
 """Distillation losses: kernel alignment, inverse-kernel reconstruction, soft labels.
 
 The alignment loss is ||(K_teacher_sub - K_student) .* W||_F^2 where W weights
-connected pairs 1 and everything else (including self-pairs) delta. Teacher
-inputs are detached here so no gradient ever reaches the frozen model.
+connected pairs 1 and everything else (including self-pairs) delta. Each
+teacher side is a ``T.TeacherKernel``, no tensor, so no gradient reaches it.
 
 gkd's L bridging kernels read trace entries 0 .. L-1 under an alpha / L
 scale. Entry 0 is X on both sides, so its term is 0.0 and is skipped: the
@@ -108,12 +108,12 @@ def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec)
             for h, d in zip(traces_teacher[1:-1], traces_student_dims[1:])]
 
 
-def teacher_layer_rows(traces_teacher, traces_student_dims, spec: KernelSpec):
-    """``kernel_rows`` of the teacher's feature arrays at the trace entries
-    1 .. L-1 ``layer_avg_distill`` aligns; a randomized kernel projects entry
-    l to spec.s, else twice the student's width ``traces_student_dims[l]``."""
-    return [kernel_rows(spec, T.constant(h), spec.width(d))
-            for h, d in zip(traces_teacher[1:-1], traces_student_dims[1:])]
+def teacher_kernels(traces_teacher, student_dims, spec: KernelSpec, adj, delta: float):
+    """A ``T.TeacherKernel`` over adj at delta of the teacher's ``kernel_rows``
+    at each trace entry 1 .. L-1 ``layer_avg_distill`` aligns; a randomized
+    kernel projects entry l to spec.s, else twice ``student_dims[l]``."""
+    return [T.TeacherKernel(kernel_rows(spec, T.constant(h), spec.width(d)).values, spec, adj,
+                            delta) for h, d in zip(traces_teacher[1:-1], student_dims[1:])]
 
 
 def require_hidden_layers(kind: str, depth: int, field: str):
@@ -125,26 +125,23 @@ def require_hidden_layers(kind: str, depth: int, field: str):
                               f"{depth}; alignment reads a gcn's hidden trace entries 1..L-1")
 
 
-def layer_avg_distill(teacher_rows, traces_student, spec: KernelSpec, cfg: DistillConfig,
-                      g: Graph, ids=None) -> Tensor:
-    """Kernel alignment of trace entries 1 .. L-1 scaled by alpha / L, over
-    the pairs of the nodes ``ids`` of g (every node when None).
+def layer_avg_distill(teachers, traces_student, spec: KernelSpec, alpha: float) -> Tensor:
+    """Kernel alignment of trace entries 1 .. L-1 scaled by alpha / L.
 
     The kernel bridging layer l-1 to l reads entry l-1; the bridge from entry
     0, X on both sides, adds 0.0 and is skipped. Entry l is one
     ``T.kernel_alignment`` of the student's ``kernel_rows`` against
-    ``teacher_rows[l - 1]`` (``teacher_layer_rows``); both sides must already
-    be restricted to the aligned rows.
+    ``teachers[l - 1]`` (``teacher_kernels``), whose adjacency and delta it
+    reads: the student's entries must already be restricted to its rows.
     """
     num_layers = len(traces_student) - 1
     if num_layers < 2:
         raise ValidationError("traces must cover at least two layers")
-    if len(teacher_rows) != num_layers - 1:
-        raise DimensionError(f"{len(teacher_rows)} teacher rows for {num_layers - 1} student entries")
-    adj = adjacency(g, ids)
-    terms = (T.kernel_alignment(kernel_rows(spec, h), t_rows, adj, cfg.delta, spec)
-             for h, t_rows in zip(traces_student[1:-1], teacher_rows))
-    return T.scale(reduce(T.add, terms), cfg.alpha / num_layers)
+    if len(teachers) != num_layers - 1:
+        raise DimensionError(f"{len(teachers)} teacher sides for {num_layers - 1} student entries")
+    terms = (T.kernel_alignment(kernel_rows(spec, h), teacher)
+             for h, teacher in zip(traces_student[1:-1], teachers))
+    return T.scale(reduce(T.add, terms), alpha / num_layers)
 
 
 def inverse_nhk_gram(mapper: InverseNhkMapper, h_last: Tensor) -> Tensor:

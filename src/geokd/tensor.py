@@ -23,13 +23,13 @@ kernels (gauss, sigmoid, or a Gram of factors) as one tape node with no n x n
 matrix. Its pair weight splits as W2 = delta^2 + (1 - delta^2) A: a sum over
 the adjacency entries, O(|E| d), plus for delta > 0 only a sum over all
 pairs, O(n^2 d) by row blocks over K's upper triangle, or O(n r^2) from
-r x r Grams for a Gram of n >= 2r factor rows of width r. The chains over
-``pairwise_sqdist`` and ``gram`` are its reference.
+r x r Grams for a Gram of n >= 2r factor rows of width r. Its teacher side
+is one ``TeacherKernel``, built once from constant rows: the kernel at the
+adjacency entries and, for delta > 0 only, what the all-pairs sum reads. The
+chains over ``pairwise_sqdist`` and ``gram`` are its reference.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -469,49 +469,43 @@ def gram(h: Tensor) -> Tensor:
 _GRAM_KINDS = ("randomized", "parametric")  # kernels K = Phi Phi^T of factor rows
 
 
-class FrozenRows(Tensor):
-    """Constant rows for ``kernel_alignment``'s h_t holding spec's kernel at
-    the entries of adj, computed once: a frozen teacher's side of the edge sum;
-    without ``keep_rows``, the rows go once it is built (delta 0 only)."""
+class TeacherKernel:
+    """The teacher's side of ``kernel_alignment``, computed once from constant
+    rows: spec's kernel at the stored entries of adj (``edge_kernel``) and,
+    for delta > 0 only, the rows' ``_kernel_operands``, which the all-pairs
+    sum reads (for a Gram kind, operand 0 is the rows themselves). It is no
+    Tensor, so no gradient ever reaches it."""
 
-    def __init__(self, values, spec, adj: SparseMatrix, keep_rows: bool = True):
-        super().__init__(values)
-        self.adj, self.spec, self.released = adj, spec, not keep_rows
-        self.edge_kernel = _edge_kernel(
-            spec, _kernel_operands(spec, np.ascontiguousarray(self.values)), adj)
-        if self.released:  # the shape, no bytes: at delta 0 only edge_kernel is read
-            self.values = np.broadcast_to(np.nan, self.shape)
-
-    @cached_property
-    def operands(self):
-        """spec's ``_kernel_operands`` of the rows, built by the first all-pairs
-        sum and kept: the edge sum reads edge_kernel alone, so at delta 0 they
-        cost nothing (2 n (d + 2) floats a gauss layer)."""
-        return _kernel_operands(self.spec, np.ascontiguousarray(self.values))
+    def __init__(self, rows: np.ndarray, spec, adj: SparseMatrix, delta: float):
+        n = len(rows)
+        if adj.shape != (n, n):
+            raise DimensionError(f"TeacherKernel: rows {n}, adjacency {adj.shape}")
+        self.spec, self.adj, self.delta = spec, adj, float(delta)
+        operands = _kernel_operands(spec, np.ascontiguousarray(rows))
+        self.edge_kernel = _edge_kernel(spec, operands, adj)
+        self.operands = operands if self.delta else None
 
 
-def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, spec) -> Tensor:
-    """sum of W2_ij (K_s - K_t)_ij^2 over the rows of h_s and h_t, one tape node.
+def kernel_alignment(h_s: Tensor, teacher: TeacherKernel) -> Tensor:
+    """sum of W2_ij (K_s - K_t)_ij^2 over the rows of h_s, one tape node, with
+    spec, adj, delta and K_t read from ``teacher``.
 
     K is spec's gauss exp(-D / 4t) or sigmoid tanh(a G + b) kernel of each
     side's rows, or for a randomized or parametric spec the Gram Phi Phi^T of
-    rows that are the factors Phi; h_t gets no gradient. As W2 = delta^2 +
-    (1 - delta^2) A for a binary symmetric adjacency A with a zero diagonal,
-    the loss is (1 - delta^2) times the sum over the entries of A
-    (``_edge_alignment``) plus, for delta > 0 only, delta^2 times the sum over
-    all pairs: r x r Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows
+    rows that are the factors Phi. As W2 = delta^2 + (1 - delta^2) A for a
+    binary symmetric adjacency A with a zero diagonal, the loss is
+    (1 - delta^2) times the sum over the entries of A (``_edge_alignment``)
+    plus, for delta > 0 only, delta^2 times the sum over all pairs: r x r
+    Grams for a Gram kernel with n >= 2 max(r_s, r_t) rows
     (``_gram_alignment``), else row blocks over the upper triangle
-    (``_blocked_alignment``), from ``_alignment_parts``. A ``FrozenRows`` h_t
-    of this adj holds K_t on the entries and its operands for the whole run.
-    Each part gives its loss and Q u; their weighted sum maps once to the
-    gradient.
+    (``_blocked_alignment``), from ``_alignment_parts``. Each part gives its
+    loss and Q u; their weighted sum maps once to the gradient.
     """
     n = h_s.shape[0]
-    if h_t.shape[0] != n or adj.shape != (n, n):
-        raise DimensionError(
-            f"kernel_alignment: rows {n} and {h_t.shape[0]}, adjacency {adj.shape}")
-    hs, d2, want_grad = np.ascontiguousarray(h_s.values), float(delta) ** 2, h_s.requires_grad
-    parts = _alignment_parts(spec, hs, h_t, adj, d2, want_grad)
+    if teacher.adj.shape != (n, n):
+        raise DimensionError(f"kernel_alignment: rows {n}, teacher adjacency {teacher.adj.shape}")
+    spec, hs, want_grad = teacher.spec, np.ascontiguousarray(h_s.values), h_s.requires_grad
+    parts = _alignment_parts(hs, teacher, want_grad)
     qu = 0.0
     for w, (_, q) in parts if want_grad else ():  # sum(w q), in the parts' own buffers
         qu = np.add(qu, np.multiply(q, w, out=q), out=q)
@@ -523,27 +517,23 @@ def kernel_alignment(h_s: Tensor, h_t: Tensor, adj: SparseMatrix, delta: float, 
     return _make(np.array([[sum(w * part for w, (part, _) in parts)]]), (h_s,), backward)
 
 
-def _alignment_parts(spec, hs: np.ndarray, h_t: Tensor, adj: SparseMatrix, d2: float,
-                     want_grad: bool):
-    """kernel_alignment's [(weight, (loss, Q u))]: the edge sum, then for d2 > 0
-    the all-pairs sum. Each side's ``_kernel_operands`` are built once; the
-    all-pairs sum runs first, so that the edge sum's Q u holds only u_s, and
-    u_s goes on return, before the gradient is mapped: the peak stays one
-    n x (d + 2) operand above the rows."""
-    n, frozen = len(hs), isinstance(h_t, FrozenRows) and h_t.adj is adj
-    if getattr(h_t, "released", False) and (d2 or not frozen):
-        raise ValidationError("kernel_alignment: released rows align at delta 0 on their adj alone")
-    ht = None if frozen and not d2 else np.ascontiguousarray(h_t.values)
-    ops_s, ops_t = _kernel_operands(spec, hs), None if frozen else _kernel_operands(spec, ht)
+def _alignment_parts(hs: np.ndarray, teacher: TeacherKernel, want_grad: bool):
+    """kernel_alignment's [(weight, (loss, Q u))]: the edge sum, then for
+    delta > 0 the all-pairs sum. The student's ``_kernel_operands`` are built
+    once; the all-pairs sum runs first, so that the edge sum's Q u holds only
+    u_s, and u_s goes on return, before the gradient is mapped: the peak
+    stays one n x (d + 2) operand above the rows."""
+    spec, adj, d2, ops_t = teacher.spec, teacher.adj, teacher.delta ** 2, teacher.operands
+    ops_s = _kernel_operands(spec, hs)
     k_s = _edge_kernel(spec, ops_s, adj)
-    k_t = h_t.edge_kernel if frozen else _edge_kernel(spec, ops_t, adj)
     all_pairs = []
     if d2:
-        grams = spec.kind in _GRAM_KINDS and n >= 2 * max(hs.shape[1], ht.shape[1])
-        all_pairs.append((d2, _gram_alignment(hs, ht, want_grad) if grams else _blocked_alignment(
-            ops_s, h_t.operands if frozen else ops_t, spec, want_grad)))
-    u_s, ops_s, ops_t = ops_s[0], None, None
-    return [(1.0 - d2, _edge_alignment(u_s, k_s, k_t, adj, spec, want_grad))] + all_pairs
+        grams = spec.kind in _GRAM_KINDS and len(hs) >= 2 * max(hs.shape[1], ops_t[0].shape[1])
+        all_pairs.append((d2, _gram_alignment(hs, ops_t[0], want_grad) if grams
+                          else _blocked_alignment(ops_s, ops_t, spec, want_grad)))
+    u_s, ops_s = ops_s[0], None
+    edge = _edge_alignment(u_s, k_s, teacher.edge_kernel, adj, spec, want_grad)
+    return [(1.0 - d2, edge)] + all_pairs
 
 
 def _kernel_operands(spec, h: np.ndarray):

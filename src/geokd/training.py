@@ -33,7 +33,7 @@ from .distill import (
     layer_avg_distill,
     pgkd_span,
     require_hidden_layers,
-    teacher_layer_rows,
+    teacher_kernels,
     trace_feature_dim,
 )
 from .errors import GraphParseError, NumericError, ValidationError
@@ -298,13 +298,12 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
     alignment at alpha > 0; the soft labels at alpha_kd > 0.
 
     pgkd aligns the mapped late span entries. Every other mode aligns trace
-    entries 1 .. L-1 under an alpha / L scale (entry 0 is X on both sides)
-    against ``teacher_layer_rows``. A frozen full-graph teacher's are built
-    before the first epoch as ``T.FrozenRows``, which keep each layer's
-    kernel on the adjacency's entries, and its trace is dropped (at delta 0,
-    where the edge sum reads those kernels alone, the rows too). An online or
-    batched teacher's are rebuilt each epoch from the aligned rows' features
-    alone, so a batch of b nodes holds O(b r) teacher floats whatever n is.
+    entries 1 .. L-1 under an alpha / L scale (entry 0 is X on both sides).
+    Every teacher side is a ``T.TeacherKernel``; only when it is built
+    differs. A frozen full-graph teacher's are built once, before the first
+    epoch (``teacher_kernels``), and its trace is dropped. An online or
+    batched teacher's, and pgkd's mapped one, are rebuilt each epoch from the
+    aligned rows alone, so a batch of b nodes holds O(b r) teacher floats.
     """
     if plan.mode not in STUDENT_MODES:
         raise ValidationError(f"mode {plan.mode!r} is not a student mode")
@@ -338,10 +337,9 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
         if g_complete is not g:  # and nothing reads g_complete's operators again
             g_complete.drop_operators()
     batched = cfg.batch_size is not None and cfg.batch_size < g.num_nodes
-    frozen_rows = None
+    frozen = None
     if cfg.alpha > 0 and not (online or pgkd or batched):  # all the epochs read of the trace
-        frozen_rows = [T.FrozenRows(r.values, spec, adjacency(g), keep_rows=cfg.delta > 0)
-                       for r in teacher_layer_rows(t_view[1], student.dims, spec)]
+        frozen = teacher_kernels(t_view[1], student.dims, spec, adjacency(g), cfg.delta)
         t_view = t_view[0], None
 
     def terms(epoch, logits, trace):
@@ -364,9 +362,9 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
                                          (mapper_s, s_late, s_early)))
         if cfg.alpha > 0:
             if pgkd:  # the mappers stay frozen from here on
-                phi_t = mapper_t.apply(T.constant(teacher_feats[late_t]))
-                dis = T.scale(T.kernel_alignment(mapper_s.apply(trace[late_s]), phi_t,
-                                                 adjacency(g), cfg.delta, spec), cfg.alpha)
+                phi_t = mapper_t.apply(T.constant(teacher_feats[late_t])).values
+                dis = T.scale(T.kernel_alignment(mapper_s.apply(trace[late_s]), T.TeacherKernel(
+                    phi_t, spec, adjacency(g), cfg.delta)), cfg.alpha)
             else:
                 ids = None
                 if batched:
@@ -374,9 +372,9 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
                     trace = [T.take_rows(h, ids) if 0 < l < len(trace) - 1 else h  # 1 .. L-1
                              for l, h in enumerate(trace)]
                     teacher_feats = [f if f is None else f[ids] for f in teacher_feats]
-                t_rows = frozen_rows if frozen_rows is not None else teacher_layer_rows(
-                    teacher_feats, [h.shape[1] for h in trace], spec)
-                dis = layer_avg_distill(t_rows, trace, spec, cfg, g, ids)
+                dis = layer_avg_distill(frozen or teacher_kernels(  # an online or batched one's
+                    teacher_feats, student.dims, spec, adjacency(g, ids), cfg.delta),
+                    trace, spec, cfg.alpha)
             loss_dis = dis.item()
             extra.append(dis)
         if cfg.alpha_kd > 0:

@@ -25,8 +25,8 @@ from geokd.distill import (
     DistillConfig,
     distill_loss,
     layer_avg_distill,
+    teacher_kernels,
     teacher_layer_kernels,
-    teacher_layer_rows,
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
@@ -62,6 +62,25 @@ def dense_alignment(h_s, h_t, adj, delta, spec):
     return distill_loss(kernel_matrix(spec, h_t), kernel_matrix(spec, h_s), w)
 
 
+def align(h_s, h_t, adj, delta, spec):
+    """kernel_alignment of h_s against a teacher side built from h_t's rows."""
+    return T.kernel_alignment(h_s, T.TeacherKernel(h_t.values, spec, adj, delta))
+
+
+class RowsKept(T.TeacherKernel):
+    """A teacher side that also keeps its rows, for the dense reference."""
+
+    def __init__(self, rows, *args):
+        super().__init__(rows, *args)
+        self.rows = rows
+
+
+def dense_of_side(h_s, teacher):
+    """``dense_alignment`` with the arguments a ``RowsKept`` side holds."""
+    return dense_alignment(h_s, T.constant(teacher.rows), teacher.adj, teacher.delta,
+                           teacher.spec)
+
+
 def loss_and_grad(align, hv_s, hv_t, adj, delta, spec):
     h_s = Tensor(hv_s.copy(), requires_grad=True)
     loss = align(h_s, T.constant(hv_t), adj, delta, spec)
@@ -82,7 +101,7 @@ def assert_matches_dense(hv_s, hv_t, adj, delta, spec, rtol=1e-12):
     all_pairs = dense(1.0)
     ops_s, ops_t = T._kernel_operands(spec, hv_s), T._kernel_operands(spec, hv_t)
     k_s, k_t = T._edge_kernel(spec, ops_s, adj), T._edge_kernel(spec, ops_t, adj)
-    pairs = [(loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec), dense(delta)),
+    pairs = [(loss_and_grad(align, hv_s, hv_t, adj, delta, spec), dense(delta)),
              (part(*T._edge_alignment(ops_s[0], k_s, k_t, adj, spec, True)), dense(0.0)),
              (part(*T._blocked_alignment(ops_s, ops_t, spec, True)), all_pairs)]
     if spec.kind in GRAM_KINDS:
@@ -129,48 +148,56 @@ def test_upper_triangle_walk_matches_dense(kind, delta, n):
     assert_matches_dense(features(n, 5, n), features(n, 4, n + 2), adjacency(g), delta, spec)
 
 
+@pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("delta", [0.0, 0.4])
-@pytest.mark.parametrize("kind", KINDS)
-def test_frozen_rows_give_the_same_bits(kind, delta):
+@pytest.mark.parametrize("kind", ["gauss", "sigmoid", "randomized"])
+def test_side_built_once_equals_one_rebuilt_per_call(kind, delta, batch):
+    # a teacher side built once and read by three alignments of changing
+    # student rows gives the bits of a side built anew for each call, on the
+    # full adjacency and on a batch's with repeated ids (at 90 rows, a
+    # randomized spec's factors take the r x r Grams)
     g = random_graph(90, 4, p=0.1)
-    adj, spec = adjacency(g), KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2)
-    hv_s, hv_t = features(90, 5, 1), features(90, 4, 2)
-    frozen = T.FrozenRows(hv_t, spec, adj)
-
-    def with_frozen(h_s, _, *args):
-        return T.kernel_alignment(h_s, frozen, *args)
-
-    want = loss_and_grad(T.kernel_alignment, hv_s, hv_t, adj, delta, spec)
-    got = loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)
-    assert got[0] == want[0] and np.array_equal(got[1], want[1])
-    # the teacher's operands are kept only once the row blocks read them
-    # (n = 90 >= 2r sends a Gram kind to the r x r Grams)
-    assert ("operands" in vars(frozen)) == (delta > 0 and kind not in GRAM_KINDS)
-    # kept values are read for their own adjacency only: another matrix with
-    # the same entries gets K_t computed anew
-    frozen.edge_kernel = frozen.edge_kernel + 1.0
-    assert loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)[0] != want[0]
-    other = adjacency(g, np.arange(90))
-    assert loss_and_grad(with_frozen, hv_s, hv_t, other, delta, spec)[0] == want[0]
-    # released rows keep their shape and edge kernel but no bytes: the same
-    # bits at delta 0 on their own adjacency, and a refusal wherever the rows
-    # themselves would be read
-    frozen = T.FrozenRows(hv_t, spec, adj, keep_rows=False)
-    assert frozen.shape == hv_t.shape and frozen.values.strides == (0, 0)
-    if delta == 0:
-        got = loss_and_grad(with_frozen, hv_s, hv_t, adj, delta, spec)
+    ids = np.random.default_rng(5).integers(0, 90, size=120) if batch else None
+    adj, spec = adjacency(g, ids), KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2)
+    hv_t = features(90, 4, 2)[ids if batch else slice(None)]
+    once = T.TeacherKernel(hv_t, spec, adj, delta)
+    for step in range(3):
+        hv_s = features(90, 5, 10 + step)[ids if batch else slice(None)]
+        got = loss_and_grad(lambda h_s, *_: T.kernel_alignment(h_s, once),
+                            hv_s, hv_t, adj, delta, spec)
+        want = loss_and_grad(align, hv_s, hv_t, adj, delta, spec)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
-    for a, d in ((adj, 0.4), (other, 0.0)):
-        with pytest.raises(ValidationError, match="released rows align at delta 0 on their adj"):
-            loss_and_grad(with_frozen, hv_s, hv_t, a, d, spec)
+    # the all-pairs sum's operands are held at delta > 0 alone; a Gram kind's
+    # first is the rows themselves
+    assert (once.operands is None) == (delta == 0)
+    if delta and kind == "randomized":
+        assert np.array_equal(once.operands[0], hv_t)
+    n = len(hv_t)
+    with pytest.raises(DimensionError, match=f"TeacherKernel: rows {n - 1}, adjacency"):
+        T.TeacherKernel(hv_t[1:], spec, adj, delta)
+    with pytest.raises(DimensionError, match=f"kernel_alignment: rows {n - 1}, teacher adj"):
+        T.kernel_alignment(T.parameter(hv_s[1:]), once)
+
+
+class PerCall:
+    """``teacher_kernels``' sides, built anew each time they are read."""
+
+    def __init__(self, build, *args):
+        self.build, self.args = build, args
+
+    def __len__(self):
+        return len(self.args[0]) - 2
+
+    def __iter__(self):
+        return iter(self.build(*self.args))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.4])
 @pytest.mark.parametrize("kind", ["gauss", "sigmoid", "randomized"])
-def test_frozen_rows_built_before_training_give_the_same_run(kind, delta, monkeypatch):
-    # a frozen full-graph teacher's rows are built before the student's first
-    # forward, and at delta 0 keep only their edge kernels; the run keeps the
-    # bits of one that aligns against the rows themselves every epoch
+def test_frozen_sides_built_before_training_give_the_same_run(kind, delta, monkeypatch):
+    # a frozen full-graph teacher's sides are built before the student's
+    # first forward; the run keeps the bits of one whose sides are rebuilt
+    # from the teacher's rows at every alignment
     g_c = sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0)
     g = split_edges(g_c, 0.5, 0)
     teacher = build_model("gcn", 6, 8, 3, 2)
@@ -178,7 +205,7 @@ def test_frozen_rows_built_before_training_give_the_same_run(kind, delta, monkey
     plan = TrainPlan(mode="gkd_offline", epochs=4, seed=2, lr=0.05,
                      kernel=KernelSpec(kind=kind, t=0.6, a=0.8, b=-0.2, m=2),
                      distill=DistillConfig(alpha=1.0, delta=delta))
-    events, forward, frozen_init = [], training.forward, T.FrozenRows.__init__
+    events, forward, side_init = [], training.forward, T.TeacherKernel.__init__
     teacher_entries, alive = [], []
 
     def spy(model, *args):
@@ -191,19 +218,17 @@ def test_frozen_rows_built_before_training_give_the_same_run(kind, delta, monkey
         return forward(model, *args)
 
     monkeypatch.setattr(training, "forward", spy)
-    monkeypatch.setattr(T.FrozenRows, "__init__", lambda self, *a, keep_rows=True: events.append(
-        ("rows", keep_rows)) or frozen_init(self, *a, keep_rows=keep_rows))
+    monkeypatch.setattr(T.TeacherKernel, "__init__", lambda self, *a: events.append(
+        ("side", a[3])) or side_init(self, *a))
     student = build_model("gcn", 6, 8, 3, 2)
     got = [r.public_dict() for r in train_student(plan, g, g_c, teacher, student).metrics]
-    assert events[:4] == [teacher, ("rows", delta > 0), ("rows", delta > 0), student]
+    assert events[:4] == [teacher, ("side", delta), ("side", delta), student]
     # from the student's first forward on, the teacher's trace lives on only
-    # as the rows kept for the all-pairs sum of a gauss or sigmoid kernel
-    kept = delta > 0 and kind != "randomized"
+    # as the operands of a sigmoid side at delta > 0, which are the rows
+    kept = delta > 0 and kind == "sigmoid"
     assert alive[0] == [kept, kept]
-    # rows kept whole and tied to no adjacency: each alignment computes the
-    # teacher's edge kernel from them anew
-    monkeypatch.setattr(T.FrozenRows, "__init__", lambda self, *a, keep_rows=True:
-                        frozen_init(self, *a) or setattr(self, "adj", None))
+    monkeypatch.setattr(training, "teacher_kernels",
+                        lambda *args: PerCall(teacher_kernels, *args))
     student = build_model("gcn", 6, 8, 3, 2)
     want = [r.public_dict() for r in train_student(plan, g, g_c, teacher, student).metrics]
     assert got == want
@@ -290,17 +315,20 @@ def test_every_batch_layer_runs_the_blocked_op(kind, monkeypatch):
     s_trace = [T.parameter(rng.normal(size=(11, w))) for w in (4, 3, 5, 2)]
     calls, op = [], T.kernel_alignment
 
-    def recording_op(h_s, h_t, adj, delta, spec):
-        calls.append((h_s.shape, h_t.shape, adj.shape))
-        return op(h_s, h_t, adj, delta, spec)
+    def recording_op(h_s, teacher):
+        calls.append((h_s.shape, teacher.operands[0].shape, teacher.adj.shape))
+        return op(h_s, teacher)
 
     monkeypatch.setattr(T, "kernel_alignment", recording_op)
     spec = KernelSpec(kind=kind, m=2)
-    t_rows = teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
-    layer_avg_distill(t_rows, s_trace, spec, DistillConfig(delta=0.4), g, ids).backward()
+    teachers = teacher_kernels(t_feats, [h.shape[1] for h in s_trace], spec,
+                               adjacency(g, ids), 0.4)
+    layer_avg_distill(teachers, s_trace, spec, 1.0).backward()
     # entries 1 and 2 only; a randomized layer aligns factors of width
-    # (m + 1) * 2d, d the student's
-    widths = [(18, 18), (30, 30)] if kind == "randomized" else [(3, 6), (5, 3)]
+    # (m + 1) * 2d, d the student's, and a gauss side's first operand is
+    # [h, 1, c]
+    widths = {"randomized": [(18, 18), (30, 30)], "gauss": [(3, 8), (5, 5)],
+              "sigmoid": [(3, 6), (5, 3)]}[kind]
     assert calls == [((11, w_s), (11, w_t), (11, 11)) for w_s, w_t in widths]
 
 
@@ -318,7 +346,7 @@ def test_gradient_free_student_and_shape_checks():
     adj = adjacency(random_graph(5, 0))
     hv_s, hv_t, spec = features(5, 2, 0), features(5, 2, 1), KernelSpec(kind="parametric")
     for delta in (0.0, 0.4):
-        loss = T.kernel_alignment(Tensor(hv_s), Tensor(hv_t), adj, delta, spec)
+        loss = align(Tensor(hv_s), Tensor(hv_t), adj, delta, spec)
         assert loss._backward is None and loss.item() > 0.0
     ops_s, ops_t = T._kernel_operands(spec, hv_s), T._kernel_operands(spec, hv_t)
     k_s, k_t = T._edge_kernel(spec, ops_s, adj), T._edge_kernel(spec, ops_t, adj)
@@ -326,19 +354,18 @@ def test_gradient_free_student_and_shape_checks():
                        T._blocked_alignment(ops_s, ops_t, spec, False),
                        T._gram_alignment(hv_s, hv_t, False)):
         assert grad is None and loss > 0.0
-    with pytest.raises(DimensionError, match="rows 5 and 4"):
-        T.kernel_alignment(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
-                           KernelSpec(kind="parametric"))
-    with pytest.raises(DimensionError, match=r"adjacency \(5, 5\)"):
-        T.kernel_alignment(Tensor(features(4, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
-                           KernelSpec(kind="gauss"))
+    with pytest.raises(DimensionError, match=r"kernel_alignment: rows 5, teacher adjacency \(4, 4\)"):
+        align(Tensor(features(5, 2, 0)), Tensor(features(4, 2, 1)),
+              adjacency(random_graph(4, 0)), 0.4, KernelSpec(kind="parametric"))
+    with pytest.raises(DimensionError, match=r"TeacherKernel: rows 4, adjacency \(5, 5\)"):
+        align(Tensor(features(4, 2, 0)), Tensor(features(4, 2, 1)), adj, 0.4,
+              KernelSpec(kind="gauss"))
     # gkd has no learned kernel to align, and aligns entries 1 .. L-1 of L >= 2
     trace = [T.constant(features(5, 2, seed)) for seed in range(3)]
     with pytest.raises(ValidationError, match="parametric"):
-        layer_avg_distill(trace[1:2], trace, KernelSpec(kind="parametric"), DistillConfig(),
-                          random_graph(5, 0))
+        layer_avg_distill([None], trace, KernelSpec(kind="parametric"), 1.0)
     with pytest.raises(ValidationError, match="two layers"):
-        layer_avg_distill([], trace[:2], KernelSpec(), DistillConfig(), random_graph(5, 0))
+        layer_avg_distill([], trace[:2], KernelSpec(), 1.0)
 
 
 def spy_all_pairs(monkeypatch):
@@ -375,7 +402,7 @@ def test_gram_branch_from_the_shape(kind, n, r_s, r_t, grams, monkeypatch):
     rng = np.random.default_rng(n)
     phi_s = T.parameter(np.tanh(rng.normal(size=(n, r_s))))
     phi_t = T.constant(np.tanh(rng.normal(size=(n, r_t))))
-    T.kernel_alignment(phi_s, phi_t, adj, 0.4, KernelSpec(kind=kind)).backward()
+    align(phi_s, phi_t, adj, 0.4, KernelSpec(kind=kind)).backward()
     assert calls == ["_gram_alignment" if grams else "_blocked_alignment"]
     assert phi_s.grad is not None
 
@@ -386,8 +413,7 @@ def test_no_all_pairs_sum_at_delta_zero(monkeypatch):
     for kind, n in itertools.product(KINDS, (39, 40)):  # both sides of n = 2r
         phi_s = T.parameter(np.tanh(rng.normal(size=(n, 20))))
         phi_t = T.constant(np.tanh(rng.normal(size=(n, 12))))
-        T.kernel_alignment(phi_s, phi_t, adjacency(path_graph(n)), 0.0,
-                           KernelSpec(kind=kind)).backward()
+        align(phi_s, phi_t, adjacency(path_graph(n)), 0.0, KernelSpec(kind=kind)).backward()
         assert phi_s.grad is not None
     # gkd full batch and batched, and pgkd, each at distill.delta's default 0
     g_c = sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0)
@@ -412,8 +438,9 @@ def test_layer_avg_full_graph_matches_dense(kind):
     t_feats = [rng.normal(size=(n, 4)), rng.normal(size=(n, 6)), rng.normal(size=(n, 2))]
     s_trace = [T.constant(rng.normal(size=(n, 4))), T.parameter(rng.normal(size=(n, 3))),
                T.parameter(rng.normal(size=(n, 2)))]
-    t_rows = teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
-    got = layer_avg_distill(t_rows, s_trace, spec, cfg, g)
+    teachers = teacher_kernels(t_feats, [h.shape[1] for h in s_trace], spec, adjacency(g),
+                               cfg.delta)
+    got = layer_avg_distill(teachers, s_trace, spec, cfg.alpha)
     got.backward()
     got_grad = s_trace[1].grad.copy()
     s_trace[1].zero_grad()
@@ -463,7 +490,7 @@ def test_gauss_gkd_epoch_at_delta_zero_holds_no_row_block(monkeypatch):
         held, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         out = op(*args)
-        peaks.setdefault(args[3], []).append(tracemalloc.get_traced_memory()[1] - held)
+        peaks.setdefault(args[1].delta, []).append(tracemalloc.get_traced_memory()[1] - held)
         return out
 
     monkeypatch.setattr(T, "kernel_alignment", measured)
@@ -495,8 +522,7 @@ def test_factored_alignment_peaks_below_eight_factor_buffers():
     phi_s = T.parameter(np.tanh(rng.normal(size=(n, r))))
     tracemalloc.start()
     try:
-        T.kernel_alignment(phi_s, phi_t, adjacency(g), 0.4,
-                           KernelSpec(kind="parametric")).backward()
+        align(phi_s, phi_t, adjacency(g), 0.4, KernelSpec(kind="parametric")).backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -526,7 +552,8 @@ def test_cli_gauss_gkd_matches_dense_reference(tmp_path, monkeypatch):
         return (out / "summary.json").read_bytes(), metrics
 
     summary, metrics = run("blocked")
-    monkeypatch.setattr(T, "kernel_alignment", dense_alignment)
+    monkeypatch.setattr(T, "TeacherKernel", RowsKept)
+    monkeypatch.setattr(T, "kernel_alignment", dense_of_side)
     summary_ref, metrics_ref = run("dense")
     assert summary == summary_ref
     assert len(metrics) == len(metrics_ref) == 3

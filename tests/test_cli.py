@@ -730,6 +730,10 @@ def test_sweep_teacher_rows_do_not_depend_on_the_method(tmp_path, graph_file):
     ({"pirs": [], "seeds": [0]}, [], "sweep.pirs"),
     ({"pirs": [0.5], "seeds": [0]}, ["--pirs", "a,b"], "--pirs"),
     ({"pirs": [0.5], "seeds": [0]}, ["--pirs", "0.5,2"], "--pirs"),
+    # a repeat would write its summary rows twice and count them twice in each mean
+    ({"pirs": [0.25, 0.5, 0.5], "seeds": [0]}, [], "sweep.pirs[2]"),
+    ({"pirs": [0.5], "seeds": [0, 1, 0]}, [], "sweep.seeds[2]"),
+    ({"pirs": [0.5], "seeds": [0]}, ["--pirs", "0.5,0.25,0.5"], "--pirs"),
 ])
 def test_sweep_config_errors_exit_1_naming_the_field(tmp_path, graph_file, capsys,
                                                      sweep, argv, field):

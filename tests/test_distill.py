@@ -12,8 +12,8 @@ from geokd.distill import (
     layer_avg_distill,
     pgkd_span,
     reconstruction_loss,
+    teacher_kernels,
     teacher_layer_kernels,
-    teacher_layer_rows,
     weight_matrix,
 )
 from geokd.errors import DimensionError, ValidationError
@@ -23,9 +23,14 @@ from geokd.nhk import KernelSpec, kernel_matrix
 from geokd.training import sample_distill_batch
 
 
-def rows(t_feats, s_trace, spec):
-    """The teacher rows ``layer_avg_distill`` reads, at the student's widths."""
-    return teacher_layer_rows(t_feats, [h.shape[1] for h in s_trace], spec)
+def sides(t_feats, s_trace, spec, g, delta, ids=None):
+    """The teacher sides ``layer_avg_distill`` reads, at the student's widths."""
+    return teacher_kernels(t_feats, [h.shape[1] for h in s_trace], spec, adjacency(g, ids), delta)
+
+
+def align(h_s, h_t, adj, delta, spec):
+    """kernel_alignment of h_s against a teacher side built from h_t's rows."""
+    return T.kernel_alignment(h_s, T.TeacherKernel(h_t.values, spec, adj, delta))
 
 
 def dense_adjacency(g):
@@ -174,15 +179,15 @@ def test_layer_avg_zero_for_equal_traces(small_setup):
     spec = KernelSpec(kind="gauss", t=1.0)
     cfg = DistillConfig(alpha=3.0)
     same = [T.Tensor(f) for f in t_feats]
-    loss = layer_avg_distill(rows(t_feats, same, spec), same, spec, cfg, g).item()
+    loss = layer_avg_distill(sides(t_feats, same, spec, g, cfg.delta), same, spec,
+                             cfg.alpha).item()
     assert loss == pytest.approx(0.0, abs=1e-20)
 
 
 def test_layer_avg_zero_alpha(small_setup):
     g, t_feats, s_trace, w = small_setup
     spec = KernelSpec(kind="gauss")
-    loss = layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec,
-                             DistillConfig(alpha=0.0), g)
+    loss = layer_avg_distill(sides(t_feats, s_trace, spec, g, 0.0), s_trace, spec, 0.0)
     assert loss.item() == 0.0
 
 
@@ -190,7 +195,8 @@ def test_layer_avg_matches_manual_loop(small_setup):
     g, t_feats, s_trace, w = small_setup
     spec = KernelSpec(kind="gauss", t=0.8)
     cfg = DistillConfig(alpha=2.5, delta=0.4)
-    loss = layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec, cfg, g).item()
+    loss = layer_avg_distill(sides(t_feats, s_trace, spec, g, cfg.delta), s_trace, spec,
+                             cfg.alpha).item()
     manual = 0.0
     for l in range(1, len(s_trace) - 1):  # entry 0 is X on both sides and skipped
         k_t = kernel_matrix(spec, T.Tensor(t_feats[l])).values
@@ -203,8 +209,8 @@ def test_layer_avg_matches_manual_loop(small_setup):
 def test_layer_avg_trace_length_mismatch(small_setup):
     g, t_feats, s_trace, w = small_setup
     with pytest.raises(DimensionError):
-        layer_avg_distill(rows(t_feats[:-1], s_trace, KernelSpec()), s_trace, KernelSpec(),
-                          DistillConfig(), g)
+        layer_avg_distill(sides(t_feats[:-1], s_trace, KernelSpec(), g, 0.0), s_trace,
+                          KernelSpec(), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +339,7 @@ def test_factored_distill_matches_dense(case, delta):
 
     want, want_grads = loss_and_grads(dense, params)
     adj = adjacency(g)
-    got, got_grads = loss_and_grads(lambda: T.kernel_alignment(
+    got, got_grads = loss_and_grads(lambda: align(
         mapper_s.apply(h_s), mapper_t.apply(h_t), adj, delta, PARAMETRIC), params)
     assert abs(got - want) <= 1e-12 * abs(want)
     for gg, wg in zip(got_grads, want_grads):
@@ -372,8 +378,8 @@ def test_randomized_full_graph_alignment_matches_dense(case, delta):
             distill_loss(k_t[0], kernel_matrix(spec, s_trace[1]), w), cfg.alpha / 2), params)
         for ids in (None, np.arange(n)):
             got, got_grads = loss_and_grads(
-                lambda: layer_avg_distill(rows(t_feats, s_trace, spec), s_trace, spec, cfg, g,
-                                          ids), params)
+                lambda: layer_avg_distill(sides(t_feats, s_trace, spec, g, cfg.delta, ids),
+                                          s_trace, spec, cfg.alpha), params)
             assert abs(got - want) <= 1e-12 * abs(want)
             for gg, wg in zip(got_grads, want_grads):
                 assert_close_rel(gg, wg)
@@ -401,7 +407,7 @@ def test_factored_reconstruction_matches_dense(case):
 def test_factored_distill_identical_factors_zero(delta):
     g = sbm_generate([6, 5], 0.6, 0.2, 3, 0.5, 23)
     phi = T.parameter(np.tanh(np.random.default_rng(24).normal(size=(g.num_nodes, 6))))
-    loss = T.kernel_alignment(phi, phi, adjacency(g), delta, PARAMETRIC)
+    loss = align(phi, phi, adjacency(g), delta, PARAMETRIC)
     assert loss.item() == 0.0
     loss.backward()
     assert not np.any(phi.grad)
@@ -413,8 +419,8 @@ def test_factored_losses_check_shapes():
     g = sbm_generate([3, 3], 0.6, 0.2, 3, 0.5, 25)
     phi = T.Tensor(np.ones((6, 4)))
     with pytest.raises(DimensionError):
-        T.kernel_alignment(T.Tensor(np.ones((5, 4))), T.Tensor(np.ones((5, 4))), adjacency(g),
-                           0.4, PARAMETRIC)
+        align(T.Tensor(np.ones((5, 4))), T.Tensor(np.ones((5, 4))), adjacency(g), 0.4,
+              PARAMETRIC)
     with pytest.raises(DimensionError):
         factored_reconstruction_loss(phi, T.Tensor(np.ones((5, 2))), T.Tensor(np.ones((5, 2))))
     with pytest.raises(DimensionError):
@@ -482,8 +488,8 @@ def test_minibatch_loss_matches_full_in_expectation():
     def pair_loss(ids):  # two layers: entry 1 is the one aligned
         t_feats = [h_t[ids]] * 3
         s_feats = [T.Tensor(h_s[ids])] * 3
-        return layer_avg_distill(rows(t_feats, s_feats, spec), s_feats, spec, cfg, g,
-                                 ids).item()
+        return layer_avg_distill(sides(t_feats, s_feats, spec, g, cfg.delta, ids), s_feats,
+                                 spec, cfg.alpha).item()
 
     full = pair_loss(np.arange(n))
     # gauss kernels have unit diagonals on both sides, so only off-diagonal

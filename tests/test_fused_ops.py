@@ -120,10 +120,15 @@ def test_gkd_offline_metrics_match_tape_chain(tmp_path, monkeypatch):
     save_graph(sbm_generate([15, 15], 0.4, 0.05, 6, 0.5, 0), graph)
     calls = []
 
-    def dense_chain(phi_s, phi_t, adj, delta, spec):
-        calls.append(spec.kind)
-        w = T.constant(delta + (1.0 - delta) * adj.densify())
-        return distill_loss(T.gram(phi_t), T.gram(phi_s), w)
+    class RowsKept(T.TeacherKernel):  # a teacher side that keeps its factors
+        def __init__(self, rows, *args):
+            super().__init__(rows, *args)
+            self.rows = rows
+
+    def dense_chain(phi_s, teacher):
+        calls.append(teacher.spec.kind)
+        w = T.constant(teacher.delta + (1.0 - teacher.delta) * teacher.adj.densify())
+        return distill_loss(T.gram(T.constant(teacher.rows)), T.gram(phi_s), w)
 
     def run(name):
         doc = {"mode": "teacher", "complete_graph": str(graph),
@@ -144,6 +149,7 @@ def test_gkd_offline_metrics_match_tape_chain(tmp_path, monkeypatch):
         return (out / "summary.json").read_bytes(), metrics
 
     summary, metrics = run("fused")
+    monkeypatch.setattr(T, "TeacherKernel", RowsKept)
     monkeypatch.setattr(T, "kernel_alignment", dense_chain)
     summary_ref, metrics_ref = run("tape")
     assert calls == ["randomized"] * 2 * 3  # trace entries 1 and 2, three epochs
@@ -170,7 +176,8 @@ def test_gauss_alignment_peak_memory():
     h = Tensor(features(n, d, 3), requires_grad=True)
     tracemalloc.start()
     try:
-        T.kernel_alignment(h, h_t, adj, 0.4, KernelSpec(kind="gauss")).backward()
+        T.kernel_alignment(h, T.TeacherKernel(h_t.values, KernelSpec(kind="gauss"), adj,
+                                              0.4)).backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

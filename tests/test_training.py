@@ -640,9 +640,9 @@ def test_every_alignment_reads_a_trained_entry(graphs, teacher, monkeypatch, mod
     g_c, g = graphs
     calls, op = [], T.kernel_alignment
 
-    def spy(h_s, h_t, *args):
-        calls.append((h_s.requires_grad, h_s.shape, h_t.shape))
-        return op(h_s, h_t, *args)
+    def spy(h_s, teacher):  # a gauss side's first operand is [h, 1, c]
+        calls.append((h_s.requires_grad, h_s.shape, teacher.operands[0].shape))
+        return op(h_s, teacher)
 
     monkeypatch.setattr(T, "kernel_alignment", spy)
     plan = quick_plan(mode=mode, seed=16, epochs=3, kernel=KernelSpec(kind="gauss"),
@@ -651,7 +651,7 @@ def test_every_alignment_reads_a_trained_entry(graphs, teacher, monkeypatch, mod
         teacher = build_model("gcn", 6, 8, 3, 2)
     train_student(plan, g, g_c, teacher, build_model("gcn", 6, 8, 3, 2))
     rows = batch_size or g.num_nodes
-    assert calls == [(True, (rows, 8), (rows, 8))] * 2 * 3
+    assert calls == [(True, (rows, 8), (rows, 10))] * 2 * 3
 
 
 @pytest.mark.parametrize("mode", ["teacher", "gkd_offline", "pgkd", "online"])
