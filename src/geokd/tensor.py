@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode differentiation, plus fixed sparse operators.
 
 Tensors are strictly rank-2 float64. Each differentiable op records its
-parents and a backward closure; calling ``backward()`` on a scalar walks the
-tape in reverse topological order. Sparse matrices are constants: gradients
-flow only through their dense operands.
+parents and a backward closure; ``backward()`` on a scalar walks the tape
+in reverse topological order and frees each node as it passes. Sparse
+matrices are constants: gradients flow only through their dense operands.
 
 A sparse matrix is square and symmetric by construction: its builder takes
 each off-diagonal pair once, in either orientation, and stores its value at
@@ -89,26 +89,27 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse pass from this scalar; populates .grad on reachable tensors."""
+        """Reverse pass from this scalar; populates .grad on reachable tensors.
+        Right after its closure runs (or is skipped, unreached), a node drops its
+        parents, closure and spent grad and leaves the walk, so what only spent
+        closures held goes once its last reader has run. Leaves keep their grads."""
         if self.values.size != 1:
             raise DimensionError("backward() requires a scalar loss")
         order = _toposort(self)
         self._accumulate(np.ones((1, 1)))
-        for node in order:
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None  # an interior gradient is spent once passed on
-        # Free the tape; parameters keep their grads.
-        for node in order:
-            node._parents = ()
-            node._backward = None
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _toposort(root: Tensor):
-    """Reverse topological order of the tape reachable from root."""
+    """The tape reachable from root, each node after its parents: root last."""
     order, visited = [], set()
     stack = [(root, False)]
     while stack:
@@ -123,7 +124,7 @@ def _toposort(root: Tensor):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    return list(reversed(order))
+    return order
 
 
 def _make(values: np.ndarray, parents, backward) -> Tensor:

@@ -20,6 +20,7 @@ import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -199,7 +200,9 @@ def _fit(model: GnnModel, g: Graph, plan: TrainPlan, terms) -> TrainResult:
     ``terms(epoch, logits, trace) -> (tensors, loss_dis, loss_rec)``. The
     forward after each step both evaluates the epoch and feeds the next
     epoch's loss, since the weights do not change in between: a run of E
-    epochs runs E + 1 forwards.
+    epochs runs E + 1 forwards. Before the backward the loop keeps only the
+    floats its record needs: the tape alone holds the epoch's forward and loss
+    terms, the backward frees them as it walks, and no two forwards coexist.
     """
     plan.require_alignable(model.kind, model.num_layers)
     empty = g.empty_split()
@@ -216,19 +219,19 @@ def _fit(model: GnnModel, g: Graph, plan: TrainPlan, terms) -> TrainResult:
         tic = time.perf_counter()
         loss_pre = T.cross_entropy(logits, g.labels, g.train_mask)
         extra, loss_dis, loss_rec = terms(epoch, logits, trace)
-        _require_finite(epoch, loss_pre=loss_pre.item(), loss_dis=loss_dis,
-                        loss_rec=loss_rec)
-        total = loss_pre
-        for term in extra:
-            total = T.add(total, term)
+        pre = loss_pre.item()
+        _require_finite(epoch, loss_pre=pre, loss_dis=loss_dis, loss_rec=loss_rec)
+        total = reduce(T.add, extra, loss_pre)
+        del logits, trace, loss_pre, extra
         opt.zero_grad()
         total.backward()
+        del total
         opt.step()
         logits, trace = forward(model, g)
         train_acc, val_acc, test_acc = accuracies(logits.values, g)
         tracker.update(epoch, val_acc, test_acc)
         metrics.append(MetricsRecord(
-            epoch, loss_pre.item(), loss_dis, train_acc, val_acc, test_acc,
+            epoch, pre, loss_dis, train_acc, val_acc, test_acc,
             (time.perf_counter() - tic) * 1e3, loss_rec=loss_rec,
         ))
         if plan.patience and tracker.since_best >= plan.patience:
@@ -274,14 +277,19 @@ def _e_step(opt_phi: Adam, sides) -> float:
     """pgkd's E-step: one mapper step on the sum, returned, of the ``sides``'
     (mapper, h_late, h_early) reconstruction losses. Each side's tape is spent
     before the next is built; a shared mapper's weight sums one gradient from
-    each side, as a backward through their sum would, in either order."""
-    opt_phi.zero_grad()
+    each side, as a backward through their sum would, in either order. The
+    mapper weights take a gradient here alone: outside, they are constants
+    that no tape differentiates, and they hold no grad."""
+    for p in opt_phi.params:
+        p.requires_grad, p.grad = True, None
     losses = []
     for mapper, late, early in sides:
         rec = factored_reconstruction_loss(mapper.apply(late), late, early)
         rec.backward()
         losses.append(rec.item())
     opt_phi.step()
+    for p in opt_phi.params:
+        p.requires_grad, p.grad = False, None
     return sum(losses)
 
 
@@ -348,6 +356,7 @@ def train_student(plan: TrainPlan, g: Graph, g_complete: Graph,
         if online:
             t_loss = T.cross_entropy(t_logits, g_complete.labels, g_complete.train_mask)
             _require_finite(epoch, teacher_loss_pre=t_loss.item())
+            t_logits = t_trace = t_view = None  # as in _fit: the tape alone holds them
             opt_t.zero_grad()
             t_loss.backward()
             opt_t.step()

@@ -5,6 +5,7 @@ from geokd import tensor as T
 from geokd.distill import (
     DistillConfig,
     InverseNhkMapper,
+    _sq_residual,
     distill_loss,
     factored_reconstruction_loss,
     inverse_nhk_gram,
@@ -244,6 +245,15 @@ def test_reconstruction_scalar_case():
         k = T.Tensor([[c]])
         loss = reconstruction_loss(k, T.Tensor([[2.0]]), T.Tensor([[1.0]]))
         assert loss.item() == pytest.approx(expected)
+
+
+def test_sq_residual_sums_both_reads_of_its_shared_difference():
+    # mul_elem(diff, diff) reads diff twice: the walk frees diff only after
+    # both contributions have reached it, so d/dR ||R - H||^2 = 2 (R - H) exactly
+    rng = np.random.default_rng(5)
+    recon, target = T.parameter(rng.standard_normal((6, 3))), rng.standard_normal((6, 3))
+    _sq_residual(recon, T.constant(target)).backward()
+    assert recon.grad.tobytes() == (2.0 * (recon.values - target)).tobytes()
 
 
 def test_mapper_tanh_overwrites_its_product_and_keeps_its_gradient():

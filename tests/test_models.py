@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,39 @@ def test_folded_forward_gradients_match_unfolded(graph):
         grads.append([w.grad.copy() for w in model.weights])
     for a, b in zip(*grads):
         np.testing.assert_array_equal(a, b)
+
+
+def test_backward_frees_the_interior_spmm_before_the_first_layer(graph):
+    # widths 8 -> 8 keep the (A_hat H) Theta order, so layer 2's spmm product
+    # is an interior node that only its matmul's closure reads
+    model = GnnModel("gcn", [4, 8, 8])
+    init_xavier(model, 16)
+    model.set_trainable(True)
+    grads = []
+    for hold_tape in (True, False):
+        for w in model.weights:
+            w.zero_grad()
+        logits, trace = forward(model, graph)
+        product = logits._parents[0]
+        assert product._parents == (trace[1],)  # spmm(A_hat, H^1)
+        first = trace[1]._parents[0]  # (A_hat X) W_0, which the relu overwrote
+        held = T._toposort(logits) if hold_tape else []  # every node, alive throughout
+        dead, run = weakref.ref(product.values), first._backward
+        freed = []
+
+        def spy(g, run=run, dead=dead, freed=freed):
+            freed.append(dead() is None)
+            run(g)
+
+        first._backward = spy
+        loss = _weighted_logit_sum(logits)
+        del logits, trace, product
+        loss.backward()
+        assert freed == [not hold_tape]
+        assert all(node._backward is None for node in held)
+        grads.append([w.grad for w in model.weights])
+    for got, want in zip(grads[1], grads[0]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_gcn_trace_is_post_activation(graph):

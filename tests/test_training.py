@@ -517,12 +517,18 @@ def test_e_step_one_side_at_a_time_matches_the_summed_backward(graphs, teacher, 
     rec = T.add(distill.factored_reconstruction_loss(ref[0].apply(t_late), t_late, t_early),
                 distill.factored_reconstruction_loss(ref[1].apply(s_late), s_late, s_early))
     rec.backward()
+    class StepSpy(Adam):  # the E-step drops the grads after its step
+        def step(self):
+            self.grads = [p.grad for p in self.params]
+            super().step()
+
     mappers = training._build_mappers(plan, teacher, student)
-    loss = training._e_step(Adam(mapper_params(mappers), 0.01),
-                            ((mappers[0], t_late, t_early), (mappers[1], s_late, s_early)))
+    opt = StepSpy(mapper_params(mappers), 0.01)
+    loss = training._e_step(opt, ((mappers[0], t_late, t_early), (mappers[1], s_late, s_early)))
     assert loss == rec.item()
-    for got, want in zip(mapper_params(mappers), mapper_params(ref)):
-        np.testing.assert_array_equal(got.grad, want.grad)
+    for got, want in zip(opt.grads, mapper_params(ref)):
+        np.testing.assert_array_equal(got, want.grad)
+    assert all(p.grad is None and not p.requires_grad for p in opt.params)
 
 
 def test_e_step_frees_the_teacher_side_before_the_student_side(graphs, teacher, monkeypatch):
@@ -543,6 +549,60 @@ def test_e_step_frees_the_teacher_side_before_the_student_side(graphs, teacher, 
     finally:
         gc.enable()
     assert freed == [True] * 3
+
+
+@pytest.mark.parametrize("mode", ["teacher", "gkd_offline", "pgkd", "online"])
+def test_forward_reentered_after_the_last_forward_is_freed(graphs, teacher, monkeypatch, mode):
+    # _fit's student, and an online teacher, never run a forward beside the
+    # one their last backward walked: its trace entries 1 .. L (the last is
+    # the logits) are gone by reference counts alone
+    g_c, g = graphs
+    alive, last = [], {}
+
+    def spy(model, graph):
+        if id(model) in last:
+            alive.append([entry() is not None for entry in last[id(model)]])
+        logits, trace = forward(model, graph)
+        assert trace[-1] is logits
+        last[id(model)] = [weakref.ref(h.values) for h in trace[1:]]
+        return logits, trace
+
+    monkeypatch.setattr(training, "forward", spy)
+    student = build_model("gcn", 6, 8, 3, 2)
+    gc.disable()
+    try:
+        if mode == "teacher":
+            train_supervised(g, student, quick_plan(seed=20, epochs=3))
+        else:
+            model = build_model("gcn", 6, 8, 3, 2) if mode == "online" else teacher
+            train_student(quick_plan(mode=mode, seed=20, epochs=3), g, g_c, model, student)
+    finally:
+        gc.enable()
+    assert alive == [[False] * 3] * (6 if mode == "online" else 3)
+
+
+@pytest.mark.parametrize("hidden", [8, 12])  # one shared mapper; one per model
+def test_pgkd_mappers_take_no_gradient_in_the_students_backward(graphs, teacher, monkeypatch,
+                                                                 hidden):
+    g_c, g = graphs
+    mappers, seen = [], []
+    build, step = training._build_mappers, Adam.step
+
+    def build_spy(*args):
+        mappers.extend(build(*args))
+        return tuple(mappers)
+
+    def step_spy(opt):
+        if opt.name == "student weight":  # right after _fit's backward
+            seen.append([(m.weight.grad, m.weight.requires_grad) for m in mappers])
+        step(opt)
+
+    monkeypatch.setattr(training, "_build_mappers", build_spy)
+    monkeypatch.setattr(Adam, "step", step_spy)
+    train_student(quick_plan(mode="pgkd", seed=21, epochs=3), g, g_c, teacher,
+                  build_model("gcn", 6, hidden, 3, 2))
+    assert (mappers[0] is mappers[1]) == (hidden == 8)
+    assert seen == [[(None, False)] * 2] * 3
 
 
 @pytest.mark.parametrize("mode, split, dropped", [
