@@ -134,12 +134,8 @@ class RunConfig:
         """Parse a config document; every section rejects keys it does not know."""
         reject_unknown(doc, _TOP_KEYS)
         mode = read_field(doc, "mode", "str", "gkd_offline")
-        complete = read_field(doc, "complete_graph", "str")
-        if not Path(complete).exists():
-            raise GraphParseError("complete_graph", f"file not found: {complete}")
-        partial = read_field(doc, "partial_graph", "str", None)
-        if partial is not None and not Path(partial).exists():
-            raise GraphParseError("partial_graph", f"file not found: {partial}")
+        complete = _require_file(read_field(doc, "complete_graph", "str"), "complete_graph")
+        partial = _require_file(read_field(doc, "partial_graph", "str", None), "partial_graph")
         split = None if doc.get("split") is None else _section(doc, "split", SplitSection)
         plan = _section(doc, "optimizer", TrainPlan, mode=mode,
                         seed=read_field(doc, "seed", "int", 0),
@@ -173,6 +169,21 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         return cls.from_dict(read_document(path, "<config>")[0])
+
+
+def _require_file(path, field: str):
+    """path, refused naming field unless it is None or a file (not a directory)."""
+    if path is not None and not Path(path).is_file():
+        what = "is a directory" if Path(path).is_dir() else "file not found"
+        raise GraphParseError(field, f"{what}: {path}")
+    return path
+
+
+def _require_out_dir(path, field: str):
+    """Refuse, naming field, an output directory that is a file or lies under one."""
+    at = next(p for p in (Path(path), *Path(path).parents) if p.exists())  # "." or "/" does
+    if not at.is_dir():
+        raise GraphParseError(field, f"not a directory: {at}")
 
 
 def resolve_graphs(cfg: RunConfig):
@@ -262,19 +273,17 @@ def cmd_gen_synthetic(args) -> int:
             ("--noise-sigma", args.noise_sigma, 0.0 <= args.noise_sigma < np.inf, "finite >= 0")):
         if not ok:
             raise GraphParseError(flag, f"expected {want}, got {value!r}")
+    out = Path(args.out)
+    _require_out_dir(out.parent, "--out")
+    if out.is_dir():
+        raise GraphParseError("--out", f"is a directory: {out}")
     g = sbm_generate(blocks, args.p_in, args.p_out, args.feature_dim,
                      args.noise_sigma, args.seed)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_graph(g, out)
     print(f"wrote {out}: {g.num_nodes} nodes, {g.num_edges} edges, "
           f"{g.num_classes} classes")
     return 0
-
-
-def _require_file(path, flag: str):
-    if not Path(path).exists():
-        raise GraphParseError(flag, f"file not found: {path}")
 
 
 def _load_cfg(args) -> RunConfig:
@@ -284,6 +293,7 @@ def _load_cfg(args) -> RunConfig:
         cfg.plan.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
+    _require_out_dir(cfg.out_dir, "out_dir" if args.out is None else "--out")
     return cfg
 
 
@@ -309,8 +319,7 @@ def cmd_distill(args) -> int:
     else:
         if cfg.teacher.checkpoint is None:
             raise ValidationError(f"teacher.checkpoint: required for offline mode {mode!r}")
-        if not Path(cfg.teacher.checkpoint).exists():
-            raise ValidationError(f"teacher.checkpoint: file not found: {cfg.teacher.checkpoint}")
+        _require_file(cfg.teacher.checkpoint, "teacher.checkpoint")
         teacher, section = GnnModel.load(cfg.teacher.checkpoint), cfg.teacher
         hidden = teacher.dims[1] if teacher.kind == "gcn" and teacher.num_layers > 1 else None
         for key, got in (("kind", teacher.kind), ("depth", teacher.num_layers), ("hidden", hidden)):
@@ -339,6 +348,8 @@ def _check_widths(model: GnnModel, g: Graph, field: str, num_classes: int | None
 def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.graph, "--graph")
+    if args.out:
+        _require_out_dir(args.out, "--out")
     model = GnnModel.load(args.checkpoint)
     g = load_graph(args.graph)
     # a wider output passes: an eval graph may leave its top classes unlabeled

@@ -22,8 +22,8 @@ SLICE_CHARS = 1 << 16  # text of whole rows per json.loads call in _sliced
 
 
 def config_fields(cls) -> dict:
-    """{name: type} of the fields of dataclass cls that a config or a grid may
-    set: those typed float, int or str, or a list of one such as list[float],
+    """{name: type} of the fields of dataclass cls that a config may set:
+    those typed float, int or str, or a list of one such as list[float],
     optionally ``| None``."""
     kinds = {f.name: f.type.split(" | ")[0] for f in fields(cls)}
     return {name: kind for name, kind in kinds.items()

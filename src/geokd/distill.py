@@ -102,9 +102,9 @@ def distill_loss(k_teacher_sub: Tensor, k_student: Tensor, w: Tensor) -> Tensor:
 
 
 def teacher_layer_kernels(traces_teacher, traces_student_dims, spec: KernelSpec):
-    """The frozen teacher's kernel matrices at trace entries 1 .. L-1, detached:
-    the dense reference for the teacher side of ``layer_avg_distill``."""
-    return [kernel_matrix(spec, T.constant(h), spec.width(d)).detach()
+    """The frozen teacher's kernel matrices at trace entries 1 .. L-1, constants
+    with no tape: the dense reference for the teacher side of ``layer_avg_distill``."""
+    return [kernel_matrix(spec, T.constant(h), spec.width(d))
             for h, d in zip(traces_teacher[1:-1], traces_student_dims[1:])]
 
 

@@ -2,9 +2,10 @@
 
 Edges are undirected, stored once as int32 (u, v) with u < v, no
 self-loops. The normalized adjacency and Laplacian add the implicit
-self-loop (A + I) and are cached on the graph, which is immutable after
-construction; so are the parameter-free propagations A_hat^k X of the
-features and the binary adjacency.
+self-loop (A + I). The graph is immutable after construction and caches the
+normalized adjacency, the binary adjacency and the parameter-free
+propagations A_hat^k X of the features; the exact oracles alone read the
+Laplacian, which is built on each call.
 """
 
 from __future__ import annotations
@@ -87,9 +88,8 @@ class Graph:
 
     def drop_operators(self):
         """Forget the cached operators and propagations (normalize_adjacency,
-        laplacian_sym, adjacency, propagated_features); a later use rebuilds
-        the same values."""
-        self._norm_adj = self._laplacian = self._adjacency = None
+        adjacency, propagated_features); a later use rebuilds the same values."""
+        self._norm_adj = self._adjacency = None
         self._hops = [self.features]  # [X, A_hat X, ...], see propagated_features
 
     def _check_mask(self, mask, key):
@@ -176,11 +176,9 @@ def adjacency(g: Graph, ids=None) -> SparseMatrix:
 
 
 def laplacian_sym(g: Graph) -> SparseMatrix:
-    """Symmetric normalized Laplacian I - normalize_adjacency(g)."""
-    if g._laplacian is None:
-        diag, w = _normalized_values(g)
-        g._laplacian = SparseMatrix.from_edges(g.num_nodes, *g.edges.T, -w, 1.0 - diag)
-    return g._laplacian
+    """Symmetric normalized Laplacian I - normalize_adjacency(g), uncached."""
+    diag, w = _normalized_values(g)
+    return SparseMatrix.from_edges(g.num_nodes, *g.edges.T, -w, 1.0 - diag)
 
 
 def split_edges(g_complete: Graph, pir: float, seed: int) -> Graph:

@@ -5,6 +5,13 @@ parents and a backward closure; ``backward()`` on a scalar walks the tape
 in reverse topological order and frees each node as it passes. Sparse
 matrices are constants: gradients flow only through their dense operands.
 
+Every gradient buffer has one holder: ``_accumulate`` keeps the buffer it is
+handed, so a closure hands each buffer to at most one parent and never writes
+it afterwards. relu, scale and exp write their node's spent g in place, and
+transpose hands on a view of it; the walk drops g right after. ``_make``
+records a closure only when a parent takes a gradient, so only two-parent
+closures check which parent does.
+
 A sparse matrix is square and symmetric by construction: its builder takes
 each off-diagonal pair once, in either orientation, and stores its value at
 both positions, so spmm's backward runs the forward product again. Each entry
@@ -67,22 +74,11 @@ class Tensor:
             raise DimensionError(f"item() on shape {self.shape}")
         return float(self.values[0, 0])
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no tape history."""
-        return Tensor(self.values.copy())
-
     def zero_grad(self):
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
-        # copy: upstream buffers may be aliased (e.g. both parents of add)
-        if self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
-
-    def _accumulate_owned(self, g: np.ndarray):
-        # fast path for freshly allocated buffers the closure hands over
+        """Take g as the grad, or add it into the grad held: g is ours from here."""
         if self.grad is None:
             self.grad = g
         else:
@@ -275,9 +271,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate_owned(g @ b.values.T)
+            a._accumulate(g @ b.values.T)
         if b.requires_grad:
-            b._accumulate_owned(a.values.T @ g)
+            b._accumulate(a.values.T @ g)
 
     return _make(out_vals, (a, b), backward)
 
@@ -286,16 +282,14 @@ def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
     out_vals = s.matmul_dense(x.values)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate_owned(s.matmul_dense(g))  # s is symmetric: s^T g = s g
+        x._accumulate(s.matmul_dense(g))  # s is symmetric: s^T g = s g
 
     return _make(out_vals, (x,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
+        a._accumulate(g.T)
 
     return _make(a.values.T.copy(), (a,), backward)
 
@@ -307,8 +301,7 @@ def relu(a: Tensor, inplace: bool = False) -> Tensor:
     mask = a.values > 0  # subgradient 0 at exactly 0
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(g * mask)
+        a._accumulate(np.multiply(g, mask, out=g))
 
     # np.where(mask, a, 0.0)'s bits without its branch per entry: fmax maps NaN
     # and every value <= 0 to 0.0 (or -0.0, on some paths), and + 0.0 gives +0.0
@@ -321,8 +314,7 @@ def tanh(a: Tensor, inplace: bool = False) -> Tensor:
     out_vals = np.tanh(a.values, out=a.values if inplace else None)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(g * (1.0 - out_vals * out_vals))
+        a._accumulate(g * (1.0 - out_vals * out_vals))
 
     return _make(out_vals, (a,), backward)
 
@@ -331,8 +323,7 @@ def exp(a: Tensor) -> Tensor:
     out_vals = np.exp(a.values)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(g * out_vals)
+        a._accumulate(np.multiply(g, out_vals, out=g))
 
     return _make(out_vals, (a,), backward)
 
@@ -348,8 +339,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
+        if b.requires_grad:  # a copy only when a holds g: np.array keeps g's layout
+            b._accumulate(np.array(g) if a.requires_grad else g)
 
     return _make(a.values + b.values, (a, b), backward)
 
@@ -361,7 +352,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate_owned(-g)
+            b._accumulate(-g)
 
     return _make(a.values - b.values, (a, b), backward)
 
@@ -374,8 +365,7 @@ def scale(a: Tensor, c: float, shift: float = 0.0) -> Tensor:
         out_vals += shift
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(g * c)
+        a._accumulate(np.multiply(g, c, out=g))
 
     return _make(out_vals, (a,), backward)
 
@@ -385,9 +375,9 @@ def mul_elem(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate_owned(g * b.values)
+            a._accumulate(g * b.values)
         if b.requires_grad:
-            b._accumulate_owned(g * a.values)
+            b._accumulate(g * a.values)
 
     return _make(a.values * b.values, (a, b), backward)
 
@@ -400,18 +390,16 @@ def take_rows(a: Tensor, idx) -> Tensor:
         raise ValidationError("take_rows: index out of range")
 
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.values)
-            np.add.at(buf, idx, g)
-            a._accumulate_owned(buf)
+        buf = np.zeros_like(a.values)
+        np.add.at(buf, idx, g)
+        a._accumulate(buf)
 
     return _make(a.values[idx], (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(np.full_like(a.values, g[0, 0]))
+        a._accumulate(np.full_like(a.values, g[0, 0]))
 
     return _make(np.array([[a.values.sum()]]), (a,), backward)
 
@@ -421,9 +409,8 @@ def log_softmax(a: Tensor) -> Tensor:
     out_vals = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
     def backward(g):
-        if a.requires_grad:
-            soft = np.exp(out_vals)
-            a._accumulate_owned(g - soft * g.sum(axis=1, keepdims=True))
+        soft = np.exp(out_vals)
+        a._accumulate(g - soft * g.sum(axis=1, keepdims=True))
 
     return _make(out_vals, (a,), backward)
 
@@ -451,9 +438,8 @@ def pairwise_sqdist(h: Tensor) -> Tensor:
     np.fill_diagonal(out, 0.0)
 
     def backward(g):
-        if h.requires_grad:
-            s = g + g.T
-            h._accumulate_owned(2.0 * (s.sum(axis=1, keepdims=True) * h.values - s @ h.values))
+        s = g + g.T
+        h._accumulate(2.0 * (s.sum(axis=1, keepdims=True) * h.values - s @ h.values))
 
     return _make(out, (h,), backward)
 
@@ -513,7 +499,7 @@ def kernel_alignment(h_s: Tensor, teacher: TeacherKernel) -> Tensor:
     grad = _gradient(spec, qu, hs) if want_grad else None
 
     def backward(g):
-        h_s._accumulate_owned(np.multiply(grad, g[0, 0], out=grad))
+        h_s._accumulate(np.multiply(grad, g[0, 0], out=grad))
 
     return _make(np.array([[sum(w * part for w, (part, _) in parts)]]), (h_s,), backward)
 

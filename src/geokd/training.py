@@ -1,5 +1,5 @@
 """Training: supervised pretraining (``train_supervised``), every student
-mode (``train_student``), mini-batch sampling and grid search.
+mode (``train_student``) and mini-batch sampling.
 
 Every mode runs the one epoch loop in ``_fit`` and supplies only the loss
 terms it adds to the cross-entropy. The student modes differ only in where
@@ -16,16 +16,14 @@ replays the plain supervised trajectory bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from . import tensor as T
-from .config import config_fields
 from .distill import (
     DistillConfig,
     InverseNhkMapper,
@@ -411,54 +409,3 @@ def sample_distill_batch(n: int, batch_size: int, seed: int, epoch: int) -> np.n
     if len(ids) < batch_size:
         ids = np.concatenate([ids, perm[:batch_size - len(ids)]])
     return ids
-
-
-def _grid_keys(cls) -> set:
-    """cls's config fields but kind, mode and seed, which pick what runs."""
-    return set(config_fields(cls)) - {"kind", "mode", "seed"}
-
-
-_GRID_KERNEL_KEYS = _grid_keys(KernelSpec)
-_GRID_DISTILL_KEYS = _grid_keys(DistillConfig)
-_GRID_PLAN_KEYS = _grid_keys(TrainPlan)
-
-
-def apply_grid_overrides(plan: TrainPlan, overrides: dict) -> TrainPlan:
-    kernel_kv = {k: v for k, v in overrides.items() if k in _GRID_KERNEL_KEYS}
-    distill_kv = {k: v for k, v in overrides.items() if k in _GRID_DISTILL_KEYS}
-    plan_kv = {k: v for k, v in overrides.items() if k in _GRID_PLAN_KEYS}
-    unknown = set(overrides) - _GRID_KERNEL_KEYS - _GRID_DISTILL_KEYS - _GRID_PLAN_KEYS
-    if unknown:
-        raise ValidationError(f"unknown grid keys: {sorted(unknown)}")
-    new_plan = replace(plan, **plan_kv)
-    if kernel_kv:
-        new_plan = replace(new_plan, kernel=replace(plan.kernel, **kernel_kv))
-    if distill_kv:
-        new_plan = replace(new_plan, distill=replace(plan.distill, **distill_kv))
-    return new_plan
-
-
-def grid_search(space: dict, plan: TrainPlan, g: Graph, g_complete: Graph = None,
-                teacher: GnnModel = None, *, model_builder):
-    """Exhaustive search over the declared space, selected on validation accuracy.
-
-    Ties keep the first combination in declared (lexicographic) order. Returns
-    (best override dict, rows), one row per combination with its accuracies.
-    """
-    if not space or any(len(v) == 0 for v in space.values()):
-        raise ValidationError("grid space must be nonempty")
-    keys = list(space.keys())
-    rows = []
-    for combo in itertools.product(*(space[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        cell_plan = apply_grid_overrides(plan, overrides)
-        model = model_builder()
-        if cell_plan.mode == "teacher":
-            result = train_supervised(g_complete if g_complete is not None else g,
-                                      model, cell_plan)
-        else:
-            result = train_student(cell_plan, g, g_complete, teacher, model)
-        rows.append({**overrides, "val_acc": result.best_val_acc,
-                     "test_acc": result.best_test_acc})
-    best = max(rows, key=lambda row: row["val_acc"])  # the first of equal rows
-    return {k: best[k] for k in keys}, rows

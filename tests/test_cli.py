@@ -665,6 +665,73 @@ def test_complete_graph_mode_with_a_partial_view_exits_1_before_any_read(
 
 
 # --------------------------------------------------------------------------
+# paths of the wrong kind: each refused naming its field, before any training
+
+
+@pytest.fixture
+def wrong_kind(tmp_path, graph_file, monkeypatch):
+    """A directory and a file to misuse, with training made to fail the test."""
+    for name in ("train_supervised", "train_student"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("trained"))
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    return tmp_path / "adir", tmp_path / "afile"
+
+
+def assert_refused(capsys, argv, field):
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("case,field", [
+    ("config_dir", "--config"), ("complete_dir", "complete_graph"),
+    ("out_file", "out_dir"), ("out_under_file", "out_dir"), ("flag_out_file", "--out")])
+def test_train_teacher_refuses_a_path_of_the_wrong_kind(tmp_path, graph_file, capsys,
+                                                         wrong_kind, case, field):
+    adir, afile = wrong_kind
+    cfg = write_config(tmp_path, graph_file, mode="teacher", **{
+        "complete_dir": {"complete_graph": str(adir)}, "out_file": {"out_dir": str(afile)},
+        "out_under_file": {"out_dir": str(afile / "run")}}.get(case, {}))
+    argv = ["train-teacher", "--config", adir if case == "config_dir" else cfg]
+    assert_refused(capsys, argv + (["--out", afile] if case == "flag_out_file" else []), field)
+
+
+@pytest.mark.parametrize("field", ["partial_graph", "teacher.checkpoint", "out_dir"])
+def test_distill_refuses_a_path_of_the_wrong_kind(tmp_path, graph_file, capsys, wrong_kind,
+                                                  field):
+    adir, afile = wrong_kind
+    teacher = {"kind": "gcn", "depth": 2, "hidden": 8, "checkpoint": str(graph_file)}
+    cfg = write_config(tmp_path, graph_file, **{"teacher": teacher, **{
+        "partial_graph": {"partial_graph": str(adir), "split": None},
+        "teacher.checkpoint": {"teacher": {**teacher, "checkpoint": str(adir)}},
+        "out_dir": {"out_dir": str(afile)}}[field]})
+    assert_refused(capsys, ["distill", "--config", cfg], field)
+
+
+def test_eval_refuses_a_path_of_the_wrong_kind(tmp_path, graph_file, capsys, wrong_kind):
+    adir, afile = wrong_kind
+    ckpt = graph_file  # a file, refused or not before anything reads it
+    assert_refused(capsys, ["eval", "--checkpoint", adir, "--graph", graph_file], "checkpoint")
+    assert_refused(capsys, ["eval", "--checkpoint", ckpt, "--graph", adir], "--graph")
+    assert_refused(capsys, ["eval", "--checkpoint", ckpt, "--graph", graph_file,
+                            "--out", afile / "run"], "--out")
+
+
+def test_sweep_pir_refuses_a_path_of_the_wrong_kind(tmp_path, graph_file, capsys, wrong_kind):
+    adir, afile = wrong_kind
+    assert_refused(capsys, ["sweep-pir", "--config", adir], "--config")
+    cfg = write_config(tmp_path, graph_file, out_dir=str(afile),
+                       sweep={"pirs": [0.5], "seeds": [0]})
+    assert_refused(capsys, ["sweep-pir", "--config", cfg], "out_dir")
+
+
+@pytest.mark.parametrize("out", ["afile/g.json", "adir"])
+def test_gen_synthetic_refuses_an_out_of_the_wrong_kind(tmp_path, capsys, wrong_kind, out):
+    assert_refused(capsys, ["gen-synthetic", "--blocks", "4,4", "--p-in", "0.5", "--p-out",
+                            "0.1", "--out", tmp_path / out], "--out")
+
+
+# --------------------------------------------------------------------------
 # determinism (config -> bytes)
 
 

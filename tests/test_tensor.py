@@ -507,10 +507,26 @@ def test_backward_requires_scalar():
         rand((2, 2)).backward()
 
 
-def test_gradients_accumulate_through_shared_use():
-    x = Tensor([[2.0]], requires_grad=True)
-    T.sum_all(T.mul_elem(x, x)).backward()  # d(x^2)/dx = 2x
-    assert x.grad[0, 0] == pytest.approx(4.0)
+@pytest.mark.parametrize("build", [
+    lambda x: T.add(x, x),
+    lambda x: T.sub(x, x),
+    lambda x: T.mul_elem(x, x),
+    lambda x: T.add(T.relu(x), T.relu(x)),
+    lambda x: T.add(T.scale(x, 3.0, 1.0), x),
+    lambda x: T.gram(x),
+], ids=["add", "sub", "mul_elem", "relu", "scale", "gram"])
+def test_gradients_accumulate_through_shared_use(build):
+    # every gradient buffer has one holder, however often x is read
+    x = rand((3, 2), 25)
+    w = rand(build(x).shape, 26, grad=False)
+    assert grad_check(lambda: T.sum_all(T.mul_elem(build(x), w)), [x]) < 1e-6
+
+
+def test_add_gives_each_parent_its_own_gradient():
+    a, b = rand((3, 2), 27), rand((3, 2), 28)
+    T.sum_all(T.add(a, b)).backward()
+    np.testing.assert_array_equal(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_forward_deterministic():
@@ -518,11 +534,3 @@ def test_forward_deterministic():
     first = T.matmul(a, b).values
     second = T.matmul(a, b).values
     np.testing.assert_array_equal(first, second)
-
-
-def test_detach_blocks_gradient():
-    x = rand((2, 2), 24)
-    y = x.detach()
-    assert not y.requires_grad
-    out = T.sum_all(y)
-    assert not out.requires_grad

@@ -16,8 +16,6 @@ from geokd.nhk import KernelSpec
 from geokd.training import (
     Adam,
     TrainPlan,
-    apply_grid_overrides,
-    grid_search,
     sample_distill_batch,
     train_student,
     train_supervised,
@@ -189,10 +187,7 @@ def test_plan_rejects_a_kernel_its_mode_does_not_align(mode, kind, batch_size, f
     with pytest.raises(GraphParseError, match=f"^{field}: mode '{mode}'"):
         TrainPlan(mode=mode, kernel=KernelSpec(kind=kind),
                   distill=DistillConfig(batch_size=batch_size))
-    if field == "distill.batch_size":  # a grid cell is checked as well
-        with pytest.raises(GraphParseError, match=f"^{field}: "):
-            apply_grid_overrides(quick_plan(mode="pgkd"), {"batch_size": batch_size})
-    else:  # the teacher trains no alignment and reads no kernel
+    if field == "kernel.kind":  # the teacher trains no alignment and reads no kernel
         TrainPlan(mode="teacher", kernel=KernelSpec(kind=kind))
 
 
@@ -807,41 +802,6 @@ def test_batch_size_bounds():
         sample_distill_batch(10, 11, seed=0, epoch=0)
 
 
-# --------------------------------------------------------------------------
-# grid search
-
-
-def test_grid_singleton(graphs, teacher):
-    g_c, g = graphs
-    plan = quick_plan(mode="gkd_offline", epochs=5, seed=16)
-    best, rows = grid_search({"alpha": [3.0]}, plan, g, g_c, teacher,
-                             model_builder=lambda: build_model("gcn", 6, 8, 3, 2))
-    assert best == {"alpha": 3.0}
-    assert len(rows) == 1
-
-
-def test_grid_table_shape_and_argmax(graphs, teacher):
-    g_c, g = graphs
-    plan = quick_plan(mode="gkd_offline", epochs=5, seed=17)
-    space = {"alpha": [1.0, 10.0], "delta": [0.0, 0.5, 1.0]}
-    best, rows = grid_search(space, plan, g, g_c, teacher,
-                             model_builder=lambda: build_model("gcn", 6, 8, 3, 2))
-    assert len(rows) == 6
-    best_row = max(rows, key=lambda r: r["val_acc"])
-    assert {k: best[k] for k in space} == {k: best_row[k] for k in space}
-
-
-def test_grid_tie_breaks_to_first_declared(graphs, teacher):
-    # alpha = 0 makes delta irrelevant: all cells tie, first combination wins
-    g_c, g = graphs
-    plan = quick_plan(mode="gkd_offline", epochs=4, seed=18)
-    space = {"alpha": [0.0], "delta": [0.3, 0.7]}
-    best, rows = grid_search(space, plan, g, g_c, teacher,
-                             model_builder=lambda: build_model("gcn", 6, 8, 3, 2))
-    assert rows[0]["val_acc"] == rows[1]["val_acc"]
-    assert best == {"alpha": 0.0, "delta": 0.3}
-
-
 def test_gkd_with_soft_label_term(graphs, teacher):
     g_c, g = graphs
     plan = quick_plan(mode="gkd_offline", seed=21, epochs=8,
@@ -857,21 +817,3 @@ def test_gkd_with_soft_label_term(graphs, teacher):
     first = run()
     assert first == run()
     assert len(first) == 8
-
-
-def test_grid_rejects_unknown_key():
-    with pytest.raises(ValidationError):
-        apply_grid_overrides(quick_plan(), {"bogus": [1]})
-
-
-def test_grid_overrides_nested_fields():
-    plan = apply_grid_overrides(quick_plan(), {"alpha": 7.0, "t": 2.0, "lr": 0.5})
-    assert plan.distill.alpha == 7.0
-    assert plan.kernel.t == 2.0
-    assert plan.lr == 0.5
-
-
-def test_grid_keys_are_the_tunable_config_fields():
-    assert training._GRID_KERNEL_KEYS == {"t", "a", "b", "m", "s"}
-    assert training._GRID_DISTILL_KEYS == {"alpha", "delta", "alpha_kd", "tau_kd", "batch_size"}
-    assert training._GRID_PLAN_KEYS == {"lr", "lr_mapper", "epochs", "patience"}
